@@ -2,7 +2,7 @@
 makes the FM re-wirable — even mid-run — without touching application
 code."""
 
-from .client import GnsClient, GnsWatchUnsupported, LocalGnsClient, WatchBatch
+from .client import GnsClient, LocalGnsClient, WatchBatch
 from .matcher import ConnectionMatcher, StreamBinding
 from .persistence import dump_records, load_gns, load_records, save_gns
 from .records import BufferEndpoint, GnsRecord, IOMode
@@ -11,7 +11,6 @@ from .store import DEFAULT_NAMESPACE, GnsAuthError, RecordStore
 
 __all__ = [
     "GnsClient",
-    "GnsWatchUnsupported",
     "LocalGnsClient",
     "WatchBatch",
     "ConnectionMatcher",

@@ -6,11 +6,9 @@ runs inside one Python process (tests, examples, the simulator).
 
 Both clients carry an optional ``namespace``/``token`` identity: every
 call is scoped to that namespace and authenticated with its bearer
-token.  The defaults (``"default"``, no token) produce byte-identical
-requests to a pre-control-plane client, so old servers interoperate;
-against a server that predates ``gns.watch`` the control-plane calls
-raise :class:`GnsWatchUnsupported` and callers degrade to
-resolve-at-open only.
+token.  Client and server ship as one wire version, so every op here
+is served; a server lacking one answers ``RpcError("unknown-op")``,
+which propagates to the caller like any other remote error.
 """
 
 from __future__ import annotations
@@ -20,16 +18,12 @@ import uuid
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..transport.tcp import RpcClient, RpcError
+from ..transport.tcp import RpcClient
 from .records import GnsRecord
 from .server import NameService
 from .store import DEFAULT_NAMESPACE
 
-__all__ = ["GnsClient", "GnsWatchUnsupported", "LocalGnsClient", "WatchBatch"]
-
-
-class GnsWatchUnsupported(RuntimeError):
-    """The peer GNS server predates the control-plane ops (version skew)."""
+__all__ = ["GnsClient", "LocalGnsClient", "WatchBatch"]
 
 
 @dataclass
@@ -63,8 +57,7 @@ class GnsClient:
 
     def _hdr(self, fields: Dict[str, Any]) -> Dict[str, Any]:
         # Only stamp the identity fields when they deviate from the
-        # defaults: a default-namespace, tokenless client sends frames
-        # an old server already understands.
+        # defaults, which the server assumes for a frame without them.
         if self.namespace != DEFAULT_NAMESPACE:
             fields["ns"] = self.namespace
         if self._token is not None:
@@ -109,12 +102,7 @@ class GnsClient:
             else:
                 raise ValueError(f"malformed txn op: {op!r}")
         hdr = self._hdr({"ops": wire_ops, "token": token or uuid.uuid4().hex})
-        try:
-            reply, _ = self._rpc.call("gns.txn", hdr, retryable=True)
-        except RpcError as exc:
-            if exc.kind == "unknown-op":
-                raise GnsWatchUnsupported("peer GNS server has no gns.txn") from exc
-            raise
+        reply, _ = self._rpc.call("gns.txn", hdr, retryable=True)
         return int(reply["revision"])
 
     def watch(self, from_revision: int, timeout: float = 10.0) -> WatchBatch:
@@ -127,12 +115,7 @@ class GnsClient:
         means no event is missed or duplicated across the crash.
         """
         hdr = self._hdr({"from_revision": int(from_revision), "timeout": float(timeout)})
-        try:
-            reply, _ = self._rpc.call("gns.watch", hdr)
-        except RpcError as exc:
-            if exc.kind == "unknown-op":
-                raise GnsWatchUnsupported("peer GNS server has no gns.watch") from exc
-            raise
+        reply, _ = self._rpc.call("gns.watch", hdr)
         return WatchBatch(
             events=list(reply.get("events") or []),
             revision=int(reply["revision"]),

@@ -203,10 +203,9 @@ class RecordStore:
     def check_token(self, ns: str, token: Optional[str]) -> None:
         """Raise :class:`GnsAuthError` unless ``token`` opens ``ns``.
 
-        Namespaces without a configured token are open — that is the
-        silent-skew path: an old peer sends no ``auth`` header, lands
-        in the default namespace, and keeps working as long as that
-        namespace is not tokened.
+        Namespaces without a configured token are open: a default
+        client sends no ``auth`` field, lands in the default namespace,
+        and works as long as that namespace is not tokened.
         """
         with self._lock:
             expected = self._tokens.get(ns)

@@ -7,10 +7,10 @@ Two layers:
   :class:`~repro.transport.tcp.RpcClient`, so concurrent calls (a
   read-ahead window, a writer flushing while a stats poll runs) fly in
   parallel instead of serialising behind one connection lock.  The
-  vectored fast-path ops (``gb.write_multi``, ``gb.read_multi``,
-  ``gb.consume``) are used when the server speaks them and fall back
-  to the per-block ops against an old server — both directions stay
-  wire compatible.
+  op set is fixed by the wire version, so the vectored ops
+  (``gb.write_multi``, ``gb.read_multi``, ``gb.consume_multi``) are
+  always available; an ``unknown-op`` reply is an error like any
+  other and propagates.
 * :class:`BufferWriter` / :class:`BufferReader` — file-like adapters
   the FM's Grid Buffer Client uses.  The writer coalesces small writes
   into batched vectored RPCs behind a *bounded flush deadline* (safe
@@ -25,7 +25,7 @@ separate pooled connection set, so a request blocked server-side never
 head-of-line blocks demand traffic.  Co-located readers of one
 broadcast stream can share a per-process block cache: each block is
 fetched from the server once and the other readers acknowledge their
-consumption with cheap vectored ``gb.consume`` calls, keeping
+consumption with cheap batched ``gb.consume_multi`` calls, keeping
 delete-on-read GC and per-reader lag gauges exact.
 """
 
@@ -38,7 +38,7 @@ import time
 import uuid
 from bisect import bisect_left, bisect_right, insort
 from collections import OrderedDict
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .. import faults, ioutil, obs
 from ..ioutil import ReadIntoFromRead
@@ -47,7 +47,6 @@ from .protocol import (
     DEFAULT_READ_BUDGET,
     OP_ABORT,
     OP_CLOSE_WRITER,
-    OP_CONSUME,
     OP_CONSUME_MULTI,
     OP_CREATE,
     OP_DROP,
@@ -99,11 +98,6 @@ _SHARED_HITS = obs.counter(
     "buffer_shared_cache_hits_total",
     "Reads served from the per-process shared block cache",
     labelnames=("stream",),
-)
-_VECTOR_FALLBACKS = obs.counter(
-    "buffer_vectored_fallbacks_total",
-    "Vectored ops refused by an old server (per-block fallback taken)",
-    labelnames=("op",),
 )
 _READER_RESUMES = obs.counter(
     "buffer_reader_resumes_total",
@@ -165,10 +159,10 @@ class _SharedStreamCache:
 
     R co-located readers of the same broadcast stream fetch each block
     from the server once; the other R-1 serve it from here and batch
-    ``gb.consume`` acknowledgements instead of re-transferring.  Runs
-    are evicted LRU once ``capacity_bytes`` is exceeded — a straggler
-    that falls too far behind simply falls back to real reads (served
-    by the stream's cache file server-side).
+    ``gb.consume_multi`` acknowledgements instead of re-transferring.
+    Runs are evicted LRU once ``capacity_bytes`` is exceeded — a
+    straggler that falls too far behind simply falls back to real reads
+    (served by the stream's cache file server-side).
     """
 
     def __init__(
@@ -439,8 +433,6 @@ class _SharedStreamCache:
 # Keyed (host, port, stream, generation): the generation makes a
 # re-created stream (writer crash, drop + recreate) land in a *fresh*
 # cache instead of being served the previous incarnation's bytes.
-# Against an old server that does not report generations the key pins
-# generation 0 — shared, but no worse than before.
 _SHARED_CACHES: Dict[Tuple[str, int, str, int], _SharedStreamCache] = {}
 _SHARED_CACHES_LOCK = threading.Lock()
 
@@ -551,13 +543,6 @@ class GridBufferClient:
         self._rpc = RpcClient(host, port, timeout=timeout, max_connections=max_connections)
         self.monitor = monitor
         self.peer = peer or host
-        # None = unknown, probed on first vectored use; False pins the
-        # per-block fallback after one "unknown-op" from an old server.
-        self._vectored: Optional[bool] = None
-        # gb.consume_multi is newer than the other vectored ops, so it
-        # carries its own capability flag: a server can speak gb.consume
-        # but still refuse the batched form.
-        self._consume_multi: Optional[bool] = None
         # Dedupe identity for write replay: every write batch carries
         # (token, seq); the service skips a (token, seq) it has already
         # applied, which is what makes gb.write/gb.write_multi safe to
@@ -586,23 +571,6 @@ class GridBufferClient:
             self._next_seq += 1
             return self._next_seq
 
-    # -- capability probe ---------------------------------------------------
-    def supports_vectored(self) -> bool:
-        """Does the server speak the PR 3 vectored ops?  Probed once."""
-        if self._vectored is None:
-            try:
-                # Any reply other than unknown-op (here: unknown stream)
-                # proves the op is dispatched.
-                self._rpc.call(OP_CONSUME, {"name": "", "reader_id": "", "ranges": []})
-                self._vectored = True
-            except RpcError as exc:
-                self._vectored = exc.kind != "unknown-op"
-        return self._vectored
-
-    def _vectored_refused(self, op: str) -> None:
-        self._vectored = False
-        _VECTOR_FALLBACKS.labels(op=op).inc()
-
     # -- service mirror ----------------------------------------------------
     def create_stream(
         self,
@@ -622,11 +590,7 @@ class GridBufferClient:
         )
 
     def register_reader(self, name: str, reader_id: str) -> int:
-        """Attach a reader; returns the stream generation (0 = unknown).
-
-        An old server's reply has no ``gen`` field — generation 0 then
-        keys the shared cache exactly as the pre-generation code did.
-        """
+        """Attach a reader; returns the stream generation."""
         return self.register_reader_ex(name, reader_id)[0]
 
     def register_reader_ex(
@@ -646,12 +610,8 @@ class GridBufferClient:
             header["peer"] = peer_hints[0]
             header["peer_hints"] = int(peer_hints[1])
         reply, _ = self._rpc.call(OP_REGISTER_READER, header)
-        gen = reply.get("gen")
         hint = reply.get("cached_at")
-        return (
-            int(gen) if gen is not None else 0,
-            hint if isinstance(hint, dict) else None,
-        )
+        return int(reply["gen"]), (hint if isinstance(hint, dict) else None)
 
     def write(
         self, name: str, offset: int, data: bytes, timeout: Optional[float] = None
@@ -683,7 +643,7 @@ class GridBufferClient:
         runs: Sequence[Tuple[int, bytes]],
         timeout: Optional[float] = None,
     ) -> Optional[str]:
-        """Scatter several blocks in one frame; falls back per block.
+        """Scatter several blocks in one frame (a lone run goes as ``gb.write``).
 
         Returns the backpressure verdict from the reply header —
         ``"buffer_full"``/``"slow_reader"`` when the server had to stall
@@ -693,30 +653,21 @@ class GridBufferClient:
         runs = [(offset, data) for offset, data in runs if data]
         if not runs:
             return None
-        if len(runs) > 1 and self._vectored is not False:
-            header = {
-                "name": name,
-                "offsets": [offset for offset, _ in runs],
-                "sizes": [len(data) for _, data in runs],
-                "timeout": timeout,
-                "token": self._writer_token,
-                "seq": self._next_write_seq(),
-            }
-            payload = b"".join(data for _, data in runs)
-            try:
-                t0 = time.perf_counter()
-                reply, _ = self._rpc.call(OP_WRITE_MULTI, header, payload, retryable=True)
-                self._record("write_multi", len(payload), time.perf_counter() - t0)
-                self._vectored = True
-                return reply.get("stall")
-            except RpcError as exc:
-                if exc.kind != "unknown-op":
-                    raise
-                self._vectored_refused(OP_WRITE_MULTI)
-        stall: Optional[str] = None
-        for offset, data in runs:
-            stall = self.write(name, offset, data, timeout=timeout) or stall
-        return stall
+        if len(runs) == 1:
+            return self.write(name, *runs[0], timeout=timeout)
+        header = {
+            "name": name,
+            "offsets": [offset for offset, _ in runs],
+            "sizes": [len(data) for _, data in runs],
+            "timeout": timeout,
+            "token": self._writer_token,
+            "seq": self._next_write_seq(),
+        }
+        payload = b"".join(data for _, data in runs)
+        t0 = time.perf_counter()
+        reply, _ = self._rpc.call(OP_WRITE_MULTI, header, payload, retryable=True)
+        self._record("write_multi", len(payload), time.perf_counter() - t0)
+        return reply.get("stall")
 
     def read(
         self,
@@ -754,8 +705,7 @@ class GridBufferClient:
         """Windowed read: ``(data, stream_total_if_known)``.
 
         One reply carries as many contiguous bytes as the server has
-        available at ``offset`` up to ``budget``; against an old server
-        this degrades to a plain ``gb.read`` (no total reported).
+        available at ``offset`` up to ``budget``.
         """
         data, total, _ = self.read_window_ex(
             name, reader_id, offset, budget, min_bytes=min_bytes, timeout=timeout, rpc=rpc
@@ -778,42 +728,29 @@ class GridBufferClient:
         ``peer_hints=(own_peer_addr, k)`` asks the origin for up to
         ``k`` peers holding the requested-next ranges (excluding
         ourselves).  The returned hint is ``{"peers": [...], "start":
-        int, "end": int}`` or None — always None when either side
-        predates the cooperative cache, since old clients never send
-        the request field and old servers never attach the reply field.
+        int, "end": int}``, or None when it was not asked for or no
+        peer holds the range.
         """
-        if self._vectored is not False:
-            header: Dict[str, Any] = {
-                "name": name,
-                "reader_id": reader_id,
-                "offset": offset,
-                "budget": budget,
-                "min_bytes": min_bytes,
-                "timeout": timeout,
-            }
-            if peer_hints is not None:
-                header["peer"] = peer_hints[0]
-                header["peer_hints"] = int(peer_hints[1])
-            try:
-                t0 = time.perf_counter()
-                reply, data = (rpc or self._rpc).call(OP_READ_MULTI, header)
-                self._record("read_multi", len(data), time.perf_counter() - t0)
-                self._vectored = True
-                total = reply.get("total")
-                hint = reply.get("cached_at")
-                return (
-                    data,
-                    (int(total) if total is not None else None),
-                    hint if isinstance(hint, dict) else None,
-                )
-            except RpcError as exc:
-                if exc.kind != "unknown-op":
-                    raise
-                self._vectored_refused(OP_READ_MULTI)
+        header: Dict[str, Any] = {
+            "name": name,
+            "reader_id": reader_id,
+            "offset": offset,
+            "budget": budget,
+            "min_bytes": min_bytes,
+            "timeout": timeout,
+        }
+        if peer_hints is not None:
+            header["peer"] = peer_hints[0]
+            header["peer_hints"] = int(peer_hints[1])
+        t0 = time.perf_counter()
+        reply, data = (rpc or self._rpc).call(OP_READ_MULTI, header)
+        self._record("read_multi", len(data), time.perf_counter() - t0)
+        total = reply.get("total")
+        hint = reply.get("cached_at")
         return (
-            self.read(name, reader_id, offset, budget, timeout=timeout, rpc=rpc),
-            None,
-            None,
+            data,
+            (int(total) if total is not None else None),
+            hint if isinstance(hint, dict) else None,
         )
 
     def peer_read(
@@ -870,54 +807,20 @@ class GridBufferClient:
                 self._peer_rpcs[peer] = rpc
             return rpc
 
-    def consume(
-        self, name: str, reader_id: str, ranges: Iterable[Tuple[int, int]]
-    ) -> bool:
-        """Acknowledge ranges served from a shared cache.
-
-        Returns False when the server predates the vectored ops (the
-        caller must then fetch for real instead of acking).
-        """
-        if self._vectored is False:
-            return False
-        try:
-            self._rpc.call(
-                OP_CONSUME,
-                {
-                    "name": name,
-                    "reader_id": reader_id,
-                    "ranges": [[int(s), int(e)] for s, e in ranges],
-                },
-            )
-            self._vectored = True
-            return True
-        except RpcError as exc:
-            if exc.kind != "unknown-op":
-                raise
-            self._vectored_refused(OP_CONSUME)
-            return False
-
     def consume_multi(
         self,
         name: str,
         entries: Sequence[Tuple[str, Sequence[Sequence[int]]]],
         adv: Optional[Dict[str, Any]] = None,
-    ) -> bool:
-        """Batched :meth:`consume` covering several readers in one frame.
+    ) -> None:
+        """Acknowledge ranges served from a shared cache, several readers a frame.
 
         ``entries`` is a list of ``(reader_id, ranges)`` pairs — the
         shared-cache ack aggregator's flush unit.  ``adv`` piggybacks a
         cooperative-cache holder advertisement (``peer``/``gen``/
-        ``holds``/``drops`` keys) on the same frame; an old server
-        simply ignores the extra keys, and the per-reader fallback path
-        drops the advertisement entirely (old servers keep no holder
-        map).  Falls back to per-reader ``gb.consume`` against a server
-        that predates the batched op; returns False only when even that
-        is unsupported (the caller must then fetch for real instead of
-        acking).
+        ``holds``/``drops`` keys) on the same frame.
         """
-        ok, _ = self.consume_multi_ex(name, entries, adv=adv)
-        return ok
+        self.consume_multi_ex(name, entries, adv=adv)
 
     def consume_multi_ex(
         self,
@@ -926,52 +829,35 @@ class GridBufferClient:
         adv: Optional[Dict[str, Any]] = None,
         peer_hints: Optional[Tuple[str, int]] = None,
         hint_from: Optional[int] = None,
-    ) -> Tuple[bool, Optional[Dict[str, Any]]]:
-        """:meth:`consume_multi` plus the server's ``cached_at`` hint.
+    ) -> Optional[Dict[str, Any]]:
+        """:meth:`consume_multi`, returning the server's ``cached_at`` hint.
 
         A fully peer-served reader never issues an origin read, so the
         ack channel is the only round trip on which its holder map can
         refresh — ``peer_hints=(own_peer_addr, k)`` asks for an updated
-        hint on the reply, with the same both-ways-silent codec-skew
-        behaviour as :meth:`read_window_ex`.  ``hint_from`` carries the
-        reader's true read frontier: acked ranges trail it, and a hint
-        computed at the acked frontier points at peers that may not
-        hold the leading edge yet.
+        hint on the reply.  ``hint_from`` carries the reader's true
+        read frontier: acked ranges trail it, and a hint computed at
+        the acked frontier points at peers that may not hold the
+        leading edge yet.
         """
-        entries = [
-            (rid, [[int(s), int(e)] for s, e in ranges]) for rid, ranges in entries
-        ]
         if not entries and not adv:
-            return True, None
-        if self._vectored is False:
-            return False, None
-        if self._consume_multi is not False:
-            header: Dict[str, Any] = {
-                "name": name,
-                "entries": [[rid, ranges] for rid, ranges in entries],
-            }
-            if adv:
-                header.update(adv)
-            if peer_hints is not None:
-                header["peer"] = peer_hints[0]
-                header["peer_hints"] = int(peer_hints[1])
-                if hint_from is not None:
-                    header["hint_from"] = int(hint_from)
-            try:
-                reply, _ = self._rpc.call(OP_CONSUME_MULTI, header)
-                self._consume_multi = True
-                self._vectored = True
-                hint = reply.get("cached_at")
-                return True, (hint if isinstance(hint, dict) else None)
-            except RpcError as exc:
-                if exc.kind != "unknown-op":
-                    raise
-                self._consume_multi = False
-                _VECTOR_FALLBACKS.labels(op=OP_CONSUME_MULTI).inc()
-        ok = True
-        for rid, ranges in entries:
-            ok = self.consume(name, rid, [(s, e) for s, e in ranges]) and ok
-        return ok, None
+            return None
+        header: Dict[str, Any] = {
+            "name": name,
+            "entries": [
+                [rid, [[int(s), int(e)] for s, e in ranges]] for rid, ranges in entries
+            ],
+        }
+        if adv:
+            header.update(adv)
+        if peer_hints is not None:
+            header["peer"] = peer_hints[0]
+            header["peer_hints"] = int(peer_hints[1])
+            if hint_from is not None:
+                header["hint_from"] = int(hint_from)
+        reply, _ = self._rpc.call(OP_CONSUME_MULTI, header)
+        hint = reply.get("cached_at")
+        return hint if isinstance(hint, dict) else None
 
     def close_writer(self, name: str) -> int:
         reply, _ = self._rpc.call(OP_CLOSE_WRITER, {"name": name})
@@ -1046,7 +932,7 @@ class GridBufferClient:
         own fetches to hinted peers when the origin says one holds the
         bytes.  Implies ``shared_cache`` (the shared cache *is* the
         peer-served store) and ``read_ahead`` (the window owns the peer
-        fetch machinery); silently disabled against an old server.
+        fetch machinery).
         """
         rid = reader_id or f"reader-{uuid.uuid4().hex[:8]}"
         interval = _open_poll_interval() if poll_interval is None else poll_interval
@@ -1055,13 +941,9 @@ class GridBufferClient:
             if time.monotonic() > deadline:
                 raise TimeoutError(f"stream {name!r} never appeared")
             time.sleep(interval)
-        if peer_cache and not self.supports_vectored():
-            peer_cache = False  # old server: no holder map, no hints
         if peer_cache:
             shared_cache = True
             read_ahead = True
-        if shared_cache and not self.supports_vectored():
-            shared_cache = False  # old server: acks impossible, fetch for real
         peer_addr = _PeerCacheServer.get().addr if peer_cache else None
         gen, hint = self.register_reader_ex(
             name,
@@ -1663,7 +1545,7 @@ class _ReadAheadWindow:
                     )
                     if entries:
                         try:
-                            _, hint = self._client.consume_multi_ex(
+                            hint = self._client.consume_multi_ex(
                                 self._name,
                                 entries,
                                 peer_hints=(self._peer_addr, _HINT_K),
@@ -1830,7 +1712,7 @@ class _ReadAheadWindow:
         if pending is None:
             return
         try:
-            _, hint = self._client.consume_multi_ex(
+            hint = self._client.consume_multi_ex(
                 self._name,
                 [],
                 adv={
@@ -1859,7 +1741,7 @@ class BufferReader(ReadIntoFromRead, io.RawIOBase):
     requests in flight while the current chunk is consumed.  With
     ``shared_cache=True`` co-located readers of the same stream serve
     each other's fetches from a per-process cache and acknowledge
-    consumption with batched vectored ``gb.consume`` calls.
+    consumption with batched ``gb.consume_multi`` calls.
     """
 
     #: Acked-but-unsent shared-cache ranges are flushed past this size.
@@ -1964,7 +1846,7 @@ class BufferReader(ReadIntoFromRead, io.RawIOBase):
                     "drops": pending[1],
                 }
         try:
-            _, hint = self._client.consume_multi_ex(
+            hint = self._client.consume_multi_ex(
                 self.name,
                 entries,
                 adv=adv,
@@ -2059,7 +1941,7 @@ class BufferReader(ReadIntoFromRead, io.RawIOBase):
         Fires when the transport's own retries are exhausted (e.g. the
         Grid Buffer front end restarted) or the service forgot this
         reader.  Registration is idempotent server-side and the resume
-        position is ``self._pos`` — exact, because the ``gb.consume``
+        position is ``self._pos`` — exact, because the ``gb.consume_multi``
         ack bookkeeping tracks consumption per byte range, not per call.
         Non-recoverable errors (stream failed, stalled, EOF races)
         re-raise unchanged.

@@ -949,31 +949,21 @@ class GridBufferService:
         with st.cond:
             return st.eof_total
 
-    def mark_consumed(
-        self, name: str, reader_id: str, ranges: Iterable[Tuple[int, int]]
-    ) -> None:
-        """Record ranges as consumed for ``reader_id`` without reading.
-
-        The vectored-broadcast path: when a co-located reader already
-        fetched a range and served it from a shared client-side cache,
-        the other readers acknowledge here so delete-on-read GC and the
-        per-reader lag gauges stay exact without moving the bytes
-        again.  Ranges outside written data are ignored.
-        """
-        self.mark_consumed_multi(name, [(reader_id, ranges)])
-
     def mark_consumed_multi(
         self,
         name: str,
         entries: Sequence[Tuple[str, Iterable[Tuple[int, int]]]],
     ) -> None:
-        """Batched :meth:`mark_consumed` covering several readers at once.
+        """Record ranges as consumed, without reading, for several readers.
 
-        Backs the ``gb.consume_multi`` wire op: co-located readers
-        sharing a client-side cache acknowledge their consumed ranges
-        in one frame, one lock acquisition and one GC pass, instead of
-        one ``gb.consume`` round trip per reader.  All readers are
-        validated before anything is applied.
+        Backs the ``gb.consume_multi`` wire op: when a co-located
+        reader already fetched a range and served it from a shared
+        client-side cache, the other readers acknowledge here — one
+        frame, one lock acquisition and one GC pass for the group — so
+        delete-on-read GC and the per-reader lag gauges stay exact
+        without moving the bytes again.  Ranges outside written data
+        are ignored.  All readers are validated before anything is
+        applied.
         """
         st = self._stream(name)
         with st.cond:

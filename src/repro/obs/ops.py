@@ -1,11 +1,10 @@
 """Built-in ops plane: ``_obs.*`` handlers on every RPC server.
 
 Allcock et al.'s GridFTP embeds its management plane in the transfer
-protocol itself; we do the same — every :class:`RpcServer` /
-:class:`ThreadedRpcServer` auto-registers three read-only ops at
-construction (the ``_wire`` probe pattern: reserved ``_``-prefixed
-names that ride the normal RPC machinery, no second port, no second
-protocol):
+protocol itself; we do the same — every :class:`RpcServer`
+auto-registers three read-only ops at construction (reserved
+``_``-prefixed names that ride the normal RPC machinery, no second
+port, no second protocol):
 
 * ``_obs.health`` — liveness + identity: proc label, pid, uptime,
   registered op count, plus whatever the owning service exposes via a
@@ -37,11 +36,9 @@ OPS = ("_obs.health", "_obs.metrics", "_obs.spans_tail")
 def install(server: Any) -> None:
     """Register the ``_obs.*`` ops on ``server``.
 
-    Works against both server classes: the async server gets the
-    handlers inline (they are lock-brief and allocation-light, and
-    staying off the executor means health answers even when every
-    worker thread is busy — exactly when you ask); the legacy threaded
-    server takes them as plain handlers.
+    The handlers run inline on the loop: they are lock-brief and
+    allocation-light, and staying off the executor means health answers
+    even when every worker thread is busy — exactly when you ask.
     """
     started = time.monotonic()
 
@@ -80,10 +77,5 @@ def install(server: Any) -> None:
         )
         return {"count": len(records)}, body.encode("utf-8")
 
-    handlers = {"_obs.health": health, "_obs.metrics": metrics, "_obs.spans_tail": spans_tail}
-    inline = hasattr(server, "register_async")
-    for op, fn in handlers.items():
-        if inline:
-            server.register(op, fn, inline=True)
-        else:
-            server.register(op, fn)
+    for op, fn in zip(OPS, (health, metrics, spans_tail)):
+        server.register(op, fn, inline=True)

@@ -4,15 +4,7 @@ and the in-process virtual-host registry used by the real FM."""
 from .aio import AsyncRpcClient, AsyncRpcServer
 from .gridftp import DEFAULT_BLOCK, GridFtpClient, GridFtpServer
 from .inmem import DelayModel, HostRegistry, VirtualHost
-from .tcp import (
-    FrameError,
-    RpcClient,
-    RpcError,
-    RpcServer,
-    ThreadedRpcServer,
-    recv_frame,
-    send_frame,
-)
+from .tcp import FrameError, RpcClient, RpcError, RpcServer, WireVersionError
 
 __all__ = [
     "DEFAULT_BLOCK",
@@ -22,12 +14,10 @@ __all__ = [
     "HostRegistry",
     "VirtualHost",
     "FrameError",
+    "WireVersionError",
     "RpcClient",
     "RpcError",
     "RpcServer",
-    "ThreadedRpcServer",
     "AsyncRpcClient",
     "AsyncRpcServer",
-    "recv_frame",
-    "send_frame",
 ]

@@ -2,78 +2,67 @@
 
 All the real (non-simulated) GriddLeS services — the GNS server, the
 Grid Buffer server and the GridFTP-like file server — speak framed
-request/reply RPC in one of two interoperable framings:
+request/reply RPC in the one framing :mod:`repro.transport.wire`
+defines: a fixed 14-byte preamble, a varint-packed field table (the
+self-describing envelope that plays the role of the paper's SOAP
+message, on one firewall-friendly channel), a raw binary payload that
+carries file blocks without base64 overhead, and a crc32 trailer.
 
-* **legacy JSON**: a 4-byte big-endian length, a JSON header, and an
-  optional binary payload.  The JSON header plays the role of the
-  paper's SOAP envelope (self-describing, firewall-friendly single
-  channel); the binary payload carries file blocks without base64
-  overhead::
+There is one wire version and no negotiation.  A reply that is not a
+``WIRE_VERSION`` frame with a CRC trailer raises
+:class:`~repro.transport.wire.WireVersionError` after exactly one
+attempt — a peer of another version is refused loudly, never degraded
+to, and never retried as if it were a flaky link.
 
-      +--------------+------------------+---------------------+
-      | len(header)  |  header (JSON)   |  payload (binary)   |
-      |  uint32 BE   |                  |                     |
-      +--------------+------------------+---------------------+
-
-  The header always contains ``"payload_len"`` so the receiver knows
-  how many payload bytes follow.
-
-* **binary**: a fixed 14-byte preamble plus a varint-packed field
-  table (see :mod:`repro.transport.wire`), negotiated via the
-  ``_wire`` capability probe on a client's first call.  Servers sniff
-  the framing per frame off the first byte, so mixed-version peers
-  interoperate without configuration.
-
-The public ``RpcServer`` is the async-native engine from
-:mod:`repro.transport.aio` (one event loop, no thread per
-connection); :class:`ThreadedRpcServer` is the legacy thread-per-
-connection JSON-only implementation, kept as the mixed-version interop
-peer and the benchmark baseline.  :class:`RpcClient` stays a blocking,
-pooled client — the sync facade — and negotiates the binary codec
-transparently.
+``RpcServer`` is the async-native engine from
+:mod:`repro.transport.aio` (one event loop, no thread per connection);
+:class:`RpcClient` is the blocking, pooled client every service client
+in the tree drives.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import random
 import socket
-import socketserver
-import struct
 import threading
 import time
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
-from .. import faults, ioutil, obs
-from ..obs import ops as obs_ops
+from .. import faults, obs
+from .aio import AsyncRpcServer as RpcServer
+from .common import (
+    _CLIENT_CALLS,
+    _CLIENT_ERRORS,
+    _CLIENT_RETRIES,
+    DEFAULT_RPC_TIMEOUT,
+    IDEMPOTENT_OPS,
+    ClientClosedError,
+    PoolTimeout,
+    RetryPolicy,
+    RpcError,
+    count_client_failure,
+)
 from .wire import (
-    CRC_TRAILER,
     CRC_TRAILER_SIZE,
-    FLAG_CRC,
-    KNOWN_FLAGS,
-    MAGIC,
-    PREAMBLE,
     PREAMBLE_SIZE,
     TRACE_KEY,
-    WIRE_KEY,
-    WIRE_VERSION,
+    FrameError,
     IntegrityError,
     WireError,
-    advert_has_crc,
+    WireVersionError,
     build_binary_frame,
-    build_json_frame,
+    check_preamble,
+    crc_trailer,
     decode_binary_header,
+    verify_crc,
 )
 
 __all__ = [
-    "send_frame",
-    "recv_frame",
     "FrameError",
     "IntegrityError",
+    "WireVersionError",
     "RpcServer",
-    "ThreadedRpcServer",
     "RpcClient",
     "RpcError",
     "RetryPolicy",
@@ -81,32 +70,6 @@ __all__ = [
     "ClientClosedError",
     "IDEMPOTENT_OPS",
 ]
-
-_LEN = struct.Struct(">I")
-MAX_HEADER = 16 * 1024 * 1024
-
-_CLIENT_CALLS = obs.counter(
-    "rpc_client_calls_total", "RPC round trips issued by clients", labelnames=("op",)
-)
-_CLIENT_ERRORS = obs.counter(
-    "rpc_client_errors_total",
-    "Client RPC failures by error kind",
-    labelnames=("op", "kind"),
-)
-_SERVER_REQUESTS = obs.counter(
-    "rpc_server_requests_total",
-    "Requests dispatched by servers, by op and outcome",
-    labelnames=("op", "status"),
-)
-_CLIENT_RETRIES = obs.counter(
-    "rpc_retries_total",
-    "Connection-level RPC failures recovered by redial + retry",
-    labelnames=("op",),
-)
-
-#: Default RPC timeout; tests shrink it via REPRO_RPC_TIMEOUT so a hung
-#: peer fails a test in seconds rather than stalling the whole suite.
-DEFAULT_RPC_TIMEOUT = float(os.environ.get("REPRO_RPC_TIMEOUT", "30.0"))
 
 #: Default connection-pool width per RpcClient.  The framing protocol
 #: is strict request/reply, so in-flight depth equals connections; a
@@ -118,146 +81,25 @@ DEFAULT_POOL_CONNECTIONS = max(1, int(os.environ.get("REPRO_RPC_POOL", "4")))
 #: (gather write) instead of being copied into one contiguous frame.
 _SENDMSG_THRESHOLD = 64 * 1024
 
-#: Connection-level retries after the first attempt (idempotent ops only).
-DEFAULT_RPC_RETRIES = max(0, int(os.environ.get("REPRO_RPC_RETRIES", "3")))
-
-#: Ops that are safe to replay after a connection-level failure because
-#: re-running them cannot corrupt state: reads, probes, registrations
-#: that early-return when already applied, and interval-set writes where
-#: the same (offset, bytes) lands in the same place.  ``gb.write`` /
-#: ``gb.write_multi`` are deliberately absent — they only become
-#: retryable when the caller attaches a dedupe token and passes
-#: ``retryable=True`` (see GridBufferClient).
-IDEMPOTENT_OPS: FrozenSet[str] = frozenset(
-    {
-        # Ops plane (read-only probes)
-        "_obs.health",
-        "_obs.metrics",
-        "_obs.spans_tail",
-        # GridFTP-like file server
-        "size",
-        "exists",
-        "get_block",
-        "put_block",
-        "checksum",
-        "mkdirs",
-        "pull_from",
-        # Grid Buffer
-        "gb.create",
-        "gb.register_reader",
-        "gb.read",
-        "gb.read_multi",
-        "gb.consume",
-        "gb.consume_multi",
-        "gb.close_writer",
-        "gb.stats",
-        "gb.exists",
-        "gb.abort",
-        "gb.resume",
-        "gb.high_water",
-        # Cooperative cache peer reads are pure cache lookups.
-        "gb.peer_read",
-        # GNS
-        "gns.resolve",
-        "gns.list",
-        "gns.remove",
-        # A watch is a read of the change log at ``from_revision``;
-        # replaying it after a redial returns the same (or a later)
-        # batch, so clients resume mid-watch across server death.
-        # ``gns.txn`` is deliberately absent — it only becomes
-        # retryable when the caller attaches a dedupe token (see
-        # GnsClient.txn).
-        "gns.watch",
-    }
-)
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Exponential backoff with jitter for connection-level RPC retries.
-
-    ``retries`` is the number of *re*-attempts after the first try.
-    Delay before the Nth retry is ``base * multiplier**(N-1)`` capped at
-    ``max_delay``, stretched by up to ``jitter`` fraction (drawn from
-    the client's RNG, so a seeded client backs off deterministically).
-    """
-
-    retries: int = DEFAULT_RPC_RETRIES
-    base: float = 0.05
-    multiplier: float = 2.0
-    max_delay: float = 2.0
-    jitter: float = 0.25
-
-    def backoff(self, attempt: int, rng: random.Random) -> float:
-        delay = min(self.max_delay, self.base * self.multiplier ** (attempt - 1))
-        if self.jitter:
-            delay *= 1.0 + self.jitter * rng.random()
-        return delay
-
-
-class PoolTimeout(TimeoutError):
-    """Checkout timed out waiting for a free pooled connection."""
-
-
-class ClientClosedError(ConnectionError):
-    """The client was close()d while this call was connecting."""
-
-
-class FrameError(ConnectionError):
-    """Malformed frame or closed connection mid-frame."""
-
-
-class RpcError(RuntimeError):
-    """Remote handler signalled an error."""
-
-    def __init__(self, kind: str, message: str):
-        super().__init__(f"{kind}: {message}")
-        self.kind = kind
-        self.message = message
-
-
-def _recv_exact(sock: socket.socket, n: int) -> bytes:
-    """Receive exactly ``n`` bytes into one pre-sized buffer (no joins)."""
-    if n == 0:
-        return b""
-    buf = bytearray(n)
-    view = memoryview(buf)
-    got = 0
-    while got < n:
-        r = sock.recv_into(view[got:], n - got)
-        if not r:
-            raise FrameError(f"connection closed with {n - got} bytes outstanding")
-        got += r
-    return bytes(buf)
-
-
-#: Per-thread scratch buffer for :func:`send_frame` so the legacy JSON
-#: send path allocates no fresh header bytes per frame.
-_tls = threading.local()
-
 
 def _send_prebuilt(
-    sock: socket.socket, scratch: bytearray, payload: memoryview, trailer: bytes = b""
+    sock: socket.socket, scratch: bytearray, payload: memoryview, trailer: bytes
 ) -> None:
     """Send a frame whose header is already encoded into ``scratch``.
 
     Small payloads are appended to the scratch buffer for one
     contiguous ``sendall`` (one syscall, no new buffer); large ones go
     out via a gather write so a pre-assembled reply is never copied.
-    ``trailer`` (the CRC bytes of a checksummed frame) rides the same
-    syscall in both regimes.
+    ``trailer`` (the CRC bytes) rides the same syscall in both regimes.
     """
     if len(payload) < _SENDMSG_THRESHOLD or not hasattr(sock, "sendmsg"):
         scratch += payload
-        if trailer:
-            scratch += trailer
+        scratch += trailer
         sock.sendall(scratch)
         return
     hview = memoryview(scratch)
     try:
-        segments: List[memoryview] = [hview, payload]
-        if trailer:
-            segments.append(memoryview(trailer))
+        segments: List[memoryview] = [hview, payload, memoryview(trailer)]
         total = sum(len(seg) for seg in segments)
         sent = sock.sendmsg(segments)
         while sent < total:
@@ -274,199 +116,6 @@ def _send_prebuilt(
         # Release before returning: a live export would make the next
         # frame's buffer reuse (del scratch[:]) raise BufferError.
         hview.release()
-
-
-def send_frame(sock: socket.socket, header: Dict[str, Any], payload: bytes = b"") -> None:
-    """Send one legacy JSON frame (header dict + binary payload).
-
-    ``payload`` may be any bytes-like object (``bytes``, ``bytearray``,
-    ``memoryview``).  The header is encoded into a per-thread reusable
-    scratch buffer.
-    """
-    payload = memoryview(payload)
-    try:
-        scratch = _tls.scratch
-    except AttributeError:
-        scratch = _tls.scratch = bytearray(256)
-    build_json_frame(scratch, header, len(payload))
-    _send_prebuilt(sock, scratch, payload)
-
-
-def recv_frame(sock: socket.socket) -> Tuple[Dict[str, Any], bytes]:
-    """Receive one frame; raises :class:`FrameError` on EOF/corruption."""
-    hlen = _LEN.unpack(_recv_exact(sock, 4))[0]
-    if hlen > MAX_HEADER:
-        raise FrameError(f"header length {hlen} exceeds maximum")
-    try:
-        header = json.loads(_recv_exact(sock, hlen).decode("utf-8"))
-    except (ValueError, UnicodeDecodeError) as exc:
-        raise FrameError(f"bad header: {exc}") from exc
-    if not isinstance(header, dict) or "payload_len" not in header:
-        raise FrameError("header missing payload_len")
-    payload = _recv_exact(sock, int(header["payload_len"]))
-    return header, payload
-
-
-Handler = Callable[[Dict[str, Any], bytes], Tuple[Dict[str, Any], bytes]]
-
-
-class ThreadedRpcServer:
-    """Legacy thread-per-connection server, JSON framing only.
-
-    This was the ``RpcServer`` before the async engine landed.  It is
-    kept (unchanged) for two jobs: the *old peer* in mixed-version wire
-    compatibility tests — it never advertises the ``_wire`` capability,
-    so negotiating clients correctly stay on JSON against it — and the
-    baseline arm of the framing benchmarks.
-
-    Register handlers with :meth:`register`; each handler receives
-    ``(header, payload)`` and returns ``(reply_header, reply_payload)``.
-    Exceptions become error replies rather than killing the connection.
-
-    Use as a context manager or call :meth:`start` / :meth:`stop`.
-
-    ``simulated_latency`` (seconds) delays every reply by one-way link
-    latency twice (request + response legs), so benchmarks can A/B the
-    pipelined IO paths over a slow link without leaving localhost.
-    """
-
-    def __init__(self, host: str = "127.0.0.1", port: int = 0, simulated_latency: float = 0.0):
-        self._handlers: Dict[str, Handler] = {}
-        obs_ops.install(self)
-        self.simulated_latency = max(0.0, simulated_latency)
-        self._conns: set = set()
-        self._conns_lock = threading.Lock()
-        outer = self
-
-        class _ConnHandler(socketserver.BaseRequestHandler):
-            def setup(self) -> None:
-                with outer._conns_lock:
-                    outer._conns.add(self.request)
-
-            def finish(self) -> None:
-                with outer._conns_lock:
-                    outer._conns.discard(self.request)
-
-            def handle(self) -> None:
-                sock = self.request
-                while True:
-                    try:
-                        header, payload = recv_frame(sock)
-                    except (FrameError, OSError):  # fault-ok: peer hung up; normal teardown
-                        return
-                    if outer.simulated_latency:
-                        time.sleep(2.0 * outer.simulated_latency)
-                    op = header.get("op", "")
-                    corrupt_reply = False
-                    injector = faults.ACTIVE
-                    if injector is not None:
-                        try:
-                            verdict = injector.fire("rpc.server", op, outer.peer_name)
-                        except faults.InjectedFault as exc:
-                            reply = {"ok": False, "error": "injected-fault", "message": str(exc)}
-                            try:
-                                send_frame(sock, reply, b"")
-                            except OSError:  # fault-ok: peer already gone
-                                return
-                            continue
-                        if verdict == "corrupt":
-                            # Serve the request but flip bits in the reply
-                            # payload: the connection stays healthy, only
-                            # the data is wrong.
-                            corrupt_reply = True
-                        elif verdict is not None:
-                            # "drop": swallow the request, no reply, kill the
-                            # connection; "close": also reset both directions so
-                            # the client's pending recv fails immediately.
-                            if verdict == "close":
-                                try:
-                                    sock.shutdown(socket.SHUT_RDWR)
-                                except OSError:  # fault-ok: already dead
-                                    pass
-                            return
-                    handler = outer._handlers.get(op)
-                    try:
-                        if handler is None:
-                            raise RpcError("unknown-op", f"no handler for {op!r}")
-                        reply, data = handler(header, payload)
-                        reply = dict(reply)
-                        reply.setdefault("ok", True)
-                        _SERVER_REQUESTS.labels(op=op, status="ok").inc()
-                    except RpcError as exc:
-                        reply, data = {"ok": False, "error": exc.kind, "message": exc.message}, b""
-                        _SERVER_REQUESTS.labels(op=op, status="error").inc()
-                    except Exception as exc:  # noqa: BLE001 - reply with error
-                        reply, data = {"ok": False, "error": type(exc).__name__, "message": str(exc)}, b""
-                        _SERVER_REQUESTS.labels(op=op, status="error").inc()
-                    if corrupt_reply and data and injector is not None:
-                        data = injector.corrupt_bytes(data)
-                    try:
-                        send_frame(sock, reply, data)
-                    except OSError:  # fault-ok: peer hung up mid-reply; teardown
-                        return
-
-        class _Server(socketserver.ThreadingTCPServer):
-            daemon_threads = True
-            allow_reuse_address = True
-            # Pooled clients open several connections in one burst (a
-            # reader's window plus its demand connection, times N
-            # readers).  The socketserver default backlog of 5 drops
-            # SYNs under that burst and the kernel's ~1 s retransmit
-            # timer turns each drop into a visible stall.
-            request_queue_size = 128
-
-        self._server = _Server((host, port), _ConnHandler)
-        self._thread: Optional[threading.Thread] = None
-        #: Label used by the fault injector to match ``peer=`` globs.
-        addr = self._server.server_address
-        self.peer_name = f"{addr[0]}:{addr[1]}"
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        return self._server.server_address  # type: ignore[return-value]
-
-    def register(self, op: str, handler: Handler) -> None:
-        self._handlers[op] = handler
-
-    def start(self) -> "ThreadedRpcServer":
-        # The default serve_forever poll interval (0.5 s) makes every
-        # stop() wait out the tail of a poll cycle — multiplied by a few
-        # hundred server fixtures that dominates the test suite's time.
-        self._thread = threading.Thread(
-            target=lambda: self._server.serve_forever(poll_interval=0.05), daemon=True
-        )
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        self._server.shutdown()
-        self._server.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5)
-            self._thread = None
-
-    def disconnect_all(self) -> None:
-        """Forcibly drop every established connection.
-
-        :meth:`stop` only closes the listening socket — handler threads
-        keep serving connections they already hold.  A restart that is
-        supposed to *look* like a crash (the chaos suite's Grid Buffer
-        bounce) calls this so clients actually observe their
-        connections dying and exercise redial + resume.
-        """
-        with self._conns_lock:
-            conns = list(self._conns)
-        for sock in conns:
-            try:
-                sock.shutdown(socket.SHUT_RDWR)
-            except OSError:  # fault-ok: connection already gone
-                pass
-
-    def __enter__(self) -> "ThreadedRpcServer":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
 
 
 class _Conn:
@@ -525,79 +174,36 @@ def _conn_recv_payload(conn: _Conn, n: int) -> bytes:
     return bytes(out)
 
 
-def _conn_send_frame(
-    conn: _Conn, header: Dict[str, Any], payload, codec: str, corrupter=None
-) -> None:
-    """Send one frame in ``codec`` framing.
+def _conn_send_frame(conn: _Conn, header: Dict[str, Any], payload, corrupter=None) -> None:
+    """Send one frame.
 
     ``corrupter`` (a :class:`repro.faults.FaultInjector`, chaos only)
-    flips payload bits *after* any CRC trailer is computed — modelling
+    flips payload bits *after* the CRC trailer is computed — modelling
     corruption on the wire, which is exactly what the trailer exists to
     catch.
     """
     payload = memoryview(payload)
-    if codec == "json":
-        build_json_frame(conn.scratch, header, len(payload))
-        trailer = b""
-    else:
-        crc_on = codec == "binary+crc"
-        build_binary_frame(conn.scratch, header, len(payload), FLAG_CRC if crc_on else 0)
-        trailer = CRC_TRAILER.pack(ioutil.crc32(payload)) if crc_on else b""
+    build_binary_frame(conn.scratch, header, len(payload))
+    trailer = crc_trailer(payload)
     if corrupter is not None and len(payload):
         payload = memoryview(corrupter.corrupt_bytes(bytes(payload)))
     _send_prebuilt(conn.sock, conn.scratch, payload, trailer)
 
 
 def _conn_recv_frame(conn: _Conn) -> Tuple[Dict[str, Any], bytes]:
-    """Receive one reply in either framing (sniffed off the first byte).
-
-    A checksummed binary frame (``FLAG_CRC``) has its 4-byte trailer
-    consumed and verified here; a mismatch raises
-    :class:`IntegrityError` *after* the stream position is restored
-    past the full frame, so the failure is about the data, not framing.
-    """
-    _conn_fill(conn, 1)
-    if conn.rbuf[0] == MAGIC:
-        _conn_fill(conn, PREAMBLE_SIZE)
-        _magic, version, flags, opid, flen, plen = PREAMBLE.unpack_from(conn.rbuf, 0)
-        del conn.rbuf[:PREAMBLE_SIZE]
-        if version != WIRE_VERSION:
-            raise FrameError(f"unsupported wire version {version}")
-        if flags & ~KNOWN_FLAGS:
-            # Unknown flags may imply trailer bytes we cannot account
-            # for — reading on would desynchronise the stream.
-            raise FrameError(f"unsupported wire flags 0x{flags:02x}")
-        _conn_fill(conn, flen)
-        fields = _conn_take(conn, flen)
-        payload = _conn_recv_payload(conn, plen)
-        want_crc = -1
-        if flags & FLAG_CRC:
-            want_crc = CRC_TRAILER.unpack(_conn_recv_payload(conn, CRC_TRAILER_SIZE))[0]
-        try:
-            header = decode_binary_header(opid, fields, plen)
-        except WireError as exc:
-            raise FrameError(f"bad binary header: {exc}") from exc
-        if want_crc >= 0:
-            got = ioutil.crc32(payload)
-            if got != want_crc:
-                raise IntegrityError(
-                    f"payload CRC mismatch on {header.get('op', '?')!r} frame: "
-                    f"got {got:#010x} want {want_crc:#010x} ({plen} bytes)"
-                )
-        return header, payload
-    _conn_fill(conn, 4)
-    hlen = int.from_bytes(conn.rbuf[:4], "big")
-    del conn.rbuf[:4]
-    if hlen > MAX_HEADER:
-        raise FrameError(f"header length {hlen} exceeds maximum")
-    _conn_fill(conn, hlen)
+    """Receive one reply frame, validated and CRC-verified by :mod:`.wire`."""
+    _conn_fill(conn, PREAMBLE_SIZE)
+    opid, flen, plen = check_preamble(conn.rbuf)
+    del conn.rbuf[:PREAMBLE_SIZE]
+    _conn_fill(conn, flen)
+    fields = _conn_take(conn, flen)
+    payload = _conn_recv_payload(conn, plen)
+    trailer = _conn_recv_payload(conn, CRC_TRAILER_SIZE)
     try:
-        header = json.loads(_conn_take(conn, hlen).decode("utf-8"))
-    except (ValueError, UnicodeDecodeError) as exc:
-        raise FrameError(f"bad header: {exc}") from exc
-    if not isinstance(header, dict) or "payload_len" not in header:
-        raise FrameError("header missing payload_len")
-    payload = _conn_recv_payload(conn, int(header["payload_len"]))
+        header = decode_binary_header(opid, fields, plen)
+    except WireError as exc:
+        raise FrameError(f"bad binary header: {exc}") from exc
+    verify_crc(header, payload, trailer)
     return header, payload
 
 
@@ -611,23 +217,6 @@ class RpcClient:
     ``max_connections`` callers proceed in parallel; excess callers
     wait for a free connection.  Connections are created lazily, so a
     client used from one thread still holds exactly one socket.
-
-    ``wire`` pins the frame codec: ``"json"`` (always interoperable),
-    ``"binary"`` (requires a binary-capable server), or ``None`` — the
-    default — to negotiate.  Negotiation costs nothing: the first call
-    goes out as JSON carrying the ``_wire`` probe key; a binary-capable
-    server echoes the key in its reply and the client pins binary for
-    every later frame, while an old server ignores it and the client
-    stays on JSON.  A connection-level failure while pinned to binary
-    un-pins (the peer may have been downgraded mid-flight), so the next
-    attempt re-probes with a frame any server can parse.
-
-    The same probe negotiates per-frame CRC: a server that advertises
-    the ``"crc"`` capability in its probe reply gets checksummed binary
-    frames from then on (the ``FLAG_CRC`` trailer, verified both ways),
-    unless ``crc=False`` or ``REPRO_WIRE_CRC=0`` opts out.  Neither
-    side ever sends a trailer to a peer that has not advertised it, so
-    mixed-version fleets interoperate unchecksummed.
     """
 
     def __init__(
@@ -637,8 +226,6 @@ class RpcClient:
         timeout: Optional[float] = None,
         max_connections: Optional[int] = None,
         retry: Optional[RetryPolicy] = None,
-        wire: Optional[str] = None,
-        crc: Optional[bool] = None,
     ):
         self._addr = (host, port)
         self._peer = f"{host}:{port}"
@@ -647,14 +234,6 @@ class RpcClient:
                                else DEFAULT_POOL_CONNECTIONS))
         self._retry = retry if retry is not None else RetryPolicy()
         self._rng = random.Random()
-        forced = wire if wire is not None else (os.environ.get("REPRO_WIRE") or None)
-        if forced not in (None, "json", "binary"):
-            raise ValueError(f"wire must be 'json' or 'binary', not {forced!r}")
-        self._forced = forced
-        if crc is None:
-            crc = os.environ.get("REPRO_WIRE_CRC", "1") != "0"
-        self._want_crc = bool(crc)
-        self._codec: Optional[str] = forced  # None until negotiated
         self._cv = threading.Condition()
         self._idle: List[_Conn] = []
         self._inflight: Set[_Conn] = set()   # connections currently checked out
@@ -673,8 +252,6 @@ class RpcClient:
             timeout=self._timeout,
             max_connections=self._max,
             retry=self._retry,
-            wire=self._forced,
-            crc=self._want_crc,
         )
 
     def _new_conn(self) -> _Conn:
@@ -762,7 +339,9 @@ class RpcClient:
 
         Connection-level failures (``OSError``/``FrameError``) discard
         the pooled socket and, for idempotent ops, redial and replay the
-        call with exponential backoff.  ``retryable`` overrides the
+        call with exponential backoff.  A :class:`WireVersionError` is
+        the exception: the peer speaks another wire, so it is counted
+        and raised after this one attempt.  ``retryable`` overrides the
         :data:`IDEMPOTENT_OPS` table — callers that attach their own
         dedupe token (e.g. ``gb.write_multi``) pass ``True``.  An
         :class:`RpcError` reply is never retried: the request was
@@ -807,18 +386,8 @@ class RpcClient:
             attempt += 1
             conn = None
             gen = -1
-            probe = False
             try:
                 conn, gen = self._checkout()
-                codec = self._codec
-                send_msg = msg
-                if codec is None:
-                    # First contact: probe as JSON (any server parses it)
-                    # carrying the binary-capability key.
-                    probe = True
-                    codec = "json"
-                    send_msg = dict(msg)
-                    send_msg[WIRE_KEY] = WIRE_VERSION
                 corrupter = None
                 injector = faults.ACTIVE
                 if injector is not None:
@@ -835,45 +404,26 @@ class RpcClient:
                             conn.sock.shutdown(socket.SHUT_RDWR)
                         except OSError:  # fault-ok: socket already dead
                             pass
-                _conn_send_frame(conn, send_msg, payload, codec, corrupter)
+                _conn_send_frame(conn, msg, payload, corrupter)
                 reply, data = _conn_recv_frame(conn)
             except (PoolTimeout, ClientClosedError):
                 raise  # pool exhaustion / shutdown: retrying cannot help
             except (OSError, FrameError) as exc:
                 if conn is not None:
                     self._discard(conn, gen)
-                if isinstance(exc, IntegrityError):
-                    # The peer is healthy and still speaks the pinned
-                    # codec — the data was corrupted.  Keep the codec,
-                    # count the detection, and re-request the frame.
-                    ioutil.count_integrity_error("rpc.client", "retry")
-                elif self._codec not in (None, "json") and self._forced is None:
-                    # The peer may have been bounced onto an older build
-                    # that cannot parse binary frames; forget the pinned
-                    # codec so the next attempt re-probes with JSON.
-                    self._codec = None
-                _CLIENT_ERRORS.labels(op=op, kind=type(exc).__name__).inc()
+                retry_may_help = count_client_failure(op, exc)
                 with self._cv:
                     # A generation bump means *our own* close()/close_all()
                     # killed this socket: the owner wants shutdown, so
                     # redialing would undo it.  Only external failures retry.
                     closed_locally = gen != -1 and gen != self._gen
-                if closed_locally or attempt >= attempts:
+                if closed_locally or attempt >= attempts or not retry_may_help:
                     raise
                 _CLIENT_RETRIES.labels(op=op).inc()
                 time.sleep(self._retry.backoff(attempt, self._rng))
                 continue
             break
         self._checkin(conn, gen)
-        if probe:
-            advert = reply.get(WIRE_KEY)
-            if advert is None:
-                self._codec = "json"
-            elif self._want_crc and advert_has_crc(advert):
-                self._codec = "binary+crc"
-            else:
-                self._codec = "binary"
-        reply.pop(WIRE_KEY, None)
         if not reply.get("ok", False):
             kind = reply.get("error", "remote-error")
             _CLIENT_ERRORS.labels(op=op, kind=kind).inc()
@@ -926,15 +476,3 @@ class RpcClient:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-
-def __getattr__(name: str):
-    # The public RpcServer is the async-native engine in aio.py, which
-    # itself imports this module's primitives (exceptions, counters,
-    # retry policy).  Resolving the name lazily via PEP 562 breaks the
-    # import cycle regardless of which module is imported first.
-    if name == "RpcServer":
-        from .aio import AsyncRpcServer
-
-        return AsyncRpcServer
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

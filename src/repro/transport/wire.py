@@ -1,30 +1,34 @@
-"""Binary wire framing for the RPC layer.
+"""Binary wire framing for the RPC layer: one version, refused loudly.
 
-The legacy frame is a 4-byte big-endian length followed by a JSON
-header and a raw payload.  That header costs a JSON encode + decode on
-*every* frame, which is what dominates the PR 3 bench once link latency
-is removed.  This module defines the binary replacement:
-
-Preamble (14 bytes, fixed)::
+Every frame on every connection is::
 
     +-------+---------+-------+--------+------------+-------------+
     | magic | version | flags | op id  | fields_len | payload_len |
     |  0xB1 |  uint8  | uint8 | u16 BE |   u32 BE   |   u32 BE    |
     +-------+---------+-------+--------+------------+-------------+
 
-followed by ``fields_len`` bytes of a compact varint-packed field
-table (the op arguments that used to live in the JSON header) and
-``payload_len`` bytes of raw payload.
+(14 bytes, fixed) followed by ``fields_len`` bytes of a compact
+varint-packed field table (the op arguments — the self-describing
+envelope that stands in for the paper's SOAP message), ``payload_len``
+bytes of raw payload, and a 4-byte big-endian crc32 of the payload.
 
-*Interop by construction*: a legacy JSON frame starts with its header
-length, and ``MAX_HEADER`` (16 MiB) keeps that first byte at 0x00 or
-0x01 — never 0xB1.  A receiver therefore sniffs the first byte of each
-frame and accepts both framings on one connection, which is what lets
-mixed-version peers talk without a handshake round trip.  The client
-side still needs to learn whether its *server* is binary-capable
-before sending a binary frame (an old server would read the magic as a
-giant length and drop the connection); that is negotiated by the
-``_wire`` probe key in :mod:`repro.transport.tcp`.
+There is no negotiation and no second framing.  The wire version *is*
+the capability set: a peer either sends :data:`WIRE_VERSION` frames
+with :data:`FLAG_CRC` set, or :func:`check_preamble` refuses its first
+frame with a :class:`WireVersionError` — typed, counted by the
+receiver, and never retried.  Preamble validation and CRC verification
+live here, once, and both the sync client (:mod:`repro.transport.tcp`)
+and the async engine (:mod:`repro.transport.aio`) call them.
+
+Changing the wire
+-----------------
+
+1. Edit the layout, :data:`OPS` or :data:`KEYS` (both append-only: ids
+   are part of the contract; retire a name by leaving its slot).
+2. Bump :data:`WIRE_VERSION` if an old peer could misread the result.
+3. Run ``PYTHONPATH=src python -m tests.test_wire_golden --regen`` and
+   commit the new hex fixtures with the change.
+4. Mixed-version fleets are not supported: deploy both ends together.
 
 Field table
 -----------
@@ -52,72 +56,68 @@ test/bench handlers work unchanged.
 Scratch buffers
 ---------------
 
-Both frame builders encode into a caller-owned ``bytearray`` that is
-cleared and reused across frames, so the steady-state send path
-performs no per-frame header allocations (the JSON builder here also
-replaces the old ``pack + concat`` in :func:`repro.transport.tcp.send_frame`).
+:func:`build_binary_frame` encodes into a caller-owned ``bytearray``
+that is cleared and reused across frames, so the steady-state send path
+performs no per-frame header allocations.
 """
 
 from __future__ import annotations
 
-import json
 import struct
 from typing import Any, Dict, Mapping, Tuple
+
+from .. import ioutil
 
 __all__ = [
     "MAGIC",
     "WIRE_VERSION",
     "PREAMBLE",
     "PREAMBLE_SIZE",
-    "WIRE_KEY",
     "TRACE_KEY",
     "FLAG_CRC",
     "KNOWN_FLAGS",
     "CRC_TRAILER",
     "CRC_TRAILER_SIZE",
+    "MAX_FIELDS",
     "OPS",
     "op_id",
     "op_name",
     "encode_fields",
     "decode_fields",
     "build_binary_frame",
-    "build_json_frame",
+    "crc_trailer",
+    "check_preamble",
     "decode_binary_header",
-    "wire_advert",
-    "advert_has_crc",
+    "verify_crc",
     "WireError",
+    "FrameError",
+    "WireVersionError",
     "IntegrityError",
 ]
 
-#: First byte of every binary frame.  A legacy JSON frame starts with
-#: the high byte of a <=16 MiB header length (0x00/0x01), so sniffing
-#: one byte disambiguates the two framings.
+#: First byte of every frame.
 MAGIC = 0xB1
 
-#: Bumped only for incompatible preamble changes.
+#: Bumped for any change an already-deployed peer could misread; a
+#: frame of another version is refused, never degraded to.
 WIRE_VERSION = 1
 
 #: magic, version, flags, op id, fields_len, payload_len.
 PREAMBLE = struct.Struct(">BBBHII")
 PREAMBLE_SIZE = PREAMBLE.size
 
-#: Header key used by the client's capability probe: a JSON request
-#: carrying it asks "do you speak binary framing?"; a binary-capable
-#: server echoes it in the reply header.
-WIRE_KEY = "_wire"
-
 #: Header key carrying the caller's trace context (``[trace_id,
-#: span_id]``).  Travels as a plain key in legacy JSON — old peers
-#: ignore it — and as a one-byte known-key id in the binary field
-#: table; no renegotiation is needed in either codec.
+#: span_id]``), a one-byte known-key id in the field table.
 TRACE_KEY = "_trace"
 
-#: Preamble flag bit: the frame's payload is followed by a 4-byte
-#: big-endian crc32 trailer computed over the payload bytes (masked to
-#: unsigned, :func:`repro.ioutil.crc32`).  The trailer covers *only*
-#: the payload — the preamble and field table are length-delimited and
-#: structurally validated, while the payload is the part that flows
-#: through opaque bulk-copy paths where a flipped bit survives parsing.
+#: Preamble flag bit, set on every frame: the payload is followed by a
+#: 4-byte big-endian crc32 trailer computed over the payload bytes
+#: (masked to unsigned, :func:`repro.ioutil.crc32`).  The trailer
+#: covers *only* the payload — the preamble and field table are
+#: length-delimited and structurally validated, while the payload is
+#: the part that flows through opaque bulk-copy paths where a flipped
+#: bit survives parsing.  A frame without it is refused, so nothing on
+#: the wire is ever silently unchecksummed.
 FLAG_CRC = 0x01
 
 #: Mask of flag bits this build understands.  A frame carrying any
@@ -128,11 +128,35 @@ KNOWN_FLAGS = FLAG_CRC
 CRC_TRAILER = struct.Struct(">I")
 CRC_TRAILER_SIZE = CRC_TRAILER.size
 
+#: Largest field table a peer may claim.  ``fields_len`` is a u32 read
+#: off the network before anything is allocated for it; real tables are
+#: tens of bytes, so the cap only ever stops a hostile or garbled
+#: preamble from forcing a multi-GiB buffer.
+MAX_FIELDS = 16 * 1024 * 1024
+
 _FLOAT = struct.Struct(">d")
 
 
 class WireError(ValueError):
     """Malformed binary field table."""
+
+
+class FrameError(ConnectionError):
+    """Malformed frame or closed connection mid-frame."""
+
+
+class WireVersionError(FrameError):
+    """The peer does not speak this build's wire (see :func:`check_preamble`).
+
+    Permanent for the peer, not a flaky link: clients raise it after
+    exactly one attempt and servers count it and hang up.  ``reason``
+    is the ``rpc_bad_frames_total`` label: ``magic``, ``version``,
+    ``flags``, ``no-crc`` or ``fields-len``.
+    """
+
+    def __init__(self, reason: str, message: str):
+        super().__init__(message)
+        self.reason = reason
 
 
 class IntegrityError(OSError):
@@ -147,27 +171,6 @@ class IntegrityError(OSError):
     """
 
 
-def wire_advert() -> list:
-    """The server's ``_wire`` probe reply value.
-
-    Old clients only check the key for presence, so the value can carry
-    capability detail: a list ``[WIRE_VERSION, "crc", ...]``.  Old
-    servers still reply with the bare integer ``WIRE_VERSION``; new
-    clients accept both shapes via :func:`advert_has_crc`.
-    """
-    return [WIRE_VERSION, "crc"]
-
-
-def advert_has_crc(advert: Any) -> bool:
-    """True if a probe reply advertises per-frame CRC support.
-
-    A sender must never set :data:`FLAG_CRC` toward a peer that did not
-    advertise it — an old receiver ignores the flags byte and would
-    read the 4 trailer bytes as the next frame's start.
-    """
-    return isinstance(advert, (list, tuple)) and "crc" in advert
-
-
 # ---------------------------------------------------------------------------
 # Op and key tables (append-only: ids are part of the wire contract)
 # ---------------------------------------------------------------------------
@@ -175,7 +178,8 @@ def advert_has_crc(advert: Any) -> bool:
 OPS: Tuple[str, ...] = (
     # Grid Buffer
     "gb.create", "gb.register_reader", "gb.write", "gb.write_multi",
-    "gb.read", "gb.read_multi", "gb.consume", "gb.consume_multi",
+    "gb.read", "gb.read_multi", "gb.consume",  # retired; slot kept so ids never shift
+    "gb.consume_multi",
     "gb.close_writer", "gb.stats", "gb.drop", "gb.exists",
     "gb.abort", "gb.resume", "gb.high_water",
     # GridFTP-like file server
@@ -203,7 +207,8 @@ KEYS: Tuple[str, ...] = (
     "truncate", "src_host", "src_port", "src_path", "dst_path",
     "streams", "block_size", "entries", "reason", "deleted", "sha256",
     "size", "bytes", "machine", "record", "records", "payload_len",
-    WIRE_KEY, TRACE_KEY,
+    "_wire",  # retired (the old capability probe); slot kept so ids never shift
+    TRACE_KEY,
     # Cooperative block cache (PR 8).  ``gen`` is the stream generation,
     # ``peer`` a holder's "host:port" peer-server address, ``holds``/
     # ``drops`` advertised/evicted ranges piggybacked on consume acks,
@@ -406,40 +411,57 @@ def decode_fields(buf) -> Dict[str, Any]:
 
 
 def build_binary_frame(
-    scratch: bytearray, header: Mapping[str, Any], payload_len: int, flags: int = 0
+    scratch: bytearray, header: Mapping[str, Any], payload_len: int
 ) -> None:
     """Encode preamble + field table into ``scratch`` (cleared first).
 
     The payload itself is *not* appended — the caller either appends it
     (small frames: one ``sendall``) or gathers it (``sendmsg`` /
-    separate ``write``), so large payloads are never copied here.  When
-    ``flags`` includes :data:`FLAG_CRC` the caller is also responsible
-    for appending the 4-byte payload-CRC trailer after the payload.
+    separate ``write``), so large payloads are never copied here — and
+    then appends :func:`crc_trailer` of it.
     """
     del scratch[:]
     scratch += b"\x00" * PREAMBLE_SIZE
     opid = _OP_TO_ID.get(header.get("op", ""), 0)
     if opid:
-        count_pos = len(scratch)
         encode_fields({k: v for k, v in header.items() if k != "op"}, scratch)
-        del count_pos
     else:
         encode_fields(header, scratch)
     fields_len = len(scratch) - PREAMBLE_SIZE
-    PREAMBLE.pack_into(scratch, 0, MAGIC, WIRE_VERSION, flags, opid, fields_len, payload_len)
+    PREAMBLE.pack_into(scratch, 0, MAGIC, WIRE_VERSION, FLAG_CRC, opid, fields_len, payload_len)
 
 
-def build_json_frame(
-    scratch: bytearray, header: Mapping[str, Any], payload_len: int
-) -> None:
-    """Legacy framing into a reused scratch buffer (header part only)."""
-    msg = dict(header)
-    msg["payload_len"] = payload_len
-    raw = json.dumps(msg, separators=(",", ":")).encode("utf-8")
-    del scratch[:]
-    scratch += b"\x00\x00\x00\x00"
-    scratch += raw
-    struct.pack_into(">I", scratch, 0, len(raw))
+def crc_trailer(payload) -> bytes:
+    """The 4 bytes that follow ``payload`` on the wire."""
+    return CRC_TRAILER.pack(ioutil.crc32(payload))
+
+
+def check_preamble(raw) -> Tuple[int, int, int]:
+    """Validate a received preamble; returns ``(op id, fields_len, payload_len)``.
+
+    The one place a peer of another wire version is told apart from
+    ours.  Anything but our magic, our version, exactly the flags we
+    know with :data:`FLAG_CRC` among them, and a sane field-table
+    length raises :class:`WireVersionError` before a byte more is read
+    or allocated — reading on past an unknown flag or a missing trailer
+    would desynchronise the stream.
+    """
+    magic, version, flags, opid, fields_len, payload_len = PREAMBLE.unpack_from(raw, 0)
+    if magic != MAGIC:
+        raise WireVersionError("magic", f"not a wire frame (first byte 0x{magic:02x})")
+    if version != WIRE_VERSION:
+        raise WireVersionError(
+            "version", f"peer speaks wire version {version}, this build speaks {WIRE_VERSION}"
+        )
+    if flags & ~KNOWN_FLAGS:
+        raise WireVersionError("flags", f"unsupported wire flags 0x{flags:02x}")
+    if not flags & FLAG_CRC:
+        raise WireVersionError("no-crc", "frame without a CRC trailer")
+    if fields_len > MAX_FIELDS:
+        raise WireVersionError(
+            "fields-len", f"field table length {fields_len} exceeds maximum {MAX_FIELDS}"
+        )
+    return opid, fields_len, payload_len
 
 
 def decode_binary_header(opid: int, fields, payload_len: int) -> Dict[str, Any]:
@@ -452,3 +474,19 @@ def decode_binary_header(opid: int, fields, payload_len: int) -> Dict[str, Any]:
         header["op"] = name
     header["payload_len"] = payload_len
     return header
+
+
+def verify_crc(header: Mapping[str, Any], payload, trailer) -> None:
+    """Check a received payload against its trailer.
+
+    Raises :class:`IntegrityError` *after* the caller has consumed the
+    whole frame, so the failure is about the data, not the framing: the
+    stream is still in sync.
+    """
+    want = CRC_TRAILER.unpack(trailer)[0]
+    got = ioutil.crc32(payload)
+    if got != want:
+        raise IntegrityError(
+            f"payload CRC mismatch on {header.get('op', '?')!r} frame: "
+            f"got {got:#010x} want {want:#010x} ({len(payload)} bytes)"
+        )

@@ -131,3 +131,47 @@ class TestSixModesEnumerated:
             "buffer",
         }
         assert {m.value for m in IOMode} == expected
+
+
+class TestOneWireVersion:
+    """ROADMAP aim 2: one RPC engine, one capability set, fewer knobs."""
+
+    #: Every environment variable ``src/`` reads.  Removing a knob means
+    #: deleting its line here; adding one needs a reviewed edit.
+    ENV_KNOBS = {
+        "REPRO_BUFFER_FLUSH_DEADLINE",
+        "REPRO_BUFFER_OPEN_POLL",
+        "REPRO_FAULTS",
+        "REPRO_FAULTS_SEED",
+        "REPRO_LOOP_STALL_S",
+        "REPRO_LOOP_WATCHDOG_S",
+        "REPRO_OBS_PROC",
+        "REPRO_RPC_EXECUTOR",
+        "REPRO_RPC_POOL",
+        "REPRO_RPC_RETRIES",
+        "REPRO_RPC_TIMEOUT",
+    }
+
+    def test_env_knobs_match_allow_list(self):
+        import re
+        from pathlib import Path
+
+        import repro
+
+        found = set()
+        for path in Path(repro.__file__).parent.rglob("*.py"):
+            found |= set(re.findall(r"REPRO_[A-Z0-9_]+", path.read_text()))
+        assert found == self.ENV_KNOBS
+
+    def test_preamble_and_crc_are_checked_in_wire_only(self):
+        """Both engines call ``wire.check_preamble``/``wire.verify_crc``;
+        neither unpacks a preamble, compares a CRC or parses JSON itself."""
+        from repro.transport import aio, tcp, wire
+
+        for module in (tcp, aio):
+            source = inspect.getsource(module)
+            assert module.check_preamble is wire.check_preamble
+            assert module.verify_crc is wire.verify_crc
+            for private in ("PREAMBLE.unpack", "CRC_TRAILER.unpack", "import json", "WIRE_VERSION !="):
+                assert private not in source, f"{module.__name__} re-implements {private}"
+        assert "import json" not in inspect.getsource(wire)

@@ -1,24 +1,27 @@
 """Secondary coverage: smaller behaviours not hit by the main suites."""
 
-import socket
+import asyncio
 import struct
 
 import pytest
 
 from repro.sim.engine import Environment
-from repro.transport.tcp import FrameError, recv_frame
+from repro.transport.aio import read_frame_async
+from repro.transport.tcp import FrameError
+from repro.transport.wire import FLAG_CRC, MAGIC, PREAMBLE, WIRE_VERSION
 
 
 class TestTcpLimits:
     def test_oversized_header_rejected(self):
-        a, b = socket.socketpair()
-        try:
-            a.sendall(struct.pack(">I", 64 * 1024 * 1024))  # 64 MiB header claim
-            with pytest.raises(FrameError, match="exceeds maximum"):
-                recv_frame(b)
-        finally:
-            a.close()
-            b.close()
+        """The async engine refuses a 64 MiB field-table claim unread."""
+
+        async def run():
+            reader = asyncio.StreamReader()
+            reader.feed_data(PREAMBLE.pack(MAGIC, WIRE_VERSION, FLAG_CRC, 0, 64 * 1024 * 1024, 0))
+            return await read_frame_async(reader)  # would park forever if it read on
+
+        with pytest.raises(FrameError, match="exceeds maximum"):
+            asyncio.run(asyncio.wait_for(run(), 5))
 
 
 class TestBufferCacheLifecycle:

@@ -9,12 +9,13 @@ parked reader costs a future, not a thread.
 """
 
 import asyncio
+import resource
 import threading
 
 import pytest
 
 from repro.gridbuffer.client import GridBufferClient, _ReadAheadWindow
-from repro.gridbuffer.protocol import OP_CONSUME, OP_CONSUME_MULTI, OP_READ
+from repro.gridbuffer.protocol import OP_READ
 from repro.gridbuffer.service import GridBufferError
 from repro.transport.aio import AsyncRpcClient
 
@@ -32,35 +33,13 @@ class TestConsumeMulti:
         client.register_reader("cm", "r0")
         client.register_reader("cm", "r1")
         client.write("cm", 0, b"z" * 8192)
-        ok = client.consume_multi("cm", [("r0", [(0, 8192)]), ("r1", [(0, 8192)])])
-        assert ok is True
-        assert client._consume_multi is True
+        client.consume_multi("cm", [("r0", [(0, 8192)]), ("r1", [(0, 8192)])])
         stats = client.stats("cm")
         assert stats["bytes_read"] == 2 * 8192  # both readers accounted
         assert stats["blocks_in_table"] == 0    # one GC pass emptied it
 
-    def test_falls_back_per_reader_against_old_server(self, client, buffer_server):
-        del buffer_server._rpc._handlers[OP_CONSUME_MULTI]
-        client.create_stream("cm-old", n_readers=2)
-        client.register_reader("cm-old", "r0")
-        client.register_reader("cm-old", "r1")
-        client.write("cm-old", 0, b"y" * 4096)
-        ok = client.consume_multi("cm-old", [("r0", [(0, 4096)]), ("r1", [(0, 4096)])])
-        assert ok is True                        # served via per-reader gb.consume
-        assert client._consume_multi is False    # fallback pinned
-        assert client._vectored is True          # plain consume still works
-        assert client.stats("cm-old")["blocks_in_table"] == 0
-
-    def test_reports_unsupported_when_even_consume_missing(self, client, buffer_server):
-        for op in (OP_CONSUME, OP_CONSUME_MULTI):
-            del buffer_server._rpc._handlers[op]
-        client.create_stream("cm-none", n_readers=1)
-        client.register_reader("cm-none", "r0")
-        client.write("cm-none", 0, b"x" * 100)
-        assert client.consume_multi("cm-none", [("r0", [(0, 100)])]) is False
-
     def test_empty_entries_is_noop(self, client):
-        assert client.consume_multi("whatever", []) is True
+        client.consume_multi("no-such-stream", [])  # no frame sent: no unknown-stream error
 
     def test_mark_consumed_multi_validates_all_readers_upfront(self, buffer_server):
         """A bad reader anywhere in the batch rejects the whole frame."""
@@ -198,13 +177,15 @@ class TestAdaptiveChunk:
 
 
 class TestManyAsyncReaders:
-    N = 128
+    #: The fan-in width the retired ``bench_async_framing`` used, capped
+    #: so the client + server sockets fit the process fd limit.
+    N = min(512, resource.getrlimit(resource.RLIMIT_NOFILE)[0] // 4)
 
     def test_parked_readers_hold_no_server_threads(self, buffer_server):
         """N concurrently blocked reads park futures, not threads.
 
         All N readers issue a blocking ``gb.read`` before any byte is
-        written; with the threaded server that used to pin N handler
+        written; a thread-per-connection server would pin N handler
         threads.  The async engine must keep the process thread count
         flat while all N are parked, then deliver everyone when the
         writer shows up.

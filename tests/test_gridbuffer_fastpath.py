@@ -1,8 +1,8 @@
-"""Fast-path tests: vectored ops, wire compat, shared cache, shutdown.
+"""Fast-path tests: vectored ops, no per-op fallback, shared cache, shutdown.
 
-Covers the PR 3 Grid Buffer fast path end to end over real TCP:
-vectored ``write_multi``/``read_multi``/``consume`` round trips, both
-directions of old/new wire compatibility, multi-reader broadcast under
+Covers the Grid Buffer fast path end to end over real TCP: vectored
+``write_multi``/``read_multi``/``consume_multi`` round trips, a missing
+op surfacing as ``unknown-op``, multi-reader broadcast under
 interleaved seeks and re-reads (asserting delete-on-read GC and the
 per-reader lag gauges stay exact), writer flush-deadline visibility,
 reader shutdown hygiene, and the per-call open-poll env knob.
@@ -16,8 +16,8 @@ import pytest
 
 from repro import obs
 from repro.gridbuffer.client import GridBufferClient, _open_poll_interval
-from repro.gridbuffer.protocol import OP_CONSUME, OP_READ_MULTI, OP_WRITE_MULTI
-from repro.gridbuffer.server import GridBufferServer
+from repro.gridbuffer.protocol import OP_CONSUME_MULTI, OP_READ_MULTI, OP_WRITE_MULTI
+from repro.transport.tcp import RpcError
 
 PAYLOAD = bytes((i * 7 + i // 256) % 256 for i in range(128 * 1024))
 
@@ -33,10 +33,12 @@ class TestVectoredOps:
     def test_write_multi_scatters_in_one_frame(self, client):
         client.create_stream("vm")
         client.register_reader("vm", "r")
+        served = {"op": OP_WRITE_MULTI, "status": "ok"}
+        before = obs.value("rpc_server_requests_total", served) or 0
         client.write_multi("vm", [(0, b"aaaa"), (4, b"bbbb"), (12, b"dddd"), (8, b"cccc")])
         client.close_writer("vm")
         assert client.read("vm", "r", 0, 16) == b"aaaabbbbccccdddd"
-        assert client._vectored is True  # the batch went out vectored
+        assert obs.value("rpc_server_requests_total", served) == before + 1
 
     def test_read_window_returns_contiguous_run_and_total(self, client):
         client.create_stream("rw")
@@ -67,56 +69,33 @@ class TestVectoredOps:
         client.create_stream("ck")
         client.register_reader("ck", "r")
         client.write("ck", 0, b"z" * 8192)
-        assert client.consume("ck", "r", [(0, 8192)]) is True
+        client.consume_multi("ck", [("r", [(0, 8192)])])
         stats = client.stats("ck")
         assert stats["bytes_read"] == 8192     # counted as served
         assert stats["blocks_in_table"] == 0   # delete-on-read fired
 
 
-class TestWireCompat:
-    def _strip_vectored(self, server: GridBufferServer) -> None:
-        for op in (OP_WRITE_MULTI, OP_READ_MULTI, OP_CONSUME):
-            del server._rpc._handlers[op]
+class TestNoFallback:
+    """The op set is the wire version: a missing op is an error, not a detour."""
 
-    def _stream_roundtrip(self, client: GridBufferClient, name: str) -> None:
-        w = client.open_writer(name, coalesce_bytes=16 * 1024)
-        for off in range(0, len(PAYLOAD), 4096):
-            w.write(PAYLOAD[off : off + 4096])
-        w.close()
-        r = client.open_reader(name, read_ahead=True, read_ahead_depth=3)
-        got = r.read()
-        r.close()
-        assert hashlib.sha256(got).hexdigest() == hashlib.sha256(PAYLOAD).hexdigest()
-
-    def test_new_client_against_old_server_falls_back(self, buffer_server):
-        """Server without the vectored ops: client degrades per block."""
-        self._strip_vectored(buffer_server)
-        client = GridBufferClient(*buffer_server.address)
-        try:
-            self._stream_roundtrip(client, "compat-old-server")
-            assert client._vectored is False  # fallback is pinned
-        finally:
-            client.close()
-
-    def test_old_client_against_new_server(self, client):
-        """Client that never sends vectored ops works unchanged."""
-        client._vectored = False
-        self._stream_roundtrip(client, "compat-old-client")
-
-    def test_shared_cache_disabled_against_old_server(self, buffer_server):
-        """No consume op -> shared cache silently off, reads still real."""
-        self._strip_vectored(buffer_server)
-        client = GridBufferClient(*buffer_server.address)
-        try:
-            w = client.open_writer("compat-shared", n_readers=1)
-            w.write(b"q" * 4096)
-            w.close()
-            r = client.open_reader("compat-shared", shared_cache=True)
-            assert r._shared is None  # capability probe said no
-            assert r.read() == b"q" * 4096
-            r.close()
-        finally:
-            client.close()
+    @pytest.mark.parametrize("op", [OP_WRITE_MULTI, OP_READ_MULTI, OP_CONSUME_MULTI])
+    def test_missing_op_propagates_unknown_op(self, buffer_server, client, op):
+        client.create_stream("nf")
+        client.register_reader("nf", "r")
+        client.write("nf", 0, b"z" * 8192)
+        del buffer_server._rpc._handlers[op]
+        calls = {
+            OP_WRITE_MULTI: lambda: client.write_multi("nf", [(8192, b"a"), (9000, b"b")]),
+            OP_READ_MULTI: lambda: client.read_window("nf", "r", 0, 4096),
+            OP_CONSUME_MULTI: lambda: client.consume_multi("nf", [("r", [(0, 4096)])]),
+        }
+        with pytest.raises(RpcError) as exc_info:
+            calls[op]()
+        assert exc_info.value.kind == "unknown-op"
+        # Nothing was quietly redone per block behind the caller's back.
+        stats = client.stats("nf")
+        assert stats["bytes_written"] == 8192
+        assert stats["bytes_read"] == 0
 
 
 class TestBroadcastStress:

@@ -18,15 +18,8 @@ from repro.transport.inmem import HostRegistry
 
 
 @pytest.fixture()
-def world(tmp_path, request, monkeypatch):
-    """Three virtual hosts, all servers, replicas, NWS data.
-
-    Indirect param selects a Grid Buffer wire-compat skew: ``new-new``
-    (default), ``old-server`` (vectored ops stripped server-side, new
-    clients must fall back per block) or ``old-client`` (clients never
-    send vectored ops against the new server).
-    """
-    skew = getattr(request, "param", "new-new")
+def world(tmp_path):
+    """Three virtual hosts, all servers, replicas, NWS data."""
     hosts = HostRegistry(tmp_path / "hosts")
     for name in ("compute", "store1", "store2"):
         hosts.add_host(name)
@@ -45,21 +38,6 @@ def world(tmp_path, request, monkeypatch):
         for name in ("compute", "store1", "store2")
     }
     buffer_server = GridBufferServer(cache_dir=tmp_path / "cache").start()
-    if skew == "old-server":
-        from repro.gridbuffer.protocol import OP_CONSUME, OP_READ_MULTI, OP_WRITE_MULTI
-
-        for op in (OP_WRITE_MULTI, OP_READ_MULTI, OP_CONSUME):
-            del buffer_server._rpc._handlers[op]
-    elif skew == "old-client":
-        from repro.gridbuffer.client import GridBufferClient
-
-        orig_init = GridBufferClient.__init__
-
-        def legacy_init(self, *args, **kwargs):
-            orig_init(self, *args, **kwargs)
-            self._vectored = False  # never sends the vectored ops
-
-        monkeypatch.setattr(GridBufferClient, "__init__", legacy_init)
 
     catalog = ReplicaCatalog()
     catalog.register("lfn://big", Replica("store1", "/replicas/big.dat", size=2048))
@@ -120,9 +98,6 @@ def world(tmp_path, request, monkeypatch):
 
 
 class TestAllSixModes:
-    @pytest.mark.parametrize(
-        "world", ["new-new", "old-server", "old-client"], indirect=True
-    )
     def test_full_workflow(self, world):
         fm = world["fms"]["compute"]
         fm_remote = world["fms"]["store2"]

@@ -2,9 +2,8 @@
 
 Every client call injects ``_trace``; the server pops it before the
 handler runs and parents its ``rpc.server`` span under the remote
-caller — for all three async-engine handler kinds.  Version skew is
-silent in both directions: the legacy threaded server ignores the
-key, a legacy client simply never sends one.
+caller — for all three async-engine handler kinds.  A caller that is
+not tracing sends no key, and its server span starts a fresh trace.
 """
 
 import socket
@@ -13,14 +12,10 @@ import threading
 import pytest
 
 from repro import obs
-from repro.transport.tcp import (
-    RpcClient,
-    RpcServer,
-    ThreadedRpcServer,
-    recv_frame,
-    send_frame,
-)
+from repro.transport.tcp import RpcClient, RpcServer, _Conn, _conn_recv_frame
 from repro.transport.wire import TRACE_KEY
+
+from ._frames import frame_bytes
 
 
 @pytest.fixture()
@@ -157,58 +152,19 @@ class TestHandlerKinds:
             assert caller["start"] <= s["start"] and s["end"] <= caller["end"]
 
 
-class TestCodecSkew:
-    def test_new_client_old_json_server_drops_trace_silently(self, sink):
-        """The legacy threaded server has no trace machinery: the call
-        must succeed and produce a client-side span only."""
-        def echo(header, payload):
-            return {"echo": header.get("n")}, payload
-
-        with ThreadedRpcServer() as srv:
-            srv.register("echo", echo)
-            host, port = srv.address
-            client = RpcClient(host, port)
-            try:
-                with obs.span("root"):
-                    reply, payload = client.call("echo", {"n": 7}, b"legacy")
-            finally:
-                client.close()
-        assert reply["echo"] == 7 and payload == b"legacy"
-        spans = sink.spans()
-        assert [s["name"] for s in spans if s["name"] == "rpc.client"]
-        assert not [s for s in spans if s["name"] == "rpc.server"]
-
-    def test_old_client_new_server_starts_fresh_root(self, sink, server):
-        """A raw legacy JSON frame with no ``_trace`` key: the server
-        span must appear as a trace root, not crash or mis-parent."""
+class TestUntracedCaller:
+    def test_frame_without_trace_key_starts_fresh_root(self, sink, server):
+        """A raw frame with no ``_trace`` key: the server span must
+        appear as a trace root, not crash or mis-parent."""
         host, port = server.address
         with socket.create_connection((host, port), timeout=5.0) as sock:
-            send_frame(sock, {"op": "t.inline"}, b"old")
-            reply, payload = recv_frame(sock)
-        assert reply["ok"] and payload == b"old"
+            sock.sendall(frame_bytes({"op": "t.inline"}, b"untraced"))
+            reply, payload = _conn_recv_frame(_Conn(sock))
+        assert reply["ok"] and payload == b"untraced"
         rpc_server = _one(
             [s for s in sink.spans() if s["name"] == "rpc.server"], op="t.inline"
         )
         assert rpc_server["parent"] is None
-
-    def test_trace_key_rides_both_codecs(self, sink, server):
-        """Force each codec explicitly; propagation is codec-independent."""
-        host, port = server.address
-        for wire in ("json", "binary"):
-            client = RpcClient(host, port, wire=wire)
-            try:
-                with obs.span("root", wire=wire):
-                    client.call("t.async", {"w": wire})
-            finally:
-                client.close()
-        spans = sink.spans()
-        for wire in ("json", "binary"):
-            root = _one(spans, wire=wire)
-            matching = [
-                s for s in spans
-                if s["name"] == "rpc.server" and s["trace"] == root["trace"]
-            ]
-            assert len(matching) == 1, f"{wire}: server span lost its trace"
 
 
 class TestProcStamp:

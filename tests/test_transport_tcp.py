@@ -1,15 +1,9 @@
 """Unit + property tests for the framed TCP RPC layer.
 
-The RPC suite is parametrized over the three supported peer skews so
-every behaviour is exercised on both wire framings *and* across a
-version boundary:
-
-* ``binary-binary`` — negotiating client against the async server
-  (both speak the binary framing; the probe pins it);
-* ``binary-json``  — negotiating client against the legacy threaded
-  JSON-only server (the probe degrades to JSON);
-* ``json-binary``  — a client forced to the legacy JSON framing (an
-  old peer) against the binary-capable async server.
+There is one wire version: every suite here runs the sync pooled
+client against the async engine over checksummed binary frames, and
+``TestRefusal`` pins what happens to a peer that speaks anything else
+— it is refused at its first frame, counted, and never retried.
 """
 
 import asyncio
@@ -21,21 +15,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import faults
+from repro import faults, obs
 from repro.faults import FaultRule
 from repro.transport.aio import AsyncRpcClient
 from repro.transport.tcp import (
-    MAX_HEADER,
     FrameError,
+    RetryPolicy,
     RpcClient,
     RpcError,
     RpcServer,
-    ThreadedRpcServer,
-    recv_frame,
-    send_frame,
+    WireVersionError,
+    _Conn,
+    _conn_recv_frame,
+    _conn_send_frame,
 )
 from repro.transport.wire import (
+    FLAG_CRC,
     MAGIC,
+    MAX_FIELDS,
     PREAMBLE,
     PREAMBLE_SIZE,
     WIRE_VERSION,
@@ -45,16 +42,11 @@ from repro.transport.wire import (
     decode_fields,
 )
 
-# (server engine, forced client wire) per skew; None = negotiate.
-SKEWS = [
-    pytest.param(("async", None), id="binary-binary"),
-    pytest.param(("threaded", None), id="binary-json"),
-    pytest.param(("async", "json"), id="json-binary"),
-]
+from ._frames import frame_bytes, legacy_json_frame
 
 
-def _make_server(engine: str = "async", host: str = "127.0.0.1", port: int = 0):
-    server = (RpcServer if engine == "async" else ThreadedRpcServer)(host, port)
+def _make_server(host: str = "127.0.0.1", port: int = 0):
+    server = RpcServer(host, port)
     server.register("echo", lambda header, payload: ({"echo": header.get("msg")}, payload))
 
     def boom(header, payload):
@@ -69,64 +61,63 @@ def _make_server(engine: str = "async", host: str = "127.0.0.1", port: int = 0):
     return server
 
 
-@pytest.fixture(params=SKEWS)
-def skew(request):
-    return request.param
-
-
-@pytest.fixture()
-def echo_server(skew):
-    with _make_server(skew[0]) as server:
+# The id is what is left of the old (client wire, server wire) skew
+# matrix; it stays so the surviving arm keeps its test names.
+@pytest.fixture(params=["binary-binary"])
+def echo_server(request):
+    with _make_server() as server:
         yield server
 
 
 @pytest.fixture()
-def echo_client(echo_server, skew):
-    client = RpcClient(*echo_server.address, wire=skew[1])
+def echo_client(echo_server):
+    client = RpcClient(*echo_server.address)
     yield client
     client.close()
 
 
+@pytest.fixture()
+def pair():
+    """Two ``_Conn``s over a socketpair: the sync client's frame path."""
+    a, b = socket.socketpair()
+    try:
+        yield _Conn(a), _Conn(b)
+    finally:
+        a.close()
+        b.close()
+
+
 class TestFraming:
-    def test_roundtrip_over_socketpair(self):
-        a, b = socket.socketpair()
-        try:
-            send_frame(a, {"op": "x", "n": 3}, b"payload")
-            header, payload = recv_frame(b)
-            assert header["op"] == "x"
-            assert header["n"] == 3
-            assert payload == b"payload"
-        finally:
-            a.close()
-            b.close()
+    def test_roundtrip_over_socketpair(self, pair):
+        a, b = pair
+        _conn_send_frame(a, {"op": "x", "n": 3}, b"payload")
+        header, payload = _conn_recv_frame(b)
+        assert header["op"] == "x"
+        assert header["n"] == 3
+        assert payload == b"payload"
 
-    def test_empty_payload(self):
-        a, b = socket.socketpair()
-        try:
-            send_frame(a, {"op": "x"})
-            header, payload = recv_frame(b)
-            assert payload == b""
-            assert header["payload_len"] == 0
-        finally:
-            a.close()
-            b.close()
+    def test_empty_payload(self, pair):
+        a, b = pair
+        _conn_send_frame(a, {"op": "x"}, b"")
+        header, payload = _conn_recv_frame(b)
+        assert payload == b""
+        assert header["payload_len"] == 0
 
-    def test_eof_mid_frame_raises(self):
-        a, b = socket.socketpair()
-        a.sendall(b"\x00\x00\x00\x10partial")
-        a.close()
+    def test_eof_mid_frame_raises(self, pair):
+        a, b = pair
+        a.sock.sendall(frame_bytes({"op": "x"}, b"payload")[:10])
+        a.sock.close()
         with pytest.raises(FrameError):
-            recv_frame(b)
-        b.close()
+            _conn_recv_frame(b)
 
-    def test_garbage_header_raises(self):
-        a, b = socket.socketpair()
-        bad = b"not json!!"
-        a.sendall(len(bad).to_bytes(4, "big") + bad)
-        a.close()
-        with pytest.raises(FrameError):
-            recv_frame(b)
-        b.close()
+    def test_garbage_header_raises(self, pair):
+        a, b = pair
+        bad = b"\xff" * 10  # count byte 255, then nothing that parses
+        a.sock.sendall(
+            PREAMBLE.pack(MAGIC, WIRE_VERSION, FLAG_CRC, 0, len(bad), 0) + bad + bytes(4)
+        )
+        with pytest.raises(FrameError, match="bad binary header"):
+            _conn_recv_frame(b)
 
     @given(
         msg=st.text(max_size=200),
@@ -137,8 +128,8 @@ class TestFraming:
     def test_any_header_payload_roundtrips(self, msg, payload, extra):
         a, b = socket.socketpair()
         try:
-            send_frame(a, {"op": "t", "msg": msg, "extra": extra}, payload)
-            header, got = recv_frame(b)
+            _conn_send_frame(_Conn(a), {"op": "t", "msg": msg, "extra": extra}, payload)
+            header, got = _conn_recv_frame(_Conn(b))
             assert header["msg"] == msg
             assert header["extra"] == extra
             assert got == payload
@@ -169,12 +160,12 @@ class TestRpc:
             echo_client.call("typed")
         assert exc_info.value.kind == "custom-kind"
 
-    def test_concurrent_clients(self, echo_server, skew):
+    def test_concurrent_clients(self, echo_server):
         errors = []
 
         def worker(n):
             try:
-                with RpcClient(*echo_server.address, wire=skew[1]) as client:
+                with RpcClient(*echo_server.address) as client:
                     for i in range(20):
                         reply, _ = client.call("echo", {"msg": f"{n}:{i}"})
                         assert reply["echo"] == f"{n}:{i}"
@@ -213,56 +204,36 @@ class TestRpc:
 
 
 class TestFramingEdgeCases:
-    def test_oversized_header_raises(self):
-        a, b = socket.socketpair()
-        try:
-            a.sendall((MAX_HEADER + 1).to_bytes(4, "big"))
-            with pytest.raises(FrameError, match="exceeds maximum"):
-                recv_frame(b)
-        finally:
-            a.close()
-            b.close()
+    def test_oversized_header_raises(self, pair):
+        """A claimed 4 GiB field table is refused before any allocation."""
+        a, b = pair
+        a.sock.sendall(PREAMBLE.pack(MAGIC, WIRE_VERSION, FLAG_CRC, 0, 0xFFFFFFFF, 0))
+        with pytest.raises(WireVersionError, match="exceeds maximum") as exc_info:
+            _conn_recv_frame(b)
+        assert exc_info.value.reason == "fields-len"
+        assert len(b.rbuf) == PREAMBLE_SIZE  # nothing past the preamble was read for
 
-    def test_header_without_payload_len_raises(self):
-        a, b = socket.socketpair()
-        try:
-            raw = b'{"op": "x"}'
-            a.sendall(len(raw).to_bytes(4, "big") + raw)
-            with pytest.raises(FrameError, match="payload_len"):
-                recv_frame(b)
-        finally:
-            a.close()
-            b.close()
+    def test_field_table_at_the_cap_is_not_refused(self, pair):
+        a, b = pair
+        a.sock.sendall(PREAMBLE.pack(MAGIC, WIRE_VERSION, FLAG_CRC, 0, MAX_FIELDS, 0))
+        a.sock.close()
+        with pytest.raises(FrameError, match="outstanding"):  # EOF, not a refusal
+            _conn_recv_frame(b)
 
-    def test_non_object_header_raises(self):
-        a, b = socket.socketpair()
-        try:
-            raw = b"[1, 2, 3]"  # valid JSON, wrong shape
-            a.sendall(len(raw).to_bytes(4, "big") + raw)
-            with pytest.raises(FrameError):
-                recv_frame(b)
-        finally:
-            a.close()
-            b.close()
-
-    def test_truncated_payload_raises(self):
-        a, b = socket.socketpair()
-        raw = b'{"op": "x", "payload_len": 100}'
-        a.sendall(len(raw).to_bytes(4, "big") + raw + b"only ten b")
-        a.close()  # peer disconnects mid-payload
+    def test_truncated_payload_raises(self, pair):
+        a, b = pair
+        scratch = bytearray()
+        build_binary_frame(scratch, {"op": "x"}, 100)
+        a.sock.sendall(bytes(scratch) + b"only ten b")
+        a.sock.close()  # peer disconnects mid-payload
         with pytest.raises(FrameError, match="outstanding"):
-            recv_frame(b)
-        b.close()
+            _conn_recv_frame(b)
 
-    def test_bytes_like_payloads_accepted(self):
-        a, b = socket.socketpair()
-        try:
-            send_frame(a, {"op": "x"}, memoryview(bytearray(b"view")))
-            _, payload = recv_frame(b)
-            assert payload == b"view"
-        finally:
-            a.close()
-            b.close()
+    def test_bytes_like_payloads_accepted(self, pair):
+        a, b = pair
+        _conn_send_frame(a, {"op": "x"}, memoryview(bytearray(b"view")))
+        _, payload = _conn_recv_frame(b)
+        assert payload == b"view"
 
 
 class TestPooledClient:
@@ -360,15 +331,14 @@ class TestPooledClient:
                 except OSError:
                     return
                 try:
-                    header, payload = recv_frame(conn)
+                    header, payload = _conn_recv_frame(_Conn(conn))
                     if first:
                         first = False
                         # Half a frame, then hang up mid-payload.
-                        raw = b'{"ok": true, "payload_len": 50}'
-                        conn.sendall(len(raw).to_bytes(4, "big") + raw + b"short")
+                        conn.sendall(frame_bytes({"ok": True}, b"p" * 50)[:-40])
                         conn.close()
                         continue
-                    send_frame(conn, {"ok": True, "echo": header.get("msg")}, b"")
+                    conn.sendall(frame_bytes({"ok": True, "echo": header.get("msg")}))
                     conn.close()
                 except (FrameError, OSError):
                     conn.close()
@@ -409,8 +379,8 @@ _values = st.one_of(
 def _binary_roundtrip(header, payload_len):
     scratch = bytearray()
     build_binary_frame(scratch, header, payload_len)
-    magic, version, _flags, opid, fields_len, plen = PREAMBLE.unpack_from(scratch, 0)
-    assert magic == MAGIC and version == WIRE_VERSION
+    magic, version, flags, opid, fields_len, plen = PREAMBLE.unpack_from(scratch, 0)
+    assert magic == MAGIC and version == WIRE_VERSION and flags == FLAG_CRC
     assert len(scratch) == PREAMBLE_SIZE + fields_len
     fields = memoryview(scratch)[PREAMBLE_SIZE:]
     return decode_binary_header(opid, fields, plen)
@@ -444,12 +414,9 @@ class TestBinaryCodec:
 
     def test_binary_header_beats_json_for_known_ops(self):
         header = {"op": "gb.read", "name": "s", "reader_id": "r1", "offset": 0, "length": 65536}
-        bin_scratch, json_scratch = bytearray(), bytearray()
+        bin_scratch = bytearray()
         build_binary_frame(bin_scratch, header, 65536)
-        from repro.transport.wire import build_json_frame
-
-        build_json_frame(json_scratch, header, 65536)
-        assert len(bin_scratch) < len(json_scratch)
+        assert len(bin_scratch) < len(legacy_json_frame(header, b""))
 
     def test_trailing_garbage_rejected(self):
         scratch = bytearray()
@@ -463,95 +430,120 @@ class TestBinaryCodec:
 
 
 # ---------------------------------------------------------------------------
-# Codec negotiation across peer versions
+# A peer of another wire version is refused, not degraded to
 # ---------------------------------------------------------------------------
 
 
-class TestWireNegotiation:
-    def test_pins_binary_against_async_server(self):
-        with _make_server("async") as server, RpcClient(*server.address) as client:
-            assert client._codec is None
-            reply, _ = client.call("echo", {"msg": "hi"})
-            assert reply["echo"] == "hi"
-            # A new server advertises CRC alongside binary framing, so
-            # the default negotiation pins checksummed binary frames.
-            assert client._codec == "binary+crc"
-            blob = b"x" * 100_000
-            _, got = client.call("echo", {}, blob)
-            assert got == blob
+def _bad_frames(side, reason):
+    return obs.value("rpc_bad_frames_total", {"side": side, "reason": reason}) or 0.0
 
-    def test_crc_opt_out_pins_plain_binary(self):
-        with _make_server("async") as server, RpcClient(*server.address, crc=False) as client:
-            client.call("echo", {"msg": "hi"})
-            assert client._codec == "binary"
 
-    def test_pins_json_against_threaded_server(self):
-        with _make_server("threaded") as server, RpcClient(*server.address) as client:
-            reply, _ = client.call("echo", {"msg": "old"})
-            assert reply["echo"] == "old"
-            assert client._codec == "json"
-            # Stays pinned — no repeated probing.
-            client.call("echo", {"msg": "again"})
-            assert client._codec == "json"
+def _tampered(header, payload=b"", version=WIRE_VERSION, flags=FLAG_CRC):
+    """A well-formed frame with its version/flags bytes overwritten."""
+    raw = bytearray(frame_bytes(header, payload))
+    raw[1], raw[2] = version, flags
+    if not flags & FLAG_CRC:
+        del raw[-4:]  # what an un-checksummed sender would really emit
+    return bytes(raw)
 
-    def test_forced_wire_skips_negotiation(self):
-        with _make_server("async") as server:
-            with RpcClient(*server.address, wire="json") as client:
-                assert client._codec == "json"
-                reply, _ = client.call("echo", {"msg": "j"})
-                assert reply["echo"] == "j"
-                assert client._codec == "json"
-            with RpcClient(*server.address, wire="binary") as client:
-                reply, _ = client.call("echo", {"msg": "b"})
-                assert reply["echo"] == "b"
-                assert client._codec == "binary"
 
-    def test_env_var_forces_wire(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WIRE", "json")
-        with _make_server("async") as server, RpcClient(*server.address) as client:
-            client.call("echo", {"msg": "e"})
-            assert client._codec == "json"
+class _ScriptedPeer:
+    """A listener that answers every connection's first bytes with ``reply``."""
 
-    def test_bad_wire_value_rejected(self):
-        with pytest.raises(ValueError, match="wire"):
-            RpcClient("127.0.0.1", 1, wire="msgpack")
+    def __init__(self, reply: bytes):
+        self.reply = reply
+        self.connections = 0
+        self._sock = socket.socket()
+        self._sock.bind(("127.0.0.1", 0))
+        self._sock.listen(8)
+        self.address = self._sock.getsockname()
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
 
-    def test_probe_header_is_not_leaked_to_handlers(self):
-        seen = {}
-        server = RpcServer()
+    def _serve(self):
+        while True:
+            try:
+                conn, _ = self._sock.accept()
+            except OSError:
+                return
+            self.connections += 1
+            with conn:
+                conn.recv(65536)
+                conn.sendall(self.reply)
 
-        def spy(header, payload):
-            seen.update(header)
-            return {}, b""
+    def close(self):
+        self._sock.close()
+        self._thread.join(timeout=5)
 
-        server.register("spy", spy)
-        with server, RpcClient(*server.address) as client:
-            reply, _ = client.call("spy", {"msg": "x"})
-            assert "_wire" not in reply
-        assert seen.get("msg") == "x"
 
-    def test_demotes_after_peer_downgrade(self):
-        """A binary-pinned client recovers against a JSON-only rebind."""
-        server = _make_server("async").start()
-        host, port = server.address
-        client = RpcClient(host, port)
+REFUSED = [
+    pytest.param(legacy_json_frame({"op": "echo", "msg": "old", "ok": True}), "magic", id="legacy-json"),
+    pytest.param(_tampered({"op": "echo", "ok": True}, version=2), "version", id="version-2"),
+    pytest.param(_tampered({"op": "echo", "ok": True}, b"data", flags=0), "no-crc", id="no-crc"),
+    pytest.param(_tampered({"op": "echo", "ok": True}, flags=FLAG_CRC | 0x80), "flags", id="unknown-flag"),
+    pytest.param(
+        PREAMBLE.pack(MAGIC, WIRE_VERSION, FLAG_CRC, 0, 0xFFFFFFFF, 0), "fields-len", id="4gib-fields"
+    ),
+]
+
+
+class TestRefusal:
+    @pytest.mark.parametrize("frame, reason", REFUSED)
+    def test_server_counts_the_violation_and_hangs_up(self, frame, reason):
+        with _make_server() as server:
+            before = _bad_frames("server", reason)
+            with socket.create_connection(server.address, timeout=5) as sock:
+                sock.sendall(frame)
+                assert sock.recv(65536) == b""  # closed without a reply
+            assert _bad_frames("server", reason) == before + 1
+            # The listener is unharmed: the next, well-behaved peer is served.
+            with RpcClient(*server.address) as client:
+                assert client.call("echo", {"msg": "ok"})[0]["echo"] == "ok"
+
+    @pytest.mark.parametrize("frame, reason", REFUSED)
+    def test_client_raises_after_exactly_one_attempt(self, frame, reason):
+        peer = _ScriptedPeer(frame)
+        before = _bad_frames("client", reason)
+        retries = obs.value("rpc_retries_total", {"op": "get_block"}) or 0.0
         try:
-            client.call("echo", {"msg": "1"})
-            assert client._codec == "binary+crc"
-            server.stop()
-            server.disconnect_all()
-            with _make_server("threaded", host, port) as old:
-                assert old.address == (host, port)
-                reply, _ = client.call("echo", {"msg": "2"}, retryable=True)
-                assert reply["echo"] == "2"
-                assert client._codec == "json"
+            # get_block is idempotent: a flaky link would get 1 + 3 attempts.
+            with RpcClient(*peer.address, retry=RetryPolicy(retries=3, base=0.001)) as client:
+                with pytest.raises(WireVersionError) as exc_info:
+                    client.call("get_block", {"path": "p"})
         finally:
-            client.close()
+            peer.close()
+        assert exc_info.value.reason == reason
+        assert peer.connections == 1
+        assert _bad_frames("client", reason) == before + 1
+        assert (obs.value("rpc_retries_total", {"op": "get_block"}) or 0.0) == retries
+
+    def test_async_client_raises_after_exactly_one_attempt(self):
+        peer = _ScriptedPeer(_tampered({"op": "echo", "ok": True}, version=2))
+
+        async def go():
+            client = AsyncRpcClient(*peer.address, retry=RetryPolicy(retries=3, base=0.001))
+            try:
+                with pytest.raises(WireVersionError):
+                    await client.call("get_block", {"path": "p"})
+            finally:
+                await client.close()
+
+        try:
+            asyncio.run(go())
+        finally:
+            peer.close()
+        assert peer.connections == 1
+
+    def test_wire_version_error_is_a_connection_error(self):
+        # Higher layers (replica failover, copy-in resume) catch OSError /
+        # FrameError; a refused peer must look like an unusable one to them.
+        assert issubclass(WireVersionError, FrameError)
+        assert issubclass(WireVersionError, OSError)
 
 
 @pytest.mark.faults
-class TestNegotiationFaults:
-    """Fault injection mid-negotiation: the probe must never mis-pin."""
+class TestFirstCallFaults:
+    """Faults on a connection's very first call and on a warm one."""
 
     @pytest.fixture(autouse=True)
     def _disarmed(self):
@@ -559,47 +551,41 @@ class TestNegotiationFaults:
         yield
         faults.disarm()
 
-    def test_probe_survives_connection_reset(self):
-        with _make_server("async") as server, RpcClient(*server.address) as client:
+    def test_first_call_survives_connection_reset(self):
+        with _make_server() as server, RpcClient(*server.address) as client:
             with faults.injected(
                 FaultRule(layer="rpc.server", op="echo", action="close", nth=1, times=1)
             ):
                 reply, _ = client.call("echo", {"msg": "hi"}, retryable=True)
             assert reply["echo"] == "hi"
-            assert client._codec == "binary+crc"
 
-    def test_probe_survives_dropped_request(self):
-        with _make_server("async") as server, RpcClient(*server.address) as client:
+    def test_first_call_survives_dropped_request(self):
+        with _make_server() as server, RpcClient(*server.address) as client:
             with faults.injected(
                 FaultRule(layer="rpc.server", op="echo", action="drop", nth=1, times=1)
             ):
                 reply, _ = client.call("echo", {"msg": "hi"}, retryable=True)
             assert reply["echo"] == "hi"
-            assert client._codec == "binary+crc"
 
-    def test_injected_error_reply_still_pins_binary(self):
-        """An injected-fault *reply* to the probe still advertises binary."""
-        with _make_server("async") as server, RpcClient(*server.address) as client:
+    def test_injected_error_reply_leaves_connection_usable(self):
+        with _make_server() as server, RpcClient(*server.address) as client:
             with faults.injected(
                 FaultRule(layer="rpc.server", op="echo", action="error", nth=1, times=1)
             ):
                 with pytest.raises(RpcError) as exc_info:
                     client.call("echo", {"msg": "hi"})
             assert exc_info.value.kind == "injected-fault"
-            assert client._codec == "binary+crc"
             reply, _ = client.call("echo", {"msg": "again"})
             assert reply["echo"] == "again"
 
-    def test_pinned_binary_rechecks_after_connection_loss(self):
-        with _make_server("async") as server, RpcClient(*server.address) as client:
-            client.call("echo", {"msg": "pin"})
-            assert client._codec == "binary+crc"
+    def test_warm_connection_survives_reset(self):
+        with _make_server() as server, RpcClient(*server.address) as client:
+            client.call("echo", {"msg": "warm"})
             with faults.injected(
                 FaultRule(layer="rpc.server", op="echo", action="close", nth=1, times=1)
             ):
                 reply, _ = client.call("echo", {"msg": "after"}, retryable=True)
             assert reply["echo"] == "after"
-            assert client._codec == "binary+crc"
 
 
 # ---------------------------------------------------------------------------
@@ -624,11 +610,11 @@ class TestAsyncServerHandlers:
             assert data == b"p"
 
     def test_restart_rebinds_same_port(self):
-        server = _make_server("async").start()
+        server = _make_server().start()
         host, port = server.address
         try:
             server.stop()
-            again = _make_server("async", host, port)
+            again = _make_server(host, port)
             with again, RpcClient(host, port) as client:
                 assert client.call("echo", {"msg": "back"})[0]["echo"] == "back"
         finally:
@@ -636,31 +622,17 @@ class TestAsyncServerHandlers:
 
 
 class TestAsyncRpcClient:
-    def test_echo_and_negotiation(self):
+    def test_echo(self):
         async def go(addr):
             client = AsyncRpcClient(*addr)
             try:
                 reply, data = await client.call("echo", {"msg": "hi"}, b"abc")
                 assert reply["echo"] == "hi"
                 assert data == b"abc"
-                assert client._codec == "binary+crc"
             finally:
                 await client.close()
 
-        with _make_server("async") as server:
-            asyncio.run(go(server.address))
-
-    def test_negotiates_json_against_threaded_server(self):
-        async def go(addr):
-            client = AsyncRpcClient(*addr)
-            try:
-                reply, _ = await client.call("echo", {"msg": "old"})
-                assert reply["echo"] == "old"
-                assert client._codec == "json"
-            finally:
-                await client.close()
-
-        with _make_server("threaded") as server:
+        with _make_server() as server:
             asyncio.run(go(server.address))
 
     def test_error_reply_raises(self):
@@ -673,7 +645,7 @@ class TestAsyncRpcClient:
             finally:
                 await client.close()
 
-        with _make_server("async") as server:
+        with _make_server() as server:
             asyncio.run(go(server.address))
 
     def test_many_concurrent_clients_one_loop(self):
@@ -690,6 +662,6 @@ class TestAsyncRpcClient:
         async def go(addr):
             return await asyncio.gather(*(one(addr, i) for i in range(64)))
 
-        with _make_server("async") as server:
+        with _make_server() as server:
             results = asyncio.run(go(server.address))
         assert results == [f"m{i}" for i in range(64)]
