@@ -2,7 +2,7 @@
 shape (plate with circular hole under uniaxial tension).
 
 Prints field statistics, the ASCII shade map of von Mises stress, and
-writes ``fig6_stress.pgm`` next to the bench output for viewing.
+writes ``results/fig6_stress.pgm`` (beside the other figures) for viewing.
 """
 
 from pathlib import Path
@@ -32,7 +32,7 @@ def test_fig6_render(benchmark, tmp_path):
     print()
     print("Figure 6 — von Mises stress (ASCII render, hole blank):")
     print(ascii_field(raster))
-    out = Path("fig6_stress.pgm")
+    out = Path(__file__).resolve().parents[1] / "results" / "fig6_stress.pgm"
     write_pgm(raster, out)
-    print(f"(PGM image written to {out.resolve()})")
+    print(f"(PGM image written to {out})")
     assert out.exists()

@@ -67,9 +67,7 @@ def _stream_once(address, stream: str, data: bytes, digest: str) -> float:
     def read_all():
         with obs.attach(ctx):
             try:
-                r = client.open_reader(
-                    stream, reader_id="r0", read_ahead=True, read_ahead_depth=4
-                )
+                r = client.open_reader(stream, reader_id="r0", read_ahead_depth=4)
                 h = hashlib.sha256()
                 got = 0
                 while True:

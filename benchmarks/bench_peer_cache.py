@@ -43,7 +43,7 @@ from pathlib import Path
 
 from repro import obs
 from repro.gridbuffer.client import GridBufferClient
-from repro.gridbuffer.protocol import OP_READ, OP_READ_MULTI
+from repro.gridbuffer.protocol import OP_READ_MULTI
 from repro.gridbuffer.server import GridBufferServer
 
 LATENCY_S = 0.005          # one-way, injected per origin RPC
@@ -64,12 +64,12 @@ def _payload(n_bytes: int) -> bytes:
 
 
 def _origin_read_ops() -> float:
-    """Origin-side gb.read/gb.read_multi dispatches (any status)."""
+    """Origin-side gb.read_multi dispatches (any status)."""
     fam = obs.snapshot().get("rpc_server_requests_total", {})
     return sum(
         s["value"]
         for s in fam.get("series", [])
-        if s["labels"].get("op") in (OP_READ, OP_READ_MULTI)
+        if s["labels"].get("op") == OP_READ_MULTI
     )
 
 
@@ -93,7 +93,6 @@ def _reader_main(args: argparse.Namespace) -> None:
         c0 = time.process_time()
         reader = client.open_reader(
             args.stream,
-            read_ahead=True,
             read_ahead_bytes=args.chunk,
             read_ahead_depth=2,
             peer_cache=args.peer,
@@ -248,7 +247,7 @@ def run(smoke: bool = False, write_json: bool = True) -> dict:
         # The cap models the *data channel* — bulk reads queue for the
         # single transfer slot, while small control frames (acks,
         # holder advertisements, registration) only pay the latency.
-        inflight_ops=(OP_READ, OP_READ_MULTI),
+        inflight_ops=(OP_READ_MULTI,),
     ) as server:
         # A broadcast origin hints the whole file span: the stream is
         # finite and pre-written, so there is no fresher range to save

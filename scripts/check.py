@@ -12,7 +12,7 @@ third-party dependency:
   ``__all__``);
 * no file may contain tab indentation or trailing whitespace.
 
-Two repo-specific rules run in BOTH paths (ruff cannot express them):
+Three repo-specific rules run in BOTH paths (ruff cannot express them):
 
 * in ``src/repro/transport/`` and ``src/repro/gridbuffer/`` an
   ``except`` handler for the OSError family must never swallow
@@ -27,6 +27,11 @@ Two repo-specific rules run in BOTH paths (ruff cannot express them):
   ``time.monotonic()`` (or ``time.perf_counter()``); code that
   genuinely needs wall-clock time must annotate the line with
   ``# wall-clock-ok: <why>``.
+* ``os.environ`` / ``os.getenv`` may be read under ``src/`` only in the
+  modules listed in ``ENV_READERS`` (fault injection, the trace process
+  label, the loop watchdog).  Configuration that changes how bytes move
+  lives in the GNS record or a constructor argument, never in the
+  environment.
 
 Exit status is non-zero on any finding, so ``python scripts/check.py``
 works as a pre-commit / CI step independent of pytest.
@@ -53,6 +58,14 @@ OSERROR_NAMES = {
     "BrokenPipeError", "TimeoutError", "InterruptedError",
     "FrameError", "InjectedFault", "timeout",
 }
+
+
+#: The only modules under src/ allowed to read the environment.
+ENV_READERS = (
+    "src/repro/faults/__init__.py",
+    "src/repro/obs/spans.py",
+    "src/repro/transport/aio.py",
+)
 
 
 def python_files() -> list[Path]:
@@ -223,6 +236,33 @@ def check_wall_clock(path: Path, text: str, tree: ast.Module) -> list[str]:
     return problems
 
 
+def check_env_reads(path: Path, text: str, tree: ast.Module) -> list[str]:
+    """Forbid ``os.environ`` / ``os.getenv`` in src/ outside ``ENV_READERS``."""
+    rel = str(path.relative_to(REPO)).replace("\\", "/")
+    if not rel.startswith("src/") or rel in ENV_READERS:
+        return []
+    problems: list[str] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            hit = (
+                node.attr in ("environ", "getenv")
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "os"
+            )
+        elif isinstance(node, ast.ImportFrom):
+            hit = node.module == "os" and any(
+                a.name in ("environ", "getenv") for a in node.names
+            )
+        else:
+            continue
+        if hit:
+            problems.append(
+                f"{rel}:{node.lineno}: environment access in src/ — take a "
+                "constructor argument (or extend ENV_READERS in scripts/check.py)"
+            )
+    return problems
+
+
 def run_swallow_lint() -> int:
     problems: list[str] = []
     for path in python_files():
@@ -233,6 +273,7 @@ def run_swallow_lint() -> int:
             continue  # both lint paths already report syntax errors
         problems.extend(check_swallowed_oserrors(path, text, tree))
         problems.extend(check_wall_clock(path, text, tree))
+        problems.extend(check_env_reads(path, text, tree))
     for problem in problems:
         print(problem)
     return 1 if problems else 0

@@ -8,7 +8,10 @@ the other host, and sends blocks of data for each local WRITE call."
 The FM asks the GNS matcher where the stream's buffer server lives
 (reader-end or writer-end placement), then opens a writer or reader
 adapter on it.  Connections to each distinct server are pooled per
-client instance.
+client instance.  How a stream moves is decided by its GNS record (the
+:class:`BufferEndpoint`): the pool adds only timeouts and the
+read-ahead depth, and a broadcast endpoint (``n_readers > 1``) shares
+fetched blocks between its co-located readers.
 """
 
 from __future__ import annotations
@@ -57,8 +60,6 @@ class GridBufferClientPool:
         endpoint: BufferEndpoint,
         server: Tuple[str, int],
         write_timeout: Optional[float] = None,
-        coalesce_bytes: int = 0,
-        flush_after: Optional[float] = None,
     ) -> BufferWriter:
         client = self.client_for(*server)
         return client.open_writer(
@@ -67,8 +68,6 @@ class GridBufferClientPool:
             capacity_bytes=endpoint.capacity_bytes,
             cache=endpoint.cache,
             write_timeout=write_timeout,
-            coalesce_bytes=coalesce_bytes,
-            flush_after=flush_after,
         )
 
     def open_reader(
@@ -77,9 +76,7 @@ class GridBufferClientPool:
         server: Tuple[str, int],
         reader_id: Optional[str] = None,
         read_timeout: Optional[float] = None,
-        read_ahead: bool = False,
         read_ahead_depth: int = 4,
-        shared_cache: Optional[bool] = None,
     ) -> BufferReader:
         client = self.client_for(*server)
         # The stream may not exist yet if the reader opens first: create
@@ -91,16 +88,13 @@ class GridBufferClientPool:
             cache=endpoint.cache,
         )
         rid = reader_id or f"{self.machine}:{endpoint.stream}"
-        if shared_cache is None:
-            # Dedup fetches only when the stream actually broadcasts.
-            shared_cache = endpoint.n_readers > 1
         return client.open_reader(
             endpoint.stream,
             reader_id=rid,
             read_timeout=read_timeout,
-            read_ahead=read_ahead,
             read_ahead_depth=read_ahead_depth,
-            shared_cache=shared_cache,
+            # Dedup fetches only when the stream actually broadcasts.
+            shared_cache=endpoint.n_readers > 1,
         )
 
     def close(self) -> None:

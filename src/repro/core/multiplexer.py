@@ -154,20 +154,11 @@ class GridContext:
     prefetch: bool = True
     #: Parallel TCP streams for bulk copies (fetch and store).
     parallel_streams: int = 1
-    #: Pipeline Grid Buffer reads through an adaptive read-ahead window.
-    buffer_readahead: bool = True
-    #: Maximum windowed read RPCs kept in flight per buffered reader.
+    #: Maximum windowed read RPCs kept in flight per buffered reader —
+    #: the one Grid Buffer tuning value an FM carries.  Everything else
+    #: about how a stream moves (batch size, flush deadline, block
+    #: sharing on broadcast) is fixed by the client or the GNS record.
     buffer_readahead_depth: int = 4
-    #: Coalesce Grid Buffer writes into batches of this many bytes.
-    #: Safe by default: the writer's flush deadline bounds how long a
-    #: partial batch stays local (0 = write-through per WRITE call).
-    buffer_coalesce_bytes: int = 64 * 1024
-    #: Upper bound (seconds) on coalesced-write visibility lag; None
-    #: uses REPRO_BUFFER_FLUSH_DEADLINE (default 20 ms).
-    buffer_flush_deadline: Optional[float] = None
-    #: Share fetched blocks between co-located readers of one broadcast
-    #: stream (None = auto: enabled when the endpoint has >1 readers).
-    buffer_shared_cache: Optional[bool] = None
     #: Subscribe to GNS changes and live-migrate open read streams
     #: between IO modes mid-run (COPY↔BUFFER and friends) when their
     #: records are edited.  Off by default: resolve-at-open only.
@@ -644,24 +635,14 @@ class FileMultiplexer:
         if core in ("r+", "w+", "a+"):
             raise FMError("buffered streams are unidirectional (read xor write)")
         try:
-            server = self._locate_buffer(endpoint, role)
             if role == "writer":
                 inner = self._buffer_pool.open_writer(
                     endpoint,
-                    server,
+                    self._locate_buffer(endpoint, role),
                     write_timeout=self.ctx.io_timeout,
-                    coalesce_bytes=self.ctx.buffer_coalesce_bytes,
-                    flush_after=self.ctx.buffer_flush_deadline,
                 )
             else:
-                inner = self._buffer_pool.open_reader(
-                    endpoint,
-                    server,
-                    read_timeout=self.ctx.io_timeout,
-                    read_ahead=self.ctx.buffer_readahead,
-                    read_ahead_depth=self.ctx.buffer_readahead_depth,
-                    shared_cache=self.ctx.buffer_shared_cache,
-                )
+                inner = self._open_buffer_reader(endpoint)
         except (OSError, RpcError) as exc:
             if record.fallback is None:
                 raise
@@ -810,16 +791,18 @@ class FileMultiplexer:
         if record.mode is IOMode.BUFFER:
             endpoint = record.buffer
             assert endpoint is not None  # enforced by GnsRecord validation
-            server = self._locate_buffer(endpoint, "reader")
-            return self._buffer_pool.open_reader(
-                endpoint,
-                server,
-                read_timeout=self.ctx.io_timeout,
-                read_ahead=self.ctx.buffer_readahead,
-                read_ahead_depth=self.ctx.buffer_readahead_depth,
-                shared_cache=self.ctx.buffer_shared_cache,
-            )
+            return self._open_buffer_reader(endpoint)
         raise FMError(f"live migration to mode {record.mode.value!r} is unsupported")
+
+    def _open_buffer_reader(self, endpoint: BufferEndpoint) -> io.RawIOBase:
+        """The one place a BUFFER reader is configured: ``open`` and a
+        live remap both come through here, so they cannot differ."""
+        return self._buffer_pool.open_reader(
+            endpoint,
+            self._locate_buffer(endpoint, "reader"),
+            read_timeout=self.ctx.io_timeout,
+            read_ahead_depth=self.ctx.buffer_readahead_depth,
+        )
 
     def _locate_buffer(self, endpoint: BufferEndpoint, role: str) -> Address:
         if endpoint.host and endpoint.port:

@@ -31,7 +31,7 @@ semicolon-separated rules of comma-separated ``key=value`` pairs::
 
 ``layer``/``op``/``peer`` are shell-style globs (default ``*``); ``nth``
 is the 1-based index of the first matching call that fires (counted per
-concrete ``(rule, layer, op, peer)`` key, so "the 3rd gb.read to
+concrete ``(rule, layer, op, peer)`` key, so "the 3rd gb.read_multi to
 store1" means exactly that); ``times`` is how many consecutive matches
 fire from there (``0`` = forever).  ``probability`` makes a rule fire
 randomly instead — draws come from a ``random.Random`` seeded via
@@ -321,7 +321,7 @@ class injected:
     """Context manager: arm rules for a ``with`` block, then disarm.
 
     >>> with faults.injected(FaultRule(layer="rpc.client", action="close")):
-    ...     client.call("gb.read", ...)
+    ...     client.call("gb.read_multi", ...)
     """
 
     def __init__(self, *rules: FaultRule, seed: Optional[int] = None):

@@ -12,16 +12,18 @@ Two layers:
   always available; an ``unknown-op`` reply is an error like any
   other and propagates.
 * :class:`BufferWriter` / :class:`BufferReader` — file-like adapters
-  the FM's Grid Buffer Client uses.  The writer coalesces small writes
-  into batched vectored RPCs behind a *bounded flush deadline* (safe
-  by default: downstream visibility lags by at most the deadline); the
-  reader keeps an adaptive window of up to N windowed reads in flight,
-  sized from measured link estimates when a
-  :class:`~repro.core.trace.TransferMonitor` is attached.
+  the FM's Grid Buffer Client uses.  There is one stream path: the
+  writer always coalesces writes into batched vectored RPCs behind a
+  *bounded flush deadline* (downstream visibility lags by at most the
+  deadline), and the reader always keeps an adaptive window of up to N
+  ``gb.read_multi`` requests in flight, sized from measured link
+  estimates when a :class:`~repro.core.trace.TransferMonitor` is
+  attached.  Only the sizes are arguments; neither half can be
+  switched off.
 
-Because a blocking remote read parks a server thread, every reader
-still uses its own demand connection, and the read-ahead window owns a
-separate pooled connection set, so a request blocked server-side never
+A blocked read occupies its connection until data arrives, so every
+reader owns a demand connection and its read-ahead window owns a
+separate pooled connection set: a request parked server-side never
 head-of-line blocks demand traffic.  Co-located readers of one
 broadcast stream can share a per-process block cache: each block is
 fetched from the server once and the other readers acknowledge their
@@ -44,6 +46,7 @@ from .. import faults, ioutil, obs
 from ..ioutil import ReadIntoFromRead
 from ..transport.tcp import RpcClient, RpcError
 from .protocol import (
+    DEFAULT_COALESCE_BYTES,
     DEFAULT_READ_BUDGET,
     OP_ABORT,
     OP_CLOSE_WRITER,
@@ -53,7 +56,6 @@ from .protocol import (
     OP_EXISTS,
     OP_HIGH_WATER,
     OP_PEER_READ,
-    OP_READ,
     OP_READ_MULTI,
     OP_REGISTER_READER,
     OP_RESUME,
@@ -65,18 +67,12 @@ from .protocol import (
 __all__ = ["GridBufferClient", "BufferWriter", "BufferReader"]
 
 
-def _open_poll_interval() -> float:
-    """Poll cadence while waiting for a stream to be created.
+#: Poll cadence (seconds) while a reader waits for its stream to be created.
+_OPEN_POLL_INTERVAL = 0.01
 
-    Read from the environment *per call* (not at import time) so tests
-    and deployments can retune it without reimporting the module.
-    """
-    return float(os.environ.get("REPRO_BUFFER_OPEN_POLL", "0.01"))
-
-
-def _default_flush_deadline() -> float:
-    """Upper bound on how long coalesced writer bytes may stay local."""
-    return float(os.environ.get("REPRO_BUFFER_FLUSH_DEADLINE", "0.02"))
+#: Default upper bound (seconds) on how long coalesced writer bytes may
+#: stay local before the deadline thread pushes them.
+_FLUSH_DEADLINE = 0.02
 
 
 _READAHEAD_HITS = obs.counter(
@@ -182,8 +178,6 @@ class _SharedStreamCache:
         self._bytes = 0
         self.eof_total: Optional[int] = None
         self.refs = 0
-        self.hits = 0
-        self.inserts = 0
         #: Stream generation this cache mirrors (part of the registry
         #: key): a re-created stream gets a fresh cache, never stale
         #: bytes from the previous incarnation.
@@ -191,9 +185,6 @@ class _SharedStreamCache:
         #: Stream name, used only to label fault-injection hooks and
         #: discard events.
         self.name = name
-        #: "host:port" of this process's peer server once a peer-enabled
-        #: reader attached; None while the cache is private.
-        self.peer_addr: Optional[str] = None
         # Pending consume acknowledgements from *all* co-located
         # readers, merged here so one ``gb.consume_multi`` frame (and
         # one server-side GC pass) covers the whole group per flush.
@@ -276,7 +267,6 @@ class _SharedStreamCache:
             insort(self._index, offset)
             self._max_len = max(self._max_len, len(data))
             self._bytes += len(data)
-            self.inserts += 1
             if advertise:
                 self._note_range_locked(self._pending_holds, offset, offset + len(data))
                 self._pending_hold_bytes += len(data)
@@ -410,7 +400,6 @@ class _SharedStreamCache:
                     if not self._verify_locked(off, data):
                         return None
                     self._entries.move_to_end(off)
-                    self.hits += 1
                     return data[pos - off :] if off != pos else data
                 i -= 1
             return None
@@ -669,49 +658,6 @@ class GridBufferClient:
         self._record("write_multi", len(payload), time.perf_counter() - t0)
         return reply.get("stall")
 
-    def read(
-        self,
-        name: str,
-        reader_id: str,
-        offset: int,
-        length: int,
-        timeout: Optional[float] = None,
-        rpc: Optional[RpcClient] = None,
-    ) -> bytes:
-        t0 = time.perf_counter()
-        _, data = (rpc or self._rpc).call(
-            OP_READ,
-            {
-                "name": name,
-                "reader_id": reader_id,
-                "offset": offset,
-                "length": length,
-                "timeout": timeout,
-            },
-        )
-        self._record("read", len(data), time.perf_counter() - t0)
-        return data
-
-    def read_window(
-        self,
-        name: str,
-        reader_id: str,
-        offset: int,
-        budget: int,
-        min_bytes: int = 1,
-        timeout: Optional[float] = None,
-        rpc: Optional[RpcClient] = None,
-    ) -> Tuple[bytes, Optional[int]]:
-        """Windowed read: ``(data, stream_total_if_known)``.
-
-        One reply carries as many contiguous bytes as the server has
-        available at ``offset`` up to ``budget``.
-        """
-        data, total, _ = self.read_window_ex(
-            name, reader_id, offset, budget, min_bytes=min_bytes, timeout=timeout, rpc=rpc
-        )
-        return data, total
-
     def read_window_ex(
         self,
         name: str,
@@ -723,8 +669,12 @@ class GridBufferClient:
         rpc: Optional[RpcClient] = None,
         peer_hints: Optional[Tuple[str, int]] = None,
     ) -> Tuple[bytes, Optional[int], Optional[Dict[str, Any]]]:
-        """:meth:`read_window` plus the server's ``cached_at`` hint.
+        """Windowed read: ``(data, stream_total_if_known, cached_at_hint)``.
 
+        One reply carries as many contiguous bytes as the server has
+        available at ``offset`` up to ``budget``, blocking only while
+        fewer than ``min_bytes`` are.  ``total`` is the stream length
+        once the writer closed, which is how readers learn EOF.
         ``peer_hints=(own_peer_addr, k)`` asks the origin for up to
         ``k`` peers holding the requested-next ranges (excluding
         ourselves).  The returned hint is ``{"peers": [...], "start":
@@ -894,9 +844,11 @@ class GridBufferClient:
         capacity_bytes: Optional[int] = None,
         cache: bool = False,
         write_timeout: Optional[float] = None,
-        coalesce_bytes: int = 0,
-        flush_after: Optional[float] = None,
+        coalesce_bytes: int = DEFAULT_COALESCE_BYTES,
+        flush_after: float = _FLUSH_DEADLINE,
     ) -> "BufferWriter":
+        if coalesce_bytes < 1:
+            raise ValueError("coalesce_bytes must be >= 1")
         self.create_stream(name, n_readers=n_readers, capacity_bytes=capacity_bytes, cache=cache)
         return BufferWriter(
             self,
@@ -911,10 +863,7 @@ class GridBufferClient:
         name: str,
         reader_id: Optional[str] = None,
         read_timeout: Optional[float] = None,
-        dedicated_connection: bool = True,
         open_timeout: float = 10.0,
-        poll_interval: Optional[float] = None,
-        read_ahead: bool = False,
         read_ahead_bytes: int = DEFAULT_READ_BUDGET,
         read_ahead_depth: int = 4,
         shared_cache: bool = False,
@@ -931,36 +880,29 @@ class GridBufferClient:
         serves ``gb.peer_read`` for other readers, and redirects its
         own fetches to hinted peers when the origin says one holds the
         bytes.  Implies ``shared_cache`` (the shared cache *is* the
-        peer-served store) and ``read_ahead`` (the window owns the peer
-        fetch machinery).
+        peer-served store).
         """
         rid = reader_id or f"reader-{uuid.uuid4().hex[:8]}"
-        interval = _open_poll_interval() if poll_interval is None else poll_interval
         deadline = time.monotonic() + open_timeout
         while not self.stream_exists(name):
             if time.monotonic() > deadline:
                 raise TimeoutError(f"stream {name!r} never appeared")
-            time.sleep(interval)
-        if peer_cache:
-            shared_cache = True
-            read_ahead = True
+            time.sleep(_OPEN_POLL_INTERVAL)
         peer_addr = _PeerCacheServer.get().addr if peer_cache else None
         gen, hint = self.register_reader_ex(
             name,
             rid,
             peer_hints=(peer_addr, _HINT_K) if peer_addr is not None else None,
         )
-        rpc = self._fresh_connection() if dedicated_connection or read_ahead else None
         return BufferReader(
             self,
             name,
             rid,
+            self._fresh_connection(),
             read_timeout=read_timeout,
-            rpc=rpc,
-            read_ahead=read_ahead,
             read_ahead_bytes=read_ahead_bytes,
             read_ahead_depth=read_ahead_depth,
-            shared_cache=shared_cache,
+            shared_cache=shared_cache or peer_cache,
             peer_cache=peer_cache,
             gen=gen,
             initial_hint=hint,
@@ -1014,10 +956,6 @@ class _RunBatcher:
     def pending_bytes(self) -> int:
         return self._bytes
 
-    @property
-    def limit(self) -> int:
-        return self._limit
-
     def adapt(self, stall: Optional[str]) -> None:
         """Tune the batch limit from the server's backpressure verdict.
 
@@ -1062,15 +1000,14 @@ class _RunBatcher:
 class BufferWriter(io.RawIOBase):
     """File-like writer feeding a Grid Buffer stream.
 
-    With ``coalesce_bytes > 0`` writes are buffered locally and pushed
-    as *batched vectored RPCs*: contiguous runs merge, scattered runs
-    ride the same ``gb.write_multi`` frame.  Coalescing is safe by
-    default because a background deadline thread bounds how long bytes
-    stay local (``flush_after`` seconds, default from
-    ``REPRO_BUFFER_FLUSH_DEADLINE``, 20 ms) — a downstream blocking
+    Writes are buffered locally and pushed as *batched vectored RPCs*
+    of up to ``coalesce_bytes``: contiguous runs merge, scattered runs
+    ride the same ``gb.write_multi`` frame.  Coalescing is safe because
+    a background deadline thread bounds how long bytes stay local
+    (``flush_after`` seconds, 20 ms by default) — a downstream blocking
     reader sees new data within the deadline even mid-run, which keeps
     tightly pipelined streams tight.  ``flush_after=0`` disables the
-    deadline (flush only on size/seek/flush/close).
+    deadline (flush only on size/flush/close).
     """
 
     def __init__(
@@ -1078,8 +1015,8 @@ class BufferWriter(io.RawIOBase):
         client: GridBufferClient,
         name: str,
         write_timeout: Optional[float] = None,
-        coalesce_bytes: int = 0,
-        flush_after: Optional[float] = None,
+        coalesce_bytes: int = DEFAULT_COALESCE_BYTES,
+        flush_after: float = _FLUSH_DEADLINE,
     ):
         super().__init__()
         self._client = client
@@ -1091,19 +1028,15 @@ class BufferWriter(io.RawIOBase):
         self._flush_cv = threading.Condition(self._lock)
         self._m_write_rpcs = _WRITE_RPCS.labels(stream=name)
         self._m_deadline_flushes = _DEADLINE_FLUSHES.labels(stream=name)
-        self._coalescer = (
-            _RunBatcher(self._push_runs, coalesce_bytes) if coalesce_bytes > 0 else None
-        )
-        self._flush_after = (
-            _default_flush_deadline() if flush_after is None else max(0.0, flush_after)
-        )
+        self._coalescer = _RunBatcher(self._push_runs, coalesce_bytes)
+        self._flush_after = max(0.0, flush_after)
         self._pending_since: Optional[float] = None
         self._deadline_thread: Optional[threading.Thread] = None
         # Deadline flushes issue write RPCs from a background thread;
         # adopt the opener's span context so those rpc.client spans
         # still join the workflow trace.
         self._trace_ctx = obs.current_context()
-        if self._coalescer is not None and self._flush_after > 0:
+        if self._flush_after > 0:
             self._deadline_thread = threading.Thread(
                 target=self._deadline_loop, name=f"gb-flush:{name}", daemon=True
             )
@@ -1112,8 +1045,7 @@ class BufferWriter(io.RawIOBase):
     def _push_runs(self, runs: List[Tuple[int, bytes]]) -> None:
         stall = self._client.write_multi(self.name, runs, timeout=self._timeout)
         self._m_write_rpcs.inc()
-        if self._coalescer is not None:
-            self._coalescer.adapt(stall)
+        self._coalescer.adapt(stall)
 
     def _deadline_loop(self) -> None:
         with obs.attach(self._trace_ctx):
@@ -1122,7 +1054,7 @@ class BufferWriter(io.RawIOBase):
     def _deadline_loop_attached(self) -> None:
         with self._flush_cv:
             while not self._closed_writer:
-                if self._coalescer is None or self._coalescer.pending_bytes == 0:
+                if self._coalescer.pending_bytes == 0:
                     self._pending_since = None
                     self._flush_cv.wait()
                     continue
@@ -1137,10 +1069,8 @@ class BufferWriter(io.RawIOBase):
 
     @property
     def rpc_writes(self) -> int:
-        """WRITE RPCs actually issued (== writes unless coalescing)."""
-        return self._coalescer.flushes if self._coalescer is not None else self._raw_writes
-
-    _raw_writes = 0
+        """Write RPCs actually issued (one per flushed batch)."""
+        return self._coalescer.flushes
 
     def writable(self) -> bool:
         return True
@@ -1151,18 +1081,13 @@ class BufferWriter(io.RawIOBase):
             if self._closed_writer:
                 raise ValueError("write to closed BufferWriter")
             if data:
-                if self._coalescer is not None:
-                    had_pending = self._coalescer.pending_bytes > 0
-                    self._coalescer.write(self._pos, data)
-                    if self._coalescer.pending_bytes == 0:
-                        self._pending_since = None
-                    elif not had_pending or self._pending_since is None:
-                        self._pending_since = time.monotonic()
-                        self._flush_cv.notify_all()
-                else:
-                    self._client.write(self.name, self._pos, data, timeout=self._timeout)
-                    self._raw_writes += 1
-                    self._m_write_rpcs.inc()
+                had_pending = self._coalescer.pending_bytes > 0
+                self._coalescer.write(self._pos, data)
+                if self._coalescer.pending_bytes == 0:
+                    self._pending_since = None
+                elif not had_pending or self._pending_since is None:
+                    self._pending_since = time.monotonic()
+                    self._flush_cv.notify_all()
                 self._pos += len(data)
         return len(data)
 
@@ -1188,7 +1113,7 @@ class BufferWriter(io.RawIOBase):
 
     def flush(self) -> None:  # type: ignore[override]
         with self._lock:
-            if self._coalescer is not None and not self._closed_writer:
+            if not self._closed_writer:
                 self._coalescer.flush()
                 self._pending_since = None
         super().flush()
@@ -1209,8 +1134,7 @@ class BufferWriter(io.RawIOBase):
             self._closed_writer = True
             join_me = self._deadline_thread
             self._deadline_thread = None
-            if self._coalescer is not None:
-                self._coalescer.discard()
+            self._coalescer.discard()
             self._flush_cv.notify_all()
         _WRITER_ABORTS.labels(stream=self.name).inc()
         try:
@@ -1232,8 +1156,7 @@ class BufferWriter(io.RawIOBase):
                 join_me = self._deadline_thread
                 self._deadline_thread = None
                 try:
-                    if self._coalescer is not None:
-                        self._coalescer.flush()
+                    self._coalescer.flush()
                 finally:
                     self._flush_cv.notify_all()
                     self._client.close_writer(self.name)
@@ -1466,9 +1389,13 @@ class _ReadAheadWindow:
             self._errors.clear()
             self._depth = 1
 
-    def eof_total(self) -> Optional[int]:
+    def _note_eof_locked(self, at: int) -> None:
+        self._eof_at = at if self._eof_at is None else min(self._eof_at, at)
+
+    def note_eof(self, total: int) -> None:
+        """A demand read's reply carried the stream total."""
         with self._cv:
-            return self._eof_at
+            self._note_eof_locked(total)
 
     def rebind(self, shared: Optional[_SharedStreamCache], gen: int) -> None:
         """Reconnect found a new stream incarnation: swap cache and
@@ -1533,9 +1460,6 @@ class _ReadAheadWindow:
                 # Peer-served bytes never touched the origin, so ack
                 # them explicitly — delete-on-read GC and per-reader
                 # lag gauges must stay exact either way.
-                self.peer_hits += 1
-                self._m_peer_hits.inc()
-                self._m_peer_bytes.inc(len(data))
                 if self._shared is not None:
                     entries = self._shared.ack(
                         self._reader_id,
@@ -1544,18 +1468,7 @@ class _ReadAheadWindow:
                         BufferReader.ACK_FLUSH_BYTES,
                     )
                     if entries:
-                        try:
-                            hint = self._client.consume_multi_ex(
-                                self._name,
-                                entries,
-                                peer_hints=(self._peer_addr, _HINT_K),
-                                hint_from=offset + len(data),
-                            )
-                        except (OSError, RpcError):  # fault-ok: ack retried on flush
-                            pass
-                        else:
-                            if hint is not None:
-                                self._store_hint(hint)
+                        self.send_acks(entries, offset + len(data))
             else:
                 try:
                     # Budget the whole registered span: sibling queue
@@ -1589,7 +1502,7 @@ class _ReadAheadWindow:
                     self._store_hint(hint)
             if self._shared is not None and data:
                 self._shared.put(offset, data, advertise=not from_peer)
-                self._flush_adv()
+                self.send_acks([], self._frontier)
             with self._cv:
                 self._inflight.pop(offset, None)
                 if not self._stopped:
@@ -1600,13 +1513,13 @@ class _ReadAheadWindow:
                         end = offset + len(data)
                         self._queue = [o for o in self._queue if not (offset <= o < end)]
                     if total is not None:
-                        self._eof_at = total if self._eof_at is None else min(self._eof_at, total)
+                        self._note_eof_locked(total)
                     elif not data:
-                        self._eof_at = offset if self._eof_at is None else min(self._eof_at, offset)
+                        self._note_eof_locked(offset)
                 self._cv.notify_all()
 
     # -- cooperative-cache peer fetch --------------------------------------
-    def _fetch_from_peer(self, offset: int, length: Optional[int] = None) -> Optional[bytes]:
+    def _fetch_from_peer(self, offset: int, length: int) -> Optional[bytes]:
         """Try hinted peers for ``offset``; None sends us to the origin.
 
         Every failure mode folds into "skip this peer and fall back":
@@ -1617,9 +1530,7 @@ class _ReadAheadWindow:
         """
         for peer in self._peer_candidates(offset):
             try:
-                data = self._client.peer_read(
-                    peer, self._name, self._gen, offset, length or self._chunk
-                )
+                data = self._client.peer_read(peer, self._name, self._gen, offset, length)
             except RpcError as exc:
                 if exc.kind == "peer-miss":
                     self._strike(peer)
@@ -1634,6 +1545,9 @@ class _ReadAheadWindow:
                 self._demote(peer, "error")
             else:
                 if data:
+                    self.peer_hits += 1
+                    self._m_peer_hits.inc()
+                    self._m_peer_bytes.inc(len(data))
                     return data
                 self._strike(peer)
         return None
@@ -1681,8 +1595,7 @@ class _ReadAheadWindow:
                 # The origin told us the stream total along with the
                 # hint — a fully peer-served reader learns EOF without
                 # ever probing the origin for an empty read.
-                t = int(total)
-                self._eof_at = t if self._eof_at is None else min(self._eof_at, t)
+                self._note_eof_locked(int(total))
         if total is not None and self._shared is not None:
             self._shared.note_eof(int(total))
 
@@ -1703,32 +1616,40 @@ class _ReadAheadWindow:
                 return
         self._demote(peer, "miss")
 
-    def _flush_adv(self) -> None:
-        """Piggyback any due holder advertisement on an empty consume."""
-        shared = self._shared
-        if shared is None or self._peer_addr is None:
-            return
-        pending = shared.take_adv()
-        if pending is None:
-            return
-        try:
-            hint = self._client.consume_multi_ex(
-                self._name,
-                [],
-                adv={
+    def send_acks(
+        self,
+        entries: Sequence[Tuple[str, Sequence[Sequence[int]]]],
+        hint_from: int,
+        force_adv: bool = False,
+    ) -> None:
+        """Send one ``gb.consume_multi`` frame; the reply refreshes the hint.
+
+        Carries ``entries`` plus, for a peer-enabled reader, whatever
+        holder advertisement is due (all of it with ``force_adv``).
+        Best-effort: a lost ack delays GC and is retried on the next
+        flush, a lost advertisement only costs hints — neither corrupts.
+        """
+        adv = peer_hints = None
+        if self._peer_addr is not None and self._shared is not None:
+            peer_hints = (self._peer_addr, _HINT_K)
+            pending = self._shared.take_adv(force=force_adv)
+            if pending is not None:
+                adv = {
                     "peer": self._peer_addr,
                     "gen": self._gen,
                     "holds": pending[0],
                     "drops": pending[1],
-                },
-                peer_hints=(self._peer_addr, _HINT_K),
-                hint_from=self._frontier,
+                }
+        if not entries and adv is None:
+            return
+        try:
+            hint = self._client.consume_multi_ex(
+                self._name, entries, adv=adv, peer_hints=peer_hints, hint_from=hint_from
             )
-        except (OSError, RpcError):  # fault-ok: a lost advertisement only costs hints
-            pass
-        else:
-            if hint is not None:
-                self._store_hint(hint)
+        except (OSError, RpcError):  # fault-ok: acks retry next flush; a lost adv only costs hints
+            return
+        if hint is not None:
+            self._store_hint(hint)
 
 
 class BufferReader(ReadIntoFromRead, io.RawIOBase):
@@ -1736,12 +1657,14 @@ class BufferReader(ReadIntoFromRead, io.RawIOBase):
 
     Sequential reads drain the hash table; re-reads and backwards
     seeks hit the server-side cache file — exactly the DARLAM pattern
-    in Section 5.3.  With ``read_ahead=True`` an adaptive
-    :class:`_ReadAheadWindow` keeps up to ``read_ahead_depth`` windowed
-    requests in flight while the current chunk is consumed.  With
-    ``shared_cache=True`` co-located readers of the same stream serve
-    each other's fetches from a per-process cache and acknowledge
-    consumption with batched ``gb.consume_multi`` calls.
+    in Section 5.3.  An adaptive :class:`_ReadAheadWindow` keeps up to
+    ``read_ahead_depth`` windowed requests of ``read_ahead_bytes`` in
+    flight while the current chunk is consumed; whatever the window
+    does not cover is a demand ``gb.read_multi`` on the reader's own
+    connection ``rpc``.  With ``shared_cache=True`` co-located readers
+    of the same stream serve each other's fetches from a per-process
+    cache and acknowledge consumption with batched
+    ``gb.consume_multi`` calls.
     """
 
     #: Acked-but-unsent shared-cache ranges are flushed past this size.
@@ -1752,9 +1675,8 @@ class BufferReader(ReadIntoFromRead, io.RawIOBase):
         client: GridBufferClient,
         name: str,
         reader_id: str,
+        rpc: RpcClient,
         read_timeout: Optional[float] = None,
-        rpc: Optional[RpcClient] = None,
-        read_ahead: bool = False,
         read_ahead_bytes: int = DEFAULT_READ_BUDGET,
         read_ahead_depth: int = 4,
         shared_cache: bool = False,
@@ -1769,7 +1691,6 @@ class BufferReader(ReadIntoFromRead, io.RawIOBase):
         self._pos = 0
         self._timeout = read_timeout
         self._rpc = rpc
-        self._ra_bytes = max(1, read_ahead_bytes)
         self._ra_buf = b""          # data already fetched ahead, at _pos
         self._at_eof = False
         self.readahead_hits = 0     # reads served (fully) from the pipeline
@@ -1785,21 +1706,18 @@ class BufferReader(ReadIntoFromRead, io.RawIOBase):
             # Joining the cooperative cache: start (or reuse) this
             # process's peer endpoint and expose the shared cache on it.
             self._peer_addr = _PeerCacheServer.get().addr
-            self._shared.peer_addr = self._peer_addr
-        self._ra: Optional[_ReadAheadWindow] = None
-        if read_ahead:
-            self._ra = _ReadAheadWindow(
-                client,
-                name,
-                reader_id,
-                read_timeout,
-                read_ahead_bytes,
-                read_ahead_depth,
-                shared=self._shared,
-                peer_addr=self._peer_addr,
-                gen=self._gen,
-                initial_hint=initial_hint if self._peer_addr is not None else None,
-            )
+        self._ra = _ReadAheadWindow(
+            client,
+            name,
+            reader_id,
+            read_timeout,
+            read_ahead_bytes,
+            read_ahead_depth,
+            shared=self._shared,
+            peer_addr=self._peer_addr,
+            gen=self._gen,
+            initial_hint=initial_hint if self._peer_addr is not None else None,
+        )
 
     def readable(self) -> bool:
         return True
@@ -1807,7 +1725,7 @@ class BufferReader(ReadIntoFromRead, io.RawIOBase):
     @property
     def peer_hits(self) -> int:
         """Read-ahead fetches served by cooperative-cache peers."""
-        return self._ra.peer_hits if self._ra is not None else 0
+        return self._ra.peer_hits
 
     # -- shared-cache ack batching -----------------------------------------
     def _ack(self, start: int, end: int) -> None:
@@ -1823,47 +1741,9 @@ class BufferReader(ReadIntoFromRead, io.RawIOBase):
             return
         entries = self._shared.ack(self.reader_id, start, end, self.ACK_FLUSH_BYTES)
         if entries:
-            self._send_acks(entries)
-
-    def _flush_acks(self) -> None:
-        if self._shared is None:
-            return
-        entries = self._shared.drain_acks()
-        if entries:
-            self._send_acks(entries)
-
-    def _send_acks(self, entries: List[Tuple[str, List[List[int]]]]) -> None:
-        adv = None
-        if self._peer_addr is not None and self._shared is not None:
             # The frame is going out anyway — piggyback whatever holder
             # advertisement has accumulated, due or not.
-            pending = self._shared.take_adv(force=True)
-            if pending is not None:
-                adv = {
-                    "peer": self._peer_addr,
-                    "gen": self._gen,
-                    "holds": pending[0],
-                    "drops": pending[1],
-                }
-        try:
-            hint = self._client.consume_multi_ex(
-                self.name,
-                entries,
-                adv=adv,
-                peer_hints=(
-                    (self._peer_addr, _HINT_K) if self._peer_addr is not None else None
-                ),
-                hint_from=self._pos,
-            )
-        except (OSError, RpcError):  # fault-ok: a lost ack delays GC, never corrupts
-            pass
-        else:
-            if hint is not None and self._ra is not None:
-                self._ra._store_hint(hint)
-
-    def _maybe_advertise(self) -> None:
-        """Flush a due holder advertisement after a demand-path fetch."""
-        self.flush_advertisements(force=False)
+            self._ra.send_acks(entries, self._pos, force_adv=True)
 
     def flush_advertisements(self, force: bool = True) -> None:
         """Send pending holder advertisements to the origin now.
@@ -1873,24 +1753,7 @@ class BufferReader(ReadIntoFromRead, io.RawIOBase):
         traffic) calls this to make its final cached ranges visible to
         peers immediately.
         """
-        if self._peer_addr is None or self._shared is None:
-            return
-        pending = self._shared.take_adv(force=force)
-        if pending is None:
-            return
-        try:
-            self._client.consume_multi(
-                self.name,
-                [],
-                adv={
-                    "peer": self._peer_addr,
-                    "gen": self._gen,
-                    "holds": pending[0],
-                    "drops": pending[1],
-                },
-            )
-        except (OSError, RpcError):  # fault-ok: a lost advertisement only costs hints
-            pass
+        self._ra.send_acks([], self._pos, force_adv=force)
 
     # -- read path ---------------------------------------------------------
     def _read_direct(self, size: int) -> bytes:
@@ -1899,12 +1762,9 @@ class BufferReader(ReadIntoFromRead, io.RawIOBase):
         # through to the origin on any trouble — same rules as the
         # window, so a reader that outruns its prefetch still relieves
         # the origin.
-        if self._ra is not None and self._ra._peer_addr is not None:
+        if self._peer_addr is not None:
             data = self._ra._fetch_from_peer(self._pos, size)
             if data is not None:
-                self._ra.peer_hits += 1
-                self._ra._m_peer_hits.inc()
-                self._ra._m_peer_bytes.inc(len(data))
                 self._ack(self._pos, self._pos + len(data))
                 return data
         try:
@@ -1914,26 +1774,27 @@ class BufferReader(ReadIntoFromRead, io.RawIOBase):
             return self._origin_direct(size)
 
     def _origin_direct(self, size: int) -> bytes:
-        if self._ra is not None and self._ra._peer_addr is not None:
-            # Ask for hints on demand reads too: the reply both serves
-            # these bytes and points the window at peers for the next.
-            data, total, hint = self._client.read_window_ex(
-                self.name,
-                self.reader_id,
-                self._pos,
-                size,
-                timeout=self._timeout,
-                rpc=self._rpc,
-                peer_hints=(self._ra._peer_addr, _HINT_K),
-            )
-            if hint is not None:
-                self._ra._store_hint(hint)
-            if total is not None and self._shared is not None:
-                self._shared.note_eof(total)
-            return data
-        return self._client.read(
-            self.name, self.reader_id, self._pos, size, timeout=self._timeout, rpc=self._rpc
+        # A peer-enabled reader asks for hints on demand reads too: the
+        # reply both serves these bytes and points the window at peers
+        # for the next.
+        data, total, hint = self._client.read_window_ex(
+            self.name,
+            self.reader_id,
+            self._pos,
+            size,
+            timeout=self._timeout,
+            rpc=self._rpc,
+            peer_hints=(
+                (self._peer_addr, _HINT_K) if self._peer_addr is not None else None
+            ),
         )
+        if hint is not None:
+            self._ra._store_hint(hint)
+        if total is not None:
+            self._ra.note_eof(total)
+            if self._shared is not None:
+                self._shared.note_eof(total)
+        return data
 
     def _recover_connection(self, exc: BaseException) -> None:
         """Rebuild the demand connection and re-register after a failure.
@@ -1959,12 +1820,11 @@ class BufferReader(ReadIntoFromRead, io.RawIOBase):
             pos=self._pos,
             error=str(exc),
         )
-        if self._rpc is not None:
-            try:
-                self._rpc.close_all()
-            except OSError:  # fault-ok: old connection already dead
-                pass
-            self._rpc = self._client._fresh_connection()
+        try:
+            self._rpc.close_all()
+        except OSError:  # fault-ok: old connection already dead
+            pass
+        self._rpc = self._client._fresh_connection()
         gen = self._client.register_reader(self.name, self.reader_id)
         if gen and gen != self._gen:
             # The stream was re-created while we were away: everything
@@ -1976,10 +1836,7 @@ class BufferReader(ReadIntoFromRead, io.RawIOBase):
             if self._shared is not None:
                 _shared_cache_release(self._client.address, self.name, self._gen)
                 self._shared = _shared_cache_acquire(self._client.address, self.name, gen)
-                if self._peer_addr is not None:
-                    self._shared.peer_addr = self._peer_addr
-            if self._ra is not None:
-                self._ra.rebind(self._shared, gen)
+            self._ra.rebind(self._shared, gen)
             self._gen = gen
 
     def read(self, size: int = -1) -> bytes:  # type: ignore[override]
@@ -2026,7 +1883,7 @@ class BufferReader(ReadIntoFromRead, io.RawIOBase):
                 self._schedule_readahead()
                 return bytes(out)
         # 3. Collect a completed/in-flight read-ahead landing at _pos.
-        if self._ra is not None and not self._at_eof and size > 0:
+        if not self._at_eof and size > 0:
             data = self._ra.take(self._pos)
             if data is not None:
                 if not data:
@@ -2049,23 +1906,22 @@ class BufferReader(ReadIntoFromRead, io.RawIOBase):
         # request is never partially duplicated.
         if size > 0 and not self._at_eof:
             limit = size
-            if self._ra is not None:
-                boundary = self._ra.next_boundary(self._pos)
-                if boundary is not None and boundary > self._pos:
-                    limit = min(limit, boundary - self._pos)
+            boundary = self._ra.next_boundary(self._pos)
+            if boundary is not None and boundary > self._pos:
+                limit = min(limit, boundary - self._pos)
             data = self._read_direct(limit)
             if not data and not out:
                 self._at_eof = True
             if data and self._shared is not None:
                 self._shared.put(self._pos, data)
-                self._maybe_advertise()
+                self.flush_advertisements(force=False)
             out += data
             self._pos += len(data)
         self._schedule_readahead()
         return bytes(out)
 
     def _schedule_readahead(self) -> None:
-        if self._ra is None or self._at_eof:
+        if self._at_eof:
             return
         self._ra.schedule(self._pos + len(self._ra_buf))
 
@@ -2084,8 +1940,7 @@ class BufferReader(ReadIntoFromRead, io.RawIOBase):
                 self._ra_buf = self._ra_buf[new_pos - self._pos:]
             else:
                 self._ra_buf = b""
-                if self._ra is not None:
-                    self._ra.discard()
+                self._ra.discard()
             self._at_eof = False
         self._pos = new_pos
         return self._pos
@@ -2099,11 +1954,11 @@ class BufferReader(ReadIntoFromRead, io.RawIOBase):
     def close(self) -> None:
         if self.closed:
             return
-        if self._ra is not None:
-            self._ra.close()
-            self._ra = None
-        self._flush_acks()
+        self._ra.close()
         if self._shared is not None:
+            entries = self._shared.drain_acks()
+            if entries:
+                self._ra.send_acks(entries, self._pos, force_adv=True)
             last = _shared_cache_release(self._client.address, self.name, self._gen)
             if last and self._peer_addr is not None:
                 # Last co-located reader gone: the cache is dropped, so
@@ -2122,7 +1977,5 @@ class BufferReader(ReadIntoFromRead, io.RawIOBase):
                 except (OSError, RpcError):  # fault-ok: stale-gen hints miss harmlessly
                     pass
             self._shared = None
-        if self._rpc is not None:
-            self._rpc.close_all()
-            self._rpc = None
+        self._rpc.close_all()
         super().close()

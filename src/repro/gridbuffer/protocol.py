@@ -14,11 +14,11 @@ __all__ = [
     "DEFAULT_BLOCK_SIZE",
     "DEFAULT_CAPACITY",
     "DEFAULT_READ_BUDGET",
+    "DEFAULT_COALESCE_BYTES",
     "OP_CREATE",
     "OP_REGISTER_READER",
     "OP_WRITE",
     "OP_WRITE_MULTI",
-    "OP_READ",
     "OP_READ_MULTI",
     "OP_CONSUME_MULTI",
     "OP_CLOSE_WRITER",
@@ -40,10 +40,12 @@ DEFAULT_CAPACITY = 32 * 1024 * 1024
 #: Default byte budget for a windowed (vectored) read.
 DEFAULT_READ_BUDGET = DEFAULT_BLOCK_SIZE * 16
 
+#: Default writer batch size: bytes coalesced into one write frame.
+DEFAULT_COALESCE_BYTES = 64 * 1024
+
 OP_CREATE = "gb.create"
 OP_REGISTER_READER = "gb.register_reader"
 OP_WRITE = "gb.write"
-OP_READ = "gb.read"
 OP_CLOSE_WRITER = "gb.close_writer"
 OP_STATS = "gb.stats"
 OP_DROP = "gb.drop"
@@ -53,8 +55,11 @@ OP_RESUME = "gb.resume"
 OP_HIGH_WATER = "gb.high_water"
 
 # -- vectored ops -----------------------------------------------------------
-# Same frames, more per round trip.  ``gb.write``/``gb.read`` above
-# stay on the hot path for single-run batches and direct origin reads.
+# Same frames, more per round trip.  ``gb.write`` above stays on the
+# hot path: a batch of one contiguous run rides it.  Every read — the
+# window's prefetch and a reader's demand read alike — is
+# ``gb.read_multi``; the single-block ``gb.read`` is retired (its id
+# slot stays reserved in :data:`repro.transport.wire.OPS`).
 
 #: Scatter several blocks in one frame.  Header: ``name``, ``offsets``
 #: (list), ``sizes`` (list, same length); payload is the blocks
@@ -63,9 +68,9 @@ OP_WRITE_MULTI = "gb.write_multi"
 
 #: Windowed read: return as many contiguous bytes as are available at
 #: ``offset`` up to ``budget`` in one reply (blocking only while
-#: nothing is available, like ``gb.read``).  Header additionally
-#: carries ``min_bytes`` (wait until at least this much is available
-#: or the window/EOF bounds it).  Reply: ``{"eof": bool, "total": int
+#: nothing is available).  Header additionally carries ``min_bytes``
+#: (wait until at least this much is available or the window/EOF
+#: bounds it).  Reply: ``{"eof": bool, "total": int
 #: | null}`` — ``total`` is the stream length once the writer closed,
 #: letting clients stop scheduling read-ahead past EOF.
 OP_READ_MULTI = "gb.read_multi"

@@ -25,7 +25,6 @@ from .protocol import (
     OP_DROP,
     OP_EXISTS,
     OP_HIGH_WATER,
-    OP_READ,
     OP_READ_MULTI,
     OP_REGISTER_READER,
     OP_RESUME,
@@ -86,7 +85,6 @@ class GridBufferServer:
         # the stream instead of holding a thread.
         rpc.register_async(OP_WRITE, self._op_write)
         rpc.register_async(OP_WRITE_MULTI, self._op_write_multi)
-        rpc.register_async(OP_READ, self._op_read)
         rpc.register_async(OP_READ_MULTI, self._op_read_multi)
         # Everything left never blocks (lock-protected dict/interval
         # work, no waiting, no file IO) — run it inline on the loop and
@@ -281,21 +279,6 @@ class GridBufferServer:
             reply["stall"] = stall
         return reply, b""
 
-    async def _op_read(self, header: Dict[str, Any], _payload: bytes):
-        offset = int(header["offset"])
-        data = await self._awrap(
-            self.service.read_async(
-                header["name"],
-                header["reader_id"],
-                offset,
-                int(header["length"]),
-                timeout=header.get("timeout"),
-            )
-        )
-        reply: Dict[str, Any] = {"eof": len(data) == 0}
-        reply.update(self._peer_hints(header, header["name"], offset + len(data)))
-        return reply, data
-
     async def _op_read_multi(self, header: Dict[str, Any], _payload: bytes):
         name = header["name"]
         offset = int(header["offset"])
@@ -304,7 +287,7 @@ class GridBufferServer:
                 name,
                 header["reader_id"],
                 offset,
-                int(header.get("budget", header.get("length", 0))),
+                int(header.get("budget", 0)),
                 timeout=header.get("timeout"),
                 min_bytes=int(header.get("min_bytes", 1)),
             )

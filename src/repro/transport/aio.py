@@ -77,7 +77,7 @@ logger = logging.getLogger(__name__)
 
 #: Thread-pool width for sync handlers hosted by the async engine.
 #: Threads are created on demand, so an idle server costs none.
-_EXECUTOR_WORKERS = max(8, int(os.environ.get("REPRO_RPC_EXECUTOR", "64")))
+_EXECUTOR_WORKERS = 64
 
 #: Per-connection cap on concurrently dispatched (reply-pending)
 #: requests; beyond it the server stops reading that connection.

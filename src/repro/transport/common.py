@@ -9,7 +9,6 @@ it without a cycle.
 
 from __future__ import annotations
 
-import os
 import random
 from dataclasses import dataclass
 from typing import FrozenSet
@@ -52,12 +51,11 @@ _BAD_FRAMES = obs.counter(
     labelnames=("side", "reason"),
 )
 
-#: Default RPC timeout; tests shrink it via REPRO_RPC_TIMEOUT so a hung
-#: peer fails a test in seconds rather than stalling the whole suite.
-DEFAULT_RPC_TIMEOUT = float(os.environ.get("REPRO_RPC_TIMEOUT", "30.0"))
+#: Default RPC timeout (seconds); callers that need another pass ``timeout=``.
+DEFAULT_RPC_TIMEOUT = 30.0
 
 #: Connection-level retries after the first attempt (idempotent ops only).
-DEFAULT_RPC_RETRIES = max(0, int(os.environ.get("REPRO_RPC_RETRIES", "3")))
+DEFAULT_RPC_RETRIES = 3
 
 #: Ops that are safe to replay after a connection-level failure because
 #: re-running them cannot corrupt state: reads, probes, registrations
@@ -83,7 +81,6 @@ IDEMPOTENT_OPS: FrozenSet[str] = frozenset(
         # Grid Buffer
         "gb.create",
         "gb.register_reader",
-        "gb.read",
         "gb.read_multi",
         "gb.consume_multi",
         "gb.close_writer",

@@ -22,7 +22,6 @@ in the tree drives.
 
 from __future__ import annotations
 
-import os
 import random
 import socket
 import threading
@@ -75,7 +74,7 @@ __all__ = [
 #: is strict request/reply, so in-flight depth equals connections; a
 #: small pool lets one client carry concurrent calls (read-ahead
 #: windows, store fan-out) without serialising behind a single lock.
-DEFAULT_POOL_CONNECTIONS = max(1, int(os.environ.get("REPRO_RPC_POOL", "4")))
+DEFAULT_POOL_CONNECTIONS = 4
 
 #: Payloads at or above this size are sent via ``socket.sendmsg``
 #: (gather write) instead of being copied into one contiguous frame.

@@ -178,7 +178,9 @@ class IntegrityError(OSError):
 OPS: Tuple[str, ...] = (
     # Grid Buffer
     "gb.create", "gb.register_reader", "gb.write", "gb.write_multi",
-    "gb.read", "gb.read_multi", "gb.consume",  # retired; slot kept so ids never shift
+    "gb.read",  # retired; slot kept so ids never shift
+    "gb.read_multi",
+    "gb.consume",  # retired; slot kept so ids never shift
     "gb.consume_multi",
     "gb.close_writer", "gb.stats", "gb.drop", "gb.exists",
     "gb.abort", "gb.resume", "gb.high_water",

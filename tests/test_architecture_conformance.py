@@ -139,17 +139,11 @@ class TestOneWireVersion:
     #: Every environment variable ``src/`` reads.  Removing a knob means
     #: deleting its line here; adding one needs a reviewed edit.
     ENV_KNOBS = {
-        "REPRO_BUFFER_FLUSH_DEADLINE",
-        "REPRO_BUFFER_OPEN_POLL",
         "REPRO_FAULTS",
         "REPRO_FAULTS_SEED",
         "REPRO_LOOP_STALL_S",
         "REPRO_LOOP_WATCHDOG_S",
         "REPRO_OBS_PROC",
-        "REPRO_RPC_EXECUTOR",
-        "REPRO_RPC_POOL",
-        "REPRO_RPC_RETRIES",
-        "REPRO_RPC_TIMEOUT",
     }
 
     def test_env_knobs_match_allow_list(self):
@@ -175,3 +169,189 @@ class TestOneWireVersion:
             for private in ("PREAMBLE.unpack", "CRC_TRAILER.unpack", "import json", "WIRE_VERSION !="):
                 assert private not in source, f"{module.__name__} re-implements {private}"
         assert "import json" not in inspect.getsource(wire)
+
+
+class TestOneStreamPath:
+    """ROADMAP aim 2: the reader and writer the FM opens are the only
+    reader and writer — sizes are arguments, on/off switches are gone."""
+
+    def test_signatures_are_sizes_only(self):
+        """The full parameter lists, so a new switch needs a reviewed edit.
+        No on/off flag, no poll cadence, no optional demand connection;
+        the pool decides nothing about *how* a stream moves (sizes come
+        from the client's constants, block sharing from the GNS record)."""
+        from repro.core.buffer_client import GridBufferClientPool
+        from repro.gridbuffer.client import BufferReader, GridBufferClient
+
+        sizing = {"read_ahead_bytes", "read_ahead_depth", "shared_cache", "peer_cache"}
+        expected = {
+            GridBufferClient.open_reader: {"name", "reader_id", "read_timeout", "open_timeout"}
+            | sizing,
+            GridBufferClient.open_writer: {
+                "name", "n_readers", "capacity_bytes", "cache",
+                "write_timeout", "coalesce_bytes", "flush_after",
+            },
+            BufferReader.__init__: {
+                "client", "name", "reader_id", "rpc", "read_timeout", "gen", "initial_hint",
+            }
+            | sizing,
+            GridBufferClientPool.open_reader: {
+                "endpoint", "server", "reader_id", "read_timeout", "read_ahead_depth",
+            },
+            GridBufferClientPool.open_writer: {"endpoint", "server", "write_timeout"},
+        }
+        for fn, names in expected.items():
+            assert set(inspect.signature(fn).parameters) - {"self"} == names, fn.__qualname__
+        # The reader's demand connection is not optional.
+        rpc = inspect.signature(BufferReader.__init__).parameters["rpc"]
+        assert rpc.default is inspect.Parameter.empty
+
+    def test_grid_context_has_one_buffer_tuning_field(self):
+        import dataclasses
+
+        tuning = [
+            f.name
+            for f in dataclasses.fields(GridContext)
+            if f.name.startswith("buffer_") and f.name != "buffer_locator"
+        ]
+        assert tuning == ["buffer_readahead_depth"]
+
+    def test_gb_read_is_retired(self, buffer_server):
+        """The op is gone from the server; its wire id slot is not reused."""
+        from repro.gridbuffer import protocol
+        from repro.transport import wire
+        from repro.transport.tcp import IDEMPOTENT_OPS, RpcClient, RpcError
+
+        assert "gb.read" not in {getattr(protocol, name) for name in protocol.__all__}
+        assert "gb.read" in wire.OPS and "gb.read" not in IDEMPOTENT_OPS
+        rpc = RpcClient(*buffer_server.address)
+        try:
+            try:
+                rpc.call("gb.read", {"name": "s", "reader_id": "r", "offset": 0, "length": 1})
+            except RpcError as exc:
+                assert exc.kind == "unknown-op"
+            else:
+                raise AssertionError("gb.read was served")
+        finally:
+            rpc.close()
+
+    def test_write_through_mode_is_an_error(self, buffer_server):
+        import pytest
+
+        from repro.gridbuffer.client import GridBufferClient
+
+        client = GridBufferClient(*buffer_server.address)
+        try:
+            with pytest.raises(ValueError):
+                client.open_writer("wt", coalesce_bytes=0)
+            assert not client.stream_exists("wt")  # refused before any RPC
+        finally:
+            client.close()
+
+    def test_demand_read_rides_read_multi_and_learns_eof(self, buffer_server, monkeypatch):
+        """A seek past the window forces a demand read: it goes out as
+        ``gb.read_multi`` on the reader's own connection, and the reply's
+        ``total`` tells the reader where EOF is."""
+        from repro import obs
+        from repro.gridbuffer.client import GridBufferClient
+
+        payload = bytes(range(256)) * 64  # 16 KiB
+        client = GridBufferClient(*buffer_server.address)
+        calls = []  # (rpc the call rode, offset), window and demand alike
+        real = client.read_window_ex
+
+        def spy(name, reader_id, offset, budget, **kwargs):
+            calls.append((kwargs.get("rpc"), offset))
+            return real(name, reader_id, offset, budget, **kwargs)
+
+        monkeypatch.setattr(client, "read_window_ex", spy)
+        try:
+            with client.open_writer("demand", cache=True) as w:
+                w.write(payload)
+            r = client.open_reader("demand", read_ahead_bytes=4096, read_ahead_depth=1)
+            assert r.read(1024) == payload[:1024]
+            tail = len(payload) - 512  # far past anything the window holds
+            r.seek(tail)
+            assert r.read(4096) == payload[tail:]
+            assert [off for rpc, off in calls if rpc is r._rpc] == [0, tail]
+            served = obs.value("rpc_server_requests_total", {"op": "gb.read", "status": "ok"})
+            assert not served
+            # EOF came from the reply's ``total``: the next read needs no RPC.
+            assert r._ra._eof_at == len(payload)
+            n_calls = len(calls)
+            assert r.read(4096) == b""
+            assert len(calls) == n_calls
+            r.close()
+        finally:
+            client.close()
+
+    def test_fm_opens_readers_through_one_helper(self):
+        """``open`` and a live remap must not configure readers apart."""
+        from repro.core import multiplexer
+
+        source = inspect.getsource(multiplexer)
+        assert source.count("_buffer_pool.open_reader(") == 1
+        for fn in (FileMultiplexer._open_buffer, FileMultiplexer._migration_inner):
+            assert "_open_buffer_reader(" in inspect.getsource(fn)
+
+    def test_bench_trace_targets_resolve(self):
+        """Every callable ``bench_e2e`` wraps is defined directly on its
+        owner, so a rename fails tier-1 and not only the bench-smoke job."""
+        import sys
+        from pathlib import Path
+
+        root = str(Path(__file__).resolve().parents[1])
+        sys.path.insert(0, root)
+        try:
+            from bench_e2e.trace import targets
+        finally:
+            sys.path.remove(root)
+        found = targets()
+        assert len(found) >= 40
+        for target in found:
+            owner = target.owners[0]
+            assert target.attr in vars(owner), f"{owner.__name__}.{target.attr} moved"
+            assert callable(vars(owner)[target.attr]) or isinstance(
+                vars(owner)[target.attr], (staticmethod, classmethod)
+            )
+
+
+class TestEnvironmentIsNotConfiguration:
+    """``scripts/check.py``'s third rule: configuration that changes how
+    bytes move lives in the GNS record or a constructor argument."""
+
+    @staticmethod
+    def _check():
+        import importlib.util
+        from pathlib import Path
+
+        path = Path(__file__).resolve().parents[1] / "scripts" / "check.py"
+        spec = importlib.util.spec_from_file_location("repo_check", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    def test_rule_flags_env_reads_outside_the_allow_list(self):
+        import ast
+
+        check = self._check()
+        text = "import os\nfrom os import getenv\nA = os.environ.get('A')\nB = os.getenv('B')\n"
+        tree = ast.parse(text)
+        flagged = check.check_env_reads(check.REPO / "src/repro/core/x.py", text, tree)
+        assert len(flagged) == 3
+        for allowed in check.ENV_READERS:
+            assert check.check_env_reads(check.REPO / allowed, text, tree) == []
+        assert check.check_env_reads(check.REPO / "tests/x.py", text, tree) == []
+
+    def test_src_reads_env_only_where_allowed(self):
+        import ast
+
+        check = self._check()
+        readers = set()
+        for path in sorted((check.REPO / "src").rglob("*.py")):
+            text = path.read_text(encoding="utf-8")
+            assert check.check_env_reads(path, text, ast.parse(text)) == []
+            if "os.environ" in text or "os.getenv" in text:
+                readers.add(str(path.relative_to(check.REPO)))
+        assert readers == set(check.ENV_READERS)  # no stale allow-list entry
+

@@ -27,7 +27,7 @@ class TestBufferReadAhead:
         for i in range(0, len(PAYLOAD), 4096):
             w.write(PAYLOAD[i : i + 4096])
         w.close()
-        r = client.open_reader("ra-seq", read_ahead=True, read_ahead_bytes=8192)
+        r = client.open_reader("ra-seq", read_ahead_bytes=8192)
         out = bytearray()
         while True:
             chunk = r.read(8192)
@@ -47,7 +47,7 @@ class TestBufferReadAhead:
 
         t = threading.Thread(target=produce)
         t.start()
-        r = client.open_reader("ra-live", read_ahead=True, read_ahead_bytes=4096)
+        r = client.open_reader("ra-live", read_ahead_bytes=4096)
         out = bytearray()
         while True:
             chunk = r.read(4096)
@@ -62,7 +62,7 @@ class TestBufferReadAhead:
         w = client.open_writer("ra-cached", cache=True)
         w.write(PAYLOAD[:20_000])
         w.close()
-        r = client.open_reader("ra-cached", read_ahead=True, read_ahead_bytes=4096)
+        r = client.open_reader("ra-cached", read_ahead_bytes=4096)
         first = bytearray()
         while True:
             chunk = r.read(4096)
@@ -75,15 +75,6 @@ class TestBufferReadAhead:
         assert r.read(1000) == PAYLOAD[:1000]
         r.seek(10_000)
         assert r.read(500) == PAYLOAD[10_000:10_500]
-        r.close()
-
-    def test_reader_without_readahead_unchanged(self, client):
-        w = client.open_writer("ra-off")
-        w.write(b"plain path")
-        w.close()
-        r = client.open_reader("ra-off", read_ahead=False)
-        assert r.read(100) == b"plain path"
-        assert r.readahead_hits == 0
         r.close()
 
 
@@ -114,13 +105,6 @@ class TestWriterCoalescing:
         w.close()
         assert r.read(100) == b"-late"
         r.close()
-
-    def test_uncoalesced_writer_counts_raw_rpcs(self, client):
-        w = client.open_writer("co-off")
-        w.write(b"a")
-        w.write(b"b")
-        w.close()
-        assert w.rpc_writes == 2
 
 
 class TestTransferMonitor:

@@ -75,7 +75,7 @@ class TestRetryPolicy:
                 assert base <= d <= base * 1.25
 
     def test_idempotency_table_covers_reads_not_writes(self):
-        assert "gb.read" in IDEMPOTENT_OPS
+        assert "gb.read_multi" in IDEMPOTENT_OPS
         assert "get_block" in IDEMPOTENT_OPS
         # bare gb.write is not blanket-retryable; it retries only when
         # the caller attaches a dedupe token (retryable=True per call).
@@ -124,7 +124,7 @@ class TestWriteDedupe:
         ):
             client.write("dedupe", 0, b"exactly-once")
         client.close_writer("dedupe")
-        assert client.read("dedupe", "r", 0, 64, timeout=2.0) == b"exactly-once"
+        assert client.read_window_ex("dedupe", "r", 0, 64, timeout=2.0)[0] == b"exactly-once"
         assert client.stats("dedupe")["bytes_written"] == len(b"exactly-once")
         client.close()
 
@@ -137,29 +137,32 @@ class TestReaderResume:
         host, port = buffer_server.address
         writer_client = GridBufferClient(host, port)
         payload = bytes(random.Random(SEED).randbytes(64 * 1024))
-        with writer_client.open_writer("resume-stream", n_readers=1) as w:
+        with writer_client.open_writer("resume-stream", n_readers=1, cache=True) as w:
             w.write(payload)
         resumes_before = _counter(
             "buffer_reader_resumes_total", {"stream": "resume-stream"}
         )
         reader_client = GridBufferClient(host, port)
-        reader = reader_client.open_reader(
-            "resume-stream", reader_id="r1", read_ahead=False
-        )
-        got = reader.read(16 * 1024)
+        reader = reader_client.open_reader("resume-stream", reader_id="r1")
+        # A fresh seek leaves the window idle, so the next read is a
+        # demand ``gb.read_multi`` — the call the fault rule kills.
+        start = reader.seek(16 * 1024)
+        got = b""
         # Exhaust every retry attempt (1 original + 3 retries) so the
         # failure reaches the reader's own recovery layer.
         with faults.injected(
-            FaultRule(layer="rpc.client", op="gb.read", action="close", nth=1, times=4),
+            FaultRule(
+                layer="rpc.client", op="gb.read_multi", action="close", nth=1, times=4
+            ),
             seed=SEED,
         ):
-            while len(got) < len(payload):
+            while start + len(got) < len(payload):
                 chunk = reader.read(16 * 1024)
                 if not chunk:
                     break
                 got += chunk
         reader.close()
-        assert got == payload  # resumed exactly at the pre-failure offset
+        assert got == payload[start:]  # resumed exactly at the pre-failure offset
         resumes_after = _counter(
             "buffer_reader_resumes_total", {"stream": "resume-stream"}
         )

@@ -15,7 +15,7 @@ import threading
 import pytest
 
 from repro.gridbuffer.client import GridBufferClient, _ReadAheadWindow
-from repro.gridbuffer.protocol import OP_READ
+from repro.gridbuffer.protocol import OP_READ_MULTI
 from repro.gridbuffer.service import GridBufferError
 from repro.transport.aio import AsyncRpcClient
 
@@ -184,7 +184,7 @@ class TestManyAsyncReaders:
     def test_parked_readers_hold_no_server_threads(self, buffer_server):
         """N concurrently blocked reads park futures, not threads.
 
-        All N readers issue a blocking ``gb.read`` before any byte is
+        All N readers issue a blocking ``gb.read_multi`` before any byte is
         written; a thread-per-connection server would pin N handler
         threads.  The async engine must keep the process thread count
         flat while all N are parked, then deliver everyone when the
@@ -201,12 +201,12 @@ class TestManyAsyncReaders:
             rpc = AsyncRpcClient(*addr, timeout=30.0)
             try:
                 _, data = await rpc.call(
-                    OP_READ,
+                    OP_READ_MULTI,
                     {
                         "name": "fan",
                         "reader_id": f"r{i}",
                         "offset": 0,
-                        "length": len(payload),
+                        "budget": len(payload),
                         "timeout": 20.0,
                     },
                 )

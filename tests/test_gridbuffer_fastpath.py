@@ -15,7 +15,7 @@ import time
 import pytest
 
 from repro import obs
-from repro.gridbuffer.client import GridBufferClient, _open_poll_interval
+from repro.gridbuffer.client import GridBufferClient
 from repro.gridbuffer.protocol import OP_CONSUME_MULTI, OP_READ_MULTI, OP_WRITE_MULTI
 from repro.transport.tcp import RpcError
 
@@ -37,7 +37,7 @@ class TestVectoredOps:
         before = obs.value("rpc_server_requests_total", served) or 0
         client.write_multi("vm", [(0, b"aaaa"), (4, b"bbbb"), (12, b"dddd"), (8, b"cccc")])
         client.close_writer("vm")
-        assert client.read("vm", "r", 0, 16) == b"aaaabbbbccccdddd"
+        assert client.read_window_ex("vm", "r", 0, 16)[0] == b"aaaabbbbccccdddd"
         assert obs.value("rpc_server_requests_total", served) == before + 1
 
     def test_read_window_returns_contiguous_run_and_total(self, client):
@@ -46,7 +46,7 @@ class TestVectoredOps:
         for off in range(0, 12288, 4096):
             client.write("rw", off, PAYLOAD[off : off + 4096])
         client.close_writer("rw")
-        data, total = client.read_window("rw", "r", 0, 1 << 20)
+        data, total, _ = client.read_window_ex("rw", "r", 0, 1 << 20)
         assert data == PAYLOAD[:12288]  # one reply, three blocks
         assert total == 12288
 
@@ -61,7 +61,7 @@ class TestVectoredOps:
 
         t = threading.Thread(target=late_writer)
         t.start()
-        data, _ = client.read_window("mb", "r", 0, 4096, min_bytes=150)
+        data, _, _ = client.read_window_ex("mb", "r", 0, 4096, min_bytes=150)
         t.join()
         assert len(data) >= 150  # blocked past the first write
 
@@ -86,7 +86,7 @@ class TestNoFallback:
         del buffer_server._rpc._handlers[op]
         calls = {
             OP_WRITE_MULTI: lambda: client.write_multi("nf", [(8192, b"a"), (9000, b"b")]),
-            OP_READ_MULTI: lambda: client.read_window("nf", "r", 0, 4096),
+            OP_READ_MULTI: lambda: client.read_window_ex("nf", "r", 0, 4096),
             OP_CONSUME_MULTI: lambda: client.consume_multi("nf", [("r", [(0, 4096)])]),
         }
         with pytest.raises(RpcError) as exc_info:
@@ -119,7 +119,6 @@ class TestBroadcastStress:
             client.open_reader(
                 name,
                 reader_id=f"r{i}",
-                read_ahead=True,
                 read_ahead_depth=3,
                 shared_cache=True,
             )
@@ -204,7 +203,7 @@ class TestReaderShutdown:
         """close() must unblock in-flight window RPCs and join workers."""
         client.create_stream("shut")
         client.write("shut", 0, b"a" * 4096)  # writer stays open
-        r = client.open_reader("shut", read_ahead=True, read_ahead_depth=4)
+        r = client.open_reader("shut", read_ahead_depth=4)
         assert r.read(4096) == b"a" * 4096
         # The window is now blocked server-side waiting for bytes that
         # will never arrive (writer never closes).
@@ -216,14 +215,14 @@ class TestReaderShutdown:
         elapsed = time.perf_counter() - t0
         assert elapsed < 3.0, f"close() hung {elapsed:.1f}s on blocked read-ahead"
         assert all(not t.is_alive() for t in workers), "window thread leaked"
-        assert r._ra is None and r._rpc is None  # connections released
+        assert not r._rpc._idle and not window._rpc._idle  # connections released
 
     def test_repeated_open_close_leaks_no_threads(self, client):
         client.create_stream("leak", n_readers=5)
         client.write("leak", 0, b"b" * 4096)
         client.close_writer("leak")
         for i in range(5):
-            r = client.open_reader("leak", reader_id=f"r{i}", read_ahead=True)
+            r = client.open_reader("leak", reader_id=f"r{i}")
             assert r.read() == b"b" * 4096
             r.close()
         lingering = [
@@ -232,19 +231,12 @@ class TestReaderShutdown:
         assert lingering == [], lingering
 
 
-class TestOpenPollEnv:
-    def test_interval_read_per_call(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BUFFER_OPEN_POLL", "0.123")
-        assert _open_poll_interval() == 0.123
-        monkeypatch.setenv("REPRO_BUFFER_OPEN_POLL", "0.456")
-        assert _open_poll_interval() == 0.456  # no import-time caching
-
-    def test_open_reader_uses_env_interval(self, client, monkeypatch):
+class TestOpenWaitsForStream:
+    def test_open_reader_polls_then_times_out(self, client, monkeypatch):
         import repro.gridbuffer.client as mod
 
-        monkeypatch.setenv("REPRO_BUFFER_OPEN_POLL", "0.321")
         seen = []
         monkeypatch.setattr(mod.time, "sleep", lambda s: seen.append(s))
         with pytest.raises(TimeoutError):
             client.open_reader("never-created", open_timeout=0.05)
-        assert 0.321 in seen
+        assert seen and set(seen) == {mod._OPEN_POLL_INTERVAL}

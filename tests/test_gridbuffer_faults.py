@@ -117,7 +117,7 @@ class TestFaultsOverTcp:
         client.write("net", 1000, b"b" * 1000)
         client.close_writer("net")
         assert client.high_water("net") == 2000
-        data = client.read("net", "r", 0, 2000, timeout=5)
+        data, _, _ = client.read_window_ex("net", "r", 0, 2000, timeout=5)
         assert data == b"a" * 1000 + b"b" * 1000
         client.close()
 
@@ -130,7 +130,7 @@ class TestFaultsOverTcp:
         def reader():
             try:
                 client_r = GridBufferClient(*buffer_server.address)
-                client_r.read("doomed", "r", 0, 10, timeout=5)
+                client_r.read_window_ex("doomed", "r", 0, 10, timeout=5)
                 client_r.close()
             except Exception as exc:  # noqa: BLE001
                 result["error"] = str(exc)

@@ -639,7 +639,6 @@ class TestPoisonedBroadcast:
                         "bcast",
                         reader_id=f"r{i}",
                         shared_cache=True,
-                        read_ahead=True,
                         read_ahead_bytes=64 * 1024,
                     )
                     got = b""

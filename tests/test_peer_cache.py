@@ -42,7 +42,7 @@ from repro.gridbuffer.client import (
     _shared_cache_release,
     _SharedStreamCache,
 )
-from repro.gridbuffer.protocol import OP_PEER_READ, OP_READ
+from repro.gridbuffer.protocol import OP_PEER_READ, OP_READ_MULTI
 from repro.transport.tcp import RpcClient, RpcError
 
 REPO = Path(__file__).resolve().parents[1]
@@ -325,20 +325,20 @@ class TestHintGating:
         rpc = RpcClient(*buffer_server.address)
         try:
             reply, data = rpc.call(
-                OP_READ,
-                {"name": "skew-old", "reader_id": "r", "offset": 0, "length": 4096},
+                OP_READ_MULTI,
+                {"name": "skew-old", "reader_id": "r", "offset": 0, "budget": 4096},
             )
             assert len(data) == 4096
             assert "cached_at" not in reply
             # The same request *with* the hint keys does get one — the
             # gating is on the request fields, not on the stream state.
             reply, _ = rpc.call(
-                OP_READ,
+                OP_READ_MULTI,
                 {
                     "name": "skew-old",
                     "reader_id": "r",
                     "offset": 0,
-                    "length": 4096,
+                    "budget": 4096,
                     "peer": "127.0.0.1:2",
                     "peer_hints": 3,
                 },
