@@ -1,7 +1,7 @@
 """Microbenchmarks of the real components (not paper tables).
 
 Timed with pytest-benchmark's normal statistics so regressions in the
-hot paths (framing, buffer service, FM dispatch, DES engine) are
+hot paths (framing, FM dispatch, DES engine) are
 visible across commits.  The pipelined remote-IO A/B additionally
 emits ``BENCH_remote_io.json`` at the repo root so the prefetch /
 parallel-stream trajectory is tracked from commit to commit.
@@ -18,27 +18,11 @@ from repro.core.multiplexer import FileMultiplexer, GridContext
 from repro.core.remote_client import RemoteFileClient
 from repro.gns.client import LocalGnsClient
 from repro.gns.server import NameService
-from repro.gridbuffer.service import GridBufferService
 from repro.sim.engine import Environment
 from repro.transport.gridftp import GridFtpClient, GridFtpServer
 from repro.transport.inmem import HostRegistry
 
 PAYLOAD = b"x" * 4096
-
-
-def test_gridbuffer_service_write_read_pair(benchmark):
-    svc = GridBufferService(default_capacity=None)
-    svc.create_stream("s")
-    svc.register_reader("s", "r")
-    state = {"offset": 0}
-
-    def op():
-        off = state["offset"]
-        svc.write("s", off, PAYLOAD)
-        svc.read("s", "r", off, len(PAYLOAD))
-        state["offset"] = off + len(PAYLOAD)
-
-    benchmark(op)
 
 
 def test_fm_local_open_read_close(benchmark, tmp_path):

@@ -24,7 +24,7 @@ __all__ = ["IntervalSet", "BufferCache"]
 class IntervalSet:
     """Sorted set of disjoint half-open integer intervals [start, end).
 
-    Supports add (with merging), containment and coverage queries.
+    Supports add (with merging), remove, containment and coverage queries.
     Used to track which byte ranges of a cache file hold valid data.
     """
 
@@ -54,6 +54,21 @@ class IntervalSet:
         if not placed:
             out.append((start, end))
         out.sort()
+        self._ivs = out
+
+    def remove(self, start: int, end: int) -> None:
+        """Delete [start, end), splitting any interval that straddles it."""
+        if end <= start:
+            return  # an empty range must not split an interval into adjacent halves
+        out: List[Tuple[int, int]] = []
+        for s, e in self._ivs:
+            if e <= start or s >= end:
+                out.append((s, e))
+                continue
+            if s < start:
+                out.append((s, start))
+            if e > end:
+                out.append((end, e))
         self._ivs = out
 
     def covers(self, start: int, end: int) -> bool:

@@ -11,6 +11,7 @@ and there is no per-op fallback on either side.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Dict, Optional, Sequence, Tuple
 
@@ -35,6 +36,17 @@ from .protocol import (
 from .service import GridBufferError, GridBufferService
 
 __all__ = ["GridBufferServer"]
+
+
+@contextmanager
+def _rpc_errors():
+    """Map the service's exceptions onto wire error codes (sync and async handlers)."""
+    try:
+        yield
+    except GridBufferError as exc:
+        raise RpcError("grid-buffer", str(exc)) from exc
+    except TimeoutError as exc:
+        raise RpcError("timeout", str(exc)) from exc
 
 
 class GridBufferServer:
@@ -144,24 +156,6 @@ class GridBufferServer:
         self.stop()
 
     # -- handlers -----------------------------------------------------------
-    @staticmethod
-    def _wrap(fn):
-        try:
-            return fn()
-        except GridBufferError as exc:
-            raise RpcError("grid-buffer", str(exc)) from exc
-        except TimeoutError as exc:
-            raise RpcError("timeout", str(exc)) from exc
-
-    @staticmethod
-    async def _awrap(coro):
-        try:
-            return await coro
-        except GridBufferError as exc:
-            raise RpcError("grid-buffer", str(exc)) from exc
-        except TimeoutError as exc:
-            raise RpcError("timeout", str(exc)) from exc
-
     def _op_create(self, header: Dict[str, Any], _payload: bytes):
         name = header["name"]
         cache = None
@@ -170,20 +164,18 @@ class GridBufferServer:
                 raise RpcError("no-cache-dir", "server started without cache_dir")
             safe = name.replace("/", "_").replace(":", "_")
             cache = BufferCache(self.cache_dir / f"{safe}.cache")
-        self._wrap(
-            lambda: self.service.create_stream(
+        with _rpc_errors():
+            self.service.create_stream(
                 name,
                 n_readers=int(header.get("n_readers", 1)),
                 capacity_bytes=header.get("capacity_bytes"),
                 cache=cache,
             )
-        )
         return {}, b""
 
     def _op_register_reader(self, header: Dict[str, Any], _payload: bytes):
-        gen = self._wrap(
-            lambda: self.service.register_reader(header["name"], header["reader_id"])
-        )
+        with _rpc_errors():
+            gen = self.service.register_reader(header["name"], header["reader_id"])
         # Clients key their shared block cache on the generation.  A
         # peer-cache client also asks for hints here, so a late joiner of
         # a warm broadcast starts fetching from peers with its very
@@ -237,8 +229,8 @@ class GridBufferServer:
             )
 
     async def _op_write(self, header: Dict[str, Any], payload: bytes):
-        stall = await self._awrap(
-            self.service.write_async(
+        with _rpc_errors():
+            stall = await self.service.write_async(
                 header["name"],
                 int(header["offset"]),
                 payload,
@@ -246,7 +238,6 @@ class GridBufferServer:
                 token=header.get("token"),
                 seq=header.get("seq"),
             )
-        )
         reply: Dict[str, Any] = {"written": len(payload)}
         if stall is not None:
             reply["stall"] = stall
@@ -265,15 +256,14 @@ class GridBufferServer:
         for offset, size in zip(offsets, sizes):
             runs.append((offset, bytes(view[pos : pos + size])))
             pos += size
-        written, stall = await self._awrap(
-            self.service.write_multi_async(
+        with _rpc_errors():
+            written, stall = await self.service.write_multi_async(
                 header["name"],
                 runs,
                 timeout=header.get("timeout"),
                 token=header.get("token"),
                 seq=header.get("seq"),
             )
-        )
         reply: Dict[str, Any] = {"written": written}
         if stall is not None:
             reply["stall"] = stall
@@ -282,8 +272,8 @@ class GridBufferServer:
     async def _op_read_multi(self, header: Dict[str, Any], _payload: bytes):
         name = header["name"]
         offset = int(header["offset"])
-        data = await self._awrap(
-            self.service.read_async(
+        with _rpc_errors():
+            data = await self.service.read_async(
                 name,
                 header["reader_id"],
                 offset,
@@ -291,7 +281,6 @@ class GridBufferServer:
                 timeout=header.get("timeout"),
                 min_bytes=int(header.get("min_bytes", 1)),
             )
-        )
         total = self.service.total_bytes(name)
         reply: Dict[str, Any] = {"eof": len(data) == 0, "total": total}
         reply.update(self._peer_hints(header, name, offset + len(data)))
@@ -302,7 +291,8 @@ class GridBufferServer:
             (reader_id, [(int(s), int(e)) for s, e in ranges])
             for reader_id, ranges in header.get("entries", [])
         ]
-        self._wrap(lambda: self.service.mark_consumed_multi(header["name"], entries))
+        with _rpc_errors():
+            self.service.mark_consumed_multi(header["name"], entries)
         self._note_holder(header, header["name"])
         # Ack replies refresh ``cached_at`` too: a fully peer-served
         # reader issues no origin reads at all, so the ack channel is
@@ -312,11 +302,13 @@ class GridBufferServer:
         return self._peer_hints(header, header["name"], nxt), b""
 
     def _op_close_writer(self, header: Dict[str, Any], _payload: bytes):
-        total = self._wrap(lambda: self.service.close_writer(header["name"]))
+        with _rpc_errors():
+            total = self.service.close_writer(header["name"])
         return {"total": total}, b""
 
     def _op_stats(self, header: Dict[str, Any], _payload: bytes):
-        stats = self._wrap(lambda: self.service.stats(header["name"]))
+        with _rpc_errors():
+            stats = self.service.stats(header["name"])
         return {"stats": vars(stats)}, b""
 
     def _op_drop(self, header: Dict[str, Any], _payload: bytes):
@@ -327,17 +319,16 @@ class GridBufferServer:
         return {"exists": self.service.exists(header["name"])}, b""
 
     def _op_abort(self, header: Dict[str, Any], _payload: bytes):
-        self._wrap(
-            lambda: self.service.abort_writer(
-                header["name"], header.get("reason", "writer aborted")
-            )
-        )
+        with _rpc_errors():
+            self.service.abort_writer(header["name"], header.get("reason", "writer aborted"))
         return {}, b""
 
     def _op_resume(self, header: Dict[str, Any], _payload: bytes):
-        offset = self._wrap(lambda: self.service.resume_writer(header["name"]))
+        with _rpc_errors():
+            offset = self.service.resume_writer(header["name"])
         return {"offset": offset}, b""
 
     def _op_high_water(self, header: Dict[str, Any], _payload: bytes):
-        offset = self._wrap(lambda: self.service.high_water(header["name"]))
+        with _rpc_errors():
+            offset = self.service.high_water(header["name"])
         return {"offset": offset}, b""

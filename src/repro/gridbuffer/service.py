@@ -18,8 +18,15 @@ Additional paper semantics implemented here:
   holds ``capacity_bytes``; this is what propagates a slow WAN reader
   back to the upstream model in the Table 5 experiments.
 
-The service is thread-safe; the TCP server in
-:mod:`repro.gridbuffer.server` simply exposes these methods remotely.
+The three data ops (``write_async``, ``write_multi_async``,
+``read_async``) are coroutines and the only data path: a read of
+unwritten data or a write into a full table parks a future on the
+stream, so no waiter — cached stream or not — holds a thread.  Each
+stream sits behind one plain lock, needed because lifecycle methods and
+a cached write's cache-file step run on worker threads; it is held for
+bounded work only, never across a wait.  The TCP server in
+:mod:`repro.gridbuffer.server` awaits the coroutines from its handlers;
+sync callers (tests) submit them to the same engine loop.
 """
 
 from __future__ import annotations
@@ -30,7 +37,6 @@ import threading
 import zlib
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
-from functools import partial
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .. import faults, obs
@@ -179,8 +185,11 @@ class _Stream:
         self.eof_total: Optional[int] = None
         self.failed: Optional[str] = None
         self.mem_bytes = 0
-        self.cond = threading.Condition()
-        #: (loop, future) pairs parked by async coroutines, split by what
+        #: Guards every field above and below.  Held for bounded work
+        #: only (table/interval updates, one batch's cache-file stores):
+        #: waiting is always a parked future, never a held lock.
+        self.lock = threading.Lock()
+        #: (loop, future) pairs parked by the data coroutines, split by what
         #: they wait *for*: readers wait for new data/EOF/failure state,
         #: writers wait for freed capacity.  Keeping the lists separate
         #: is load-bearing — a broadcast stream has N readers succeeding
@@ -205,34 +214,22 @@ class _Stream:
         self.m_holder_bytes = _HOLDER_BYTES.labels(stream=name)
 
     def wake_all(self) -> None:
-        """Wake every waiter — threaded and async (callers hold ``cond``).
+        """Wake every parked coroutine (callers hold ``lock``).
 
         Used for stream-global state changes (failure, resume, drop)
-        where both directions must re-check.  Thread waiters get the
-        condition broadcast; async waiters (coroutines parked on a
-        future) are resolved via their loop's ``call_soon_threadsafe``.
+        where both directions must re-check.
         """
-        self.cond.notify_all()
-        self._resolve(self.async_readers)
-        self._resolve(self.async_writers)
-        self.async_readers = []
-        self.async_writers = []
+        self.wake_readers()
+        self.wake_writers()
 
     def wake_readers(self) -> None:
-        """Data/EOF became visible: wake waiters blocked on reads.
-
-        The condition broadcast still reaches *all* thread waiters (one
-        ``Condition`` serves both directions there — pre-existing
-        behaviour); only the async side is directional.
-        """
-        self.cond.notify_all()
+        """Data/EOF became visible: wake coroutines parked on reads."""
         if self.async_readers:
             self._resolve(self.async_readers)
             self.async_readers = []
 
     def wake_writers(self) -> None:
         """Capacity freed (GC after read/consume): wake stalled writers."""
-        self.cond.notify_all()
         if self.async_writers:
             self._resolve(self.async_writers)
             self.async_writers = []
@@ -245,8 +242,6 @@ class _Stream:
         futures into a single ``call_soon_threadsafe`` turns N wake-ups
         into one cross-thread signal.
         """
-        if not waiters:
-            return
         by_loop: Dict[Any, List[Any]] = {}
         for loop, fut in waiters:
             by_loop.setdefault(loop, []).append(fut)
@@ -254,12 +249,12 @@ class _Stream:
             loop.call_soon_threadsafe(_resolve_waiters, futs)
 
     def sync_table_gauges(self) -> None:
-        """Push table occupancy into the registry (callers hold ``cond``)."""
+        """Push table occupancy into the registry (callers hold ``lock``)."""
         self.m_blocks_cached.set(len(self.blocks))
         self.m_bytes_cached.set(self.mem_bytes)
 
     def sync_reader_lag(self, reader_id: str) -> None:
-        """Publish writer-frontier minus reader-frontier (callers hold ``cond``)."""
+        """Publish writer-frontier minus reader-frontier (callers hold ``lock``)."""
         ivs = self.written.intervals()
         top = ivs[-1][1] if ivs else 0
         done = self.consumed[reader_id].intervals()
@@ -273,7 +268,7 @@ class _Stream:
         _READER_LAG_BLOCKS.labels(stream=self.name, reader=reader_id).set(behind)
 
     def sync_holder_gauges(self) -> None:
-        """Push holder-map occupancy into the registry (callers hold ``cond``)."""
+        """Push holder-map occupancy into the registry (callers hold ``lock``)."""
         self.m_holders.set(len(self.holders))
         self.m_holder_bytes.set(sum(ivs.total() for ivs in self.holders.values()))
 
@@ -284,18 +279,21 @@ def _resolve_waiters(futs: List["asyncio.Future"]) -> None:
             fut.set_result(None)
 
 
-def _remove_interval(ivs: IntervalSet, start: int, end: int) -> None:
-    """Remove [start, end) from an interval set (rebuild)."""
-    remaining = []
-    for s, e in ivs.intervals():
-        if e <= start or s >= end:
-            remaining.append((s, e))
-        else:
-            if s < start:
-                remaining.append((s, start))
-            if e > end:
-                remaining.append((end, e))
-    ivs._ivs = remaining  # noqa: SLF001 - module-private helper
+async def _park(
+    fut: "asyncio.Future", deadline: Optional[float], direction: str, timed_out: str
+) -> None:
+    """Wait on a future a stream's wake-up resolves; ``deadline`` is loop time."""
+    loop = asyncio.get_running_loop()
+    parked_at = loop.time()
+    _ASYNC_PARKED.labels(direction=direction).inc()
+    try:
+        async with asyncio.timeout_at(deadline):  # None: wait indefinitely
+            await fut
+    except TimeoutError:
+        raise TimeoutError(timed_out) from None
+    finally:
+        _ASYNC_PARKED.labels(direction=direction).dec()
+        _PARK_SECONDS.labels(direction=direction).observe(loop.time() - parked_at)
 
 
 class _AssemblyPlan:
@@ -305,7 +303,7 @@ class _AssemblyPlan:
     ``bytes`` — still valid after delete-on-read GC removes the dict
     entries — and cache parts name file ranges to load once the lock is
     released, so cache-file IO never serialises the stream's other
-    readers and the writer behind the condition variable.
+    readers and the writer behind that lock.
     """
 
     __slots__ = ("total", "mem_parts", "cache_parts", "cache")
@@ -358,15 +356,6 @@ class GridBufferService:
     def _shard(self, name: str) -> Tuple[threading.Lock, Dict[str, _Stream]]:
         i = zlib.crc32(name.encode("utf-8", "surrogatepass")) % _N_SHARDS
         return self._shard_locks[i], self._shard_maps[i]
-
-    @property
-    def _streams(self) -> Dict[str, _Stream]:
-        """Merged snapshot of every shard (tests and introspection)."""
-        out: Dict[str, _Stream] = {}
-        for lock, streams in zip(self._shard_locks, self._shard_maps):
-            with lock:
-                out.update(streams)
-        return out
 
     # -- stream lifecycle ----------------------------------------------------
     def create_stream(
@@ -425,7 +414,7 @@ class GridBufferService:
         from a previous incarnation's cached bytes).
         """
         st = self._stream(name)
-        with st.cond:
+        with st.lock:
             if reader_id in st.consumed:
                 return st.gen
             if len(st.consumed) >= st.n_readers:
@@ -443,7 +432,7 @@ class GridBufferService:
 
     def stats(self, name: str) -> StreamStats:
         st = self._stream(name)
-        with st.cond:
+        with st.lock:
             st.stats.blocks_in_table = len(st.blocks)
             st.stats.bytes_in_table = st.mem_bytes
             return StreamStats(**vars(st.stats))
@@ -452,108 +441,17 @@ class GridBufferService:
         lock, streams = self._shard(name)
         with lock:
             st = streams.pop(name, None)
-        if st is not None and st.cache is not None:
+        if st is None:
+            return
+        with st.lock:
+            # Parked coroutines still hold the popped stream: fail it so
+            # they raise instead of waiting on a name nobody can reach.
+            st.failed = "stream dropped"
+            st.wake_all()
+        if st.cache is not None:
             st.cache.close()
 
     # -- writer side ----------------------------------------------------------
-    def write(
-        self,
-        name: str,
-        offset: int,
-        data: bytes,
-        timeout: Optional[float] = None,
-        token: Optional[str] = None,
-        seq: Optional[int] = None,
-    ) -> Optional[str]:
-        """Store a block at ``offset``; blocks while capacity is exhausted.
-
-        Returns the stall reason (``"buffer_full"``/``"slow_reader"``) if
-        the writer had to wait, else ``None``.  ``token``/``seq`` enable
-        replay dedupe exactly as in :meth:`write_multi`.
-        """
-        if offset < 0:
-            raise ValueError("offset must be >= 0")
-        injector = faults.ACTIVE
-        if injector is not None:
-            injector.fire("gb.service", "write", name)
-        return self._write_impl(name, offset, data, timeout, token, seq)
-
-    def _write_impl(
-        self,
-        name: str,
-        offset: int,
-        data: bytes,
-        timeout: Optional[float],
-        token: Optional[str],
-        seq: Optional[int],
-    ) -> Optional[str]:
-        st = self._stream(name)
-        if not data:
-            return None
-        with st.cond:
-            if self._replayed(st, token, seq):
-                return None
-            stall = self._write_locked(st, offset, data, timeout)
-            self._record_seq(st, token, seq)
-            st.sync_table_gauges()
-            st.wake_readers()
-        return stall
-
-    def write_multi(
-        self,
-        name: str,
-        runs: Sequence[Tuple[int, bytes]],
-        timeout: Optional[float] = None,
-        token: Optional[str] = None,
-        seq: Optional[int] = None,
-    ) -> Tuple[int, Optional[str]]:
-        """Scatter several blocks under one lock acquisition.
-
-        One vectored call replaces ``len(runs)`` round trips *and*
-        ``len(runs)`` condition-variable cycles; readers are notified
-        once, after all blocks landed.  Returns ``(total bytes stored,
-        stall reason)`` where the stall reason is ``None`` when the
-        batch landed without waiting for capacity (else
-        ``"buffer_full"``/``"slow_reader"`` — see :meth:`_write_locked`).
-
-        ``token`` identifies the writer and ``seq`` must increase per
-        batch: a batch whose ``seq`` was already applied for ``token``
-        is a transport-level replay (the client retried after losing the
-        reply, not the request) and is skipped, making ``gb.write_multi``
-        safe to retry.
-        """
-        for offset, _ in runs:
-            if offset < 0:
-                raise ValueError("offset must be >= 0")
-        injector = faults.ACTIVE
-        if injector is not None:
-            injector.fire("gb.service", "write_multi", name)
-        return self._write_multi_impl(name, runs, timeout, token, seq)
-
-    def _write_multi_impl(
-        self,
-        name: str,
-        runs: Sequence[Tuple[int, bytes]],
-        timeout: Optional[float],
-        token: Optional[str],
-        seq: Optional[int],
-    ) -> Tuple[int, Optional[str]]:
-        st = self._stream(name)
-        total = 0
-        stall: Optional[str] = None
-        with st.cond:
-            if self._replayed(st, token, seq):
-                return 0, None
-            for offset, data in runs:
-                if not data:
-                    continue
-                stall = self._write_locked(st, offset, data, timeout) or stall
-                total += len(data)
-            self._record_seq(st, token, seq)
-            st.sync_table_gauges()
-            st.wake_readers()
-        return total, stall
-
     async def write_async(
         self,
         name: str,
@@ -563,26 +461,16 @@ class GridBufferService:
         token: Optional[str] = None,
         seq: Optional[int] = None,
     ) -> Optional[str]:
-        """Async-native :meth:`write`: a capacity stall parks a future
-        on the stream instead of blocking a thread."""
-        if offset < 0:
-            raise ValueError("offset must be >= 0")
-        injector = faults.ACTIVE
-        if injector is not None:
-            # On the event loop: await, so a delay rule stalls only this
-            # handler, not every connection sharing the loop.
-            await injector.fire_async("gb.service", "write", name)
-        st = self._stream(name)
-        if not data:
-            return None
-        if st.cache is not None:
-            # Cache-file stores are blocking disk IO: keep them off the
-            # event loop by running the sync path on a worker thread.
-            loop = asyncio.get_running_loop()
-            return await loop.run_in_executor(
-                None, partial(self._write_impl, name, offset, data, timeout, token, seq)
-            )
-        _total, stall = await self._write_runs_async(st, [(offset, data)], timeout, token, seq)
+        """Store a block at ``offset``; parks while capacity is exhausted.
+
+        The one-run case of :meth:`write_multi_async` (same ``timeout``
+        and ``token``/``seq`` replay-dedupe contract).  Returns the stall
+        reason (``"buffer_full"``/``"slow_reader"``) if the writer had
+        to wait, else ``None``.
+        """
+        _total, stall = await self._write_runs_async(
+            "write", name, [(offset, data)], timeout, token, seq
+        )
         return stall
 
     async def write_multi_async(
@@ -593,123 +481,121 @@ class GridBufferService:
         token: Optional[str] = None,
         seq: Optional[int] = None,
     ) -> Tuple[int, Optional[str]]:
-        """Async-native :meth:`write_multi` (same replay-dedupe contract)."""
-        for offset, _ in runs:
-            if offset < 0:
-                raise ValueError("offset must be >= 0")
-        injector = faults.ACTIVE
-        if injector is not None:
-            await injector.fire_async("gb.service", "write_multi", name)
-        st = self._stream(name)
-        if st.cache is not None:
-            loop = asyncio.get_running_loop()
-            return await loop.run_in_executor(
-                None, partial(self._write_multi_impl, name, runs, timeout, token, seq)
-            )
-        return await self._write_runs_async(st, runs, timeout, token, seq)
+        """Scatter several blocks under one lock acquisition.
+
+        One vectored call replaces ``len(runs)`` round trips *and*
+        ``len(runs)`` lock/wake cycles; readers are woken once, after
+        all blocks landed.  Returns ``(total bytes stored, stall
+        reason)`` where the stall reason is ``None`` when the batch
+        landed without waiting for capacity (else
+        ``"buffer_full"``/``"slow_reader"`` — see :meth:`_store_fitting`).
+        ``timeout`` bounds the whole call, however often it parks.
+
+        ``token`` identifies the writer and ``seq`` must increase per
+        batch: a batch whose ``seq`` was already applied for ``token``
+        is a transport-level replay (the client retried after losing the
+        reply, not the request) and is skipped, making ``gb.write_multi``
+        safe to retry.
+        """
+        return await self._write_runs_async("write_multi", name, runs, timeout, token, seq)
 
     async def _write_runs_async(
         self,
-        st: _Stream,
+        op: str,
+        name: str,
         runs: Sequence[Tuple[int, bytes]],
         timeout: Optional[float],
         token: Optional[str],
         seq: Optional[int],
     ) -> Tuple[int, Optional[str]]:
-        """Store ``runs`` with async capacity stalls (cache-less streams).
+        """Store ``runs``, parking on the loop whenever the table is full.
 
-        Mirrors the sync path: blocks already stored before a stall are
-        published immediately (mid-batch ``wake_readers``) so the
-        readers this writer is waiting on can drain the table.
+        Alternates the never-waiting :meth:`_store_fitting` step with a
+        park on the future that step registered.  The step runs inline
+        for a cache-less stream; a cached stream's step writes the cache
+        file, which is blocking disk IO, so it runs on a worker thread —
+        held for that one bounded step, never for the stall.
         """
+        for offset, _ in runs:
+            if offset < 0:
+                raise ValueError("offset must be >= 0")
+        injector = faults.ACTIVE
+        if injector is not None:
+            # On the event loop: await, so a delay rule stalls only this
+            # handler, not every connection sharing the loop.
+            await injector.fire_async("gb.service", op, name)
+        st = self._stream(name)
         runs = [(int(offset), data) for offset, data in runs if data]
         loop = asyncio.get_running_loop()
         deadline = None if timeout is None else loop.time() + timeout
         total = 0
         stall: Optional[str] = None
         i = 0
-        first = True
         while True:
-            fut = None
-            with st.cond:
-                if first and self._replayed(st, token, seq):
-                    return 0, None
-                first = False
-                while i < len(runs):
-                    offset, data = runs[i]
-                    self._check_writable(st, len(data))
-                    if st.capacity is not None and st.mem_bytes + len(data) > st.capacity:
-                        stall = (
-                            "slow_reader" if len(st.consumed) >= st.n_readers else "buffer_full"
-                        )
-                        st.stats.writer_stalls += 1
-                        st.m_writer_stalls.inc()
-                        break
-                    self._store_block(st, offset, data)
-                    total += len(data)
-                    i += 1
-                if i == len(runs):
-                    self._record_seq(st, token, seq)
-                st.sync_table_gauges()
-                # Publish whatever landed (possibly a partial batch) —
-                # and only then park, so the wake cannot consume the
-                # future we are about to wait on.
-                st.wake_readers()
-                if i < len(runs):
-                    fut = loop.create_future()
-                    st.async_writers.append((loop, fut))
+            if st.cache is None:
+                i, stored, why, fut = self._store_fitting(st, runs, i, token, seq, loop)
+            else:
+                i, stored, why, fut = await loop.run_in_executor(
+                    None, self._store_fitting, st, runs, i, token, seq, loop
+                )
+            total += stored
+            stall = why or stall
             if fut is None:
                 return total, stall
-            parked_at = loop.time()
-            _ASYNC_PARKED.labels(direction="write").inc()
-            try:
-                if deadline is None:
-                    await fut
-                else:
-                    async with asyncio.timeout_at(deadline):
-                        await fut
-            except TimeoutError:
-                raise TimeoutError(f"write stalled on full buffer {st.name!r}") from None
-            finally:
-                _ASYNC_PARKED.labels(direction="write").dec()
-                _PARK_SECONDS.labels(direction="write").observe(loop.time() - parked_at)
+            await _park(fut, deadline, "write", f"write stalled on full buffer {name!r}")
 
-    @staticmethod
-    def _replayed(st: _Stream, token: Optional[str], seq: Optional[int]) -> bool:
-        """True when this (token, seq) batch already landed (holds ``cond``)."""
-        if token is None or seq is None:
-            return False
-        return st.applied_seq.get(token, -1) >= seq
+    def _store_fitting(
+        self,
+        st: _Stream,
+        runs: Sequence[Tuple[int, bytes]],
+        i: int,
+        token: Optional[str],
+        seq: Optional[int],
+        loop: "asyncio.AbstractEventLoop",
+    ) -> Tuple[int, int, Optional[str], Optional["asyncio.Future"]]:
+        """Land the runs from ``runs[i]`` on that fit *now*; never waits.
 
-    @staticmethod
-    def _record_seq(st: _Stream, token: Optional[str], seq: Optional[int]) -> None:
-        if token is not None and seq is not None:
-            st.applied_seq[token] = seq
-
-    def _write_locked(
-        self, st: _Stream, offset: int, data: bytes, timeout: Optional[float]
-    ) -> Optional[str]:
-        """One block store; caller holds ``st.cond`` and notifies after.
-
-        Returns why the writer stalled, if it did: ``"slow_reader"``
-        when every reader is registered but lagging (the buffer drains
-        as slowly as its slowest consumer), ``"buffer_full"`` when
-        capacity is exhausted with readers still missing (nothing can be
-        GC'd yet, so batching harder cannot help).
+        Returns ``(next i, bytes stored, stall reason, future)``.  The
+        future is set when capacity ran out before the batch did: it is
+        registered under the same lock hold that found the table full,
+        so — on whichever thread this runs — the wake-up of whoever
+        frees capacity cannot fall between the check and the park.  The
+        stall reason is ``"slow_reader"`` when every reader is
+        registered but lagging (the buffer drains as slowly as its
+        slowest consumer), ``"buffer_full"`` when capacity is exhausted
+        with readers still missing (nothing can be GC'd yet, so batching
+        harder cannot help).
         """
-        self._check_writable(st, len(data))
+        stored = 0
         stall: Optional[str] = None
-        while st.capacity is not None and st.mem_bytes + len(data) > st.capacity:
-            stall = "slow_reader" if len(st.consumed) >= st.n_readers else "buffer_full"
-            st.stats.writer_stalls += 1
-            st.m_writer_stalls.inc()
-            # A mid-batch stall must publish the blocks already stored,
-            # or the readers this wait depends on could never drain.
+        fut = None
+        dedupe = token is not None and seq is not None
+        with st.lock:
+            if i == 0 and dedupe and st.applied_seq.get(token, -1) >= seq:
+                return len(runs), 0, None, None  # replayed batch: already landed
+            while i < len(runs):
+                offset, data = runs[i]
+                self._check_writable(st, len(data))
+                if st.capacity is not None and st.mem_bytes + len(data) > st.capacity:
+                    stall = "slow_reader" if len(st.consumed) >= st.n_readers else "buffer_full"
+                    st.stats.writer_stalls += 1
+                    st.m_writer_stalls.inc()
+                    break
+                self._store_block(st, offset, data)
+                stored += len(data)
+                i += 1
+            if i == len(runs) and dedupe:
+                st.applied_seq[token] = seq
+            st.sync_table_gauges()
+            # Publish whatever landed (possibly a partial batch), or the
+            # readers a stalled writer depends on could never drain —
+            # and only then register the waiter, so this wake cannot
+            # consume the future we are about to park on.
             st.wake_readers()
-            if not st.cond.wait(timeout=timeout):
-                raise TimeoutError(f"write stalled on full buffer {st.name!r}")
-        self._store_block(st, offset, data)
-        return stall
+            if i < len(runs):
+                fut = loop.create_future()
+                st.async_writers.append((loop, fut))
+        return i, stored, stall, fut
 
     @staticmethod
     def _check_writable(st: _Stream, data_len: int) -> None:
@@ -744,6 +630,12 @@ class GridBufferService:
         if st.cache is not None:
             st.cache.store(offset, data)
 
+    @staticmethod
+    def _contiguous_top(st: _Stream) -> int:
+        """End of the prefix written contiguously from offset 0 (holds ``lock``)."""
+        gap = st.written.first_gap(0, 1 << 62)
+        return gap[0] if gap is not None else 1 << 62
+
     def close_writer(self, name: str) -> int:
         """Mark EOF; returns the stream's total length.
 
@@ -751,15 +643,13 @@ class GridBufferService:
         range was never written and readers would block forever.
         """
         st = self._stream(name)
-        with st.cond:
+        with st.lock:
             if st.eof_total is not None:
                 return st.eof_total
-            gap = st.written.first_gap(0, 1 << 62)
-            ivs = st.written.intervals()
-            total = ivs[-1][1] if ivs else 0
-            if gap is not None and gap[0] < total:
+            total = self._contiguous_top(st)
+            if st.written.total() > total:
                 raise GridBufferError(
-                    f"stream {name!r} has unwritten gap at {gap}; cannot close"
+                    f"stream {name!r} has unwritten gap at offset {total}; cannot close"
                 )
             st.eof_total = total
             st.wake_readers()
@@ -774,7 +664,7 @@ class GridBufferService:
         flexibility — this is the explicit failure signal).
         """
         st = self._stream(name)
-        with st.cond:
+        with st.lock:
             st.failed = reason
             logger.warning("stream %s aborted: %s", name, reason)
             st.wake_all()
@@ -787,27 +677,21 @@ class GridBufferService:
         writer seeks its source to this offset and continues.
         """
         st = self._stream(name)
-        with st.cond:
+        with st.lock:
             if st.eof_total is not None:
                 raise StreamClosed(f"stream {name!r} already completed")
             st.failed = None
             st.wake_all()
-            gap = st.written.first_gap(0, 1 << 62)
-            ivs = st.written.intervals()
-            top = ivs[-1][1] if ivs else 0
-            return gap[0] if gap is not None and gap[0] < top else top
+            return self._contiguous_top(st)
 
     def high_water(self, name: str) -> int:
         """Contiguous bytes written from offset 0 (resume/monitor aid)."""
         st = self._stream(name)
-        with st.cond:
-            gap = st.written.first_gap(0, 1 << 62)
-            ivs = st.written.intervals()
-            top = ivs[-1][1] if ivs else 0
-            return gap[0] if gap is not None and gap[0] < top else top
+        with st.lock:
+            return self._contiguous_top(st)
 
     # -- reader side ----------------------------------------------------------
-    def read(
+    async def read_async(
         self,
         name: str,
         reader_id: str,
@@ -818,58 +702,26 @@ class GridBufferService:
     ) -> bytes:
         """Read up to ``length`` bytes at ``offset`` for ``reader_id``.
 
-        POSIX semantics: blocks only while *nothing* is available at
+        POSIX semantics: waits only while *nothing* is available at
         ``offset``; otherwise returns the available prefix (possibly
         fewer than ``length`` bytes).  Returns ``b""`` exactly when
-        ``offset`` is at/after EOF.  Blocking for the full range would
+        ``offset`` is at/after EOF.  Waiting for the full range would
         deadlock against a capacity-stalled writer.
 
-        ``min_bytes > 1`` (the windowed-read op) keeps blocking until
+        ``min_bytes > 1`` (the windowed-read op) keeps waiting until
         at least that much is contiguously available — unless EOF or
         the ``length`` budget bounds the wait first — so a fast reader
         polling a slow writer costs one reply per window, not one per
         trickled block.
 
-        Cache-file IO and reply assembly happen *outside* the stream
-        lock: under the lock the service only plans the reply (slices
-        of immutable table blocks + cache ranges), marks consumption
-        and runs GC.
+        A wait parks a future on the stream instead of a server thread,
+        which is what lets one node hold thousands of concurrently
+        blocked readers; ``timeout`` bounds the whole call.  Cache-file
+        IO and reply assembly happen *outside* the stream lock (the
+        former on a worker thread): under the lock the service only
+        plans the reply (slices of immutable table blocks + cache
+        ranges), marks consumption and runs GC.
         """
-        if offset < 0 or length < 0:
-            raise ValueError("offset/length must be >= 0")
-        injector = faults.ACTIVE
-        if injector is not None:
-            injector.fire("gb.service", "read", name)
-        min_bytes = max(1, min(min_bytes, length)) if length else 0
-        st = self._stream(name)
-        with st.cond:
-            while True:
-                res = self._read_attempt(st, reader_id, offset, length, min_bytes)
-                if res is not None:
-                    break
-                st.stats.reader_waits += 1
-                st.m_reader_waits.inc()
-                if not st.cond.wait(timeout=timeout):
-                    raise TimeoutError(
-                        f"read of [{offset},{offset + length}) timed out on stream {name!r}"
-                    )
-        if isinstance(res, bytes):
-            return res
-        return res.execute()
-
-    async def read_async(
-        self,
-        name: str,
-        reader_id: str,
-        offset: int,
-        length: int,
-        timeout: Optional[float] = None,
-        min_bytes: int = 1,
-    ) -> bytes:
-        """Async-native :meth:`read`: a wait for unwritten data parks a
-        future on the stream instead of a server thread, which is what
-        lets one node hold thousands of concurrently blocked readers.
-        Cache-file IO still runs on a worker thread."""
         if offset < 0 or length < 0:
             raise ValueError("offset/length must be >= 0")
         injector = faults.ACTIVE
@@ -881,7 +733,7 @@ class GridBufferService:
         deadline = None if timeout is None else loop.time() + timeout
         while True:
             fut = None
-            with st.cond:
+            with st.lock:
                 res = self._read_attempt(st, reader_id, offset, length, min_bytes)
                 if res is None:
                     st.stats.reader_waits += 1
@@ -890,21 +742,10 @@ class GridBufferService:
                     st.async_readers.append((loop, fut))
             if res is not None:
                 break
-            parked_at = loop.time()
-            _ASYNC_PARKED.labels(direction="read").inc()
-            try:
-                if deadline is None:
-                    await fut
-                else:
-                    async with asyncio.timeout_at(deadline):
-                        await fut
-            except TimeoutError:
-                raise TimeoutError(
-                    f"read of [{offset},{offset + length}) timed out on stream {name!r}"
-                ) from None
-            finally:
-                _ASYNC_PARKED.labels(direction="read").dec()
-                _PARK_SECONDS.labels(direction="read").observe(loop.time() - parked_at)
+            await _park(
+                fut, deadline, "read",
+                f"read of [{offset},{offset + length}) timed out on stream {name!r}",
+            )
         if isinstance(res, bytes):
             return res
         if res.cache_parts:
@@ -914,7 +755,7 @@ class GridBufferService:
     def _read_attempt(
         self, st: _Stream, reader_id: str, offset: int, length: int, min_bytes: int
     ):
-        """One readiness check under ``st.cond``.
+        """One readiness check under ``st.lock``.
 
         Returns an :class:`_AssemblyPlan` when data is servable now,
         ``b""`` at/after EOF, or ``None`` when the caller must wait.
@@ -940,13 +781,19 @@ class GridBufferService:
             st.sync_reader_lag(reader_id)
             st.wake_writers()  # delete-on-read GC may have freed capacity
             return plan
-        self._check_recoverable(st, offset, end)
-        return None
+        if avail_end < end and st.written.covers(avail_end, avail_end + 1):
+            # Written, consumed and uncached: waiting would block forever
+            # for data that will never reappear.
+            raise GridBufferError(
+                f"range [{avail_end},{end}) of stream {st.name!r} was consumed and no "
+                "cache file is configured (sequential-only stream)"
+            )
+        return None  # genuinely unwritten: caller should wait
 
     def total_bytes(self, name: str) -> Optional[int]:
         """Stream length once the writer closed it, else ``None``."""
         st = self._stream(name)
-        with st.cond:
+        with st.lock:
             return st.eof_total
 
     def mark_consumed_multi(
@@ -966,7 +813,7 @@ class GridBufferService:
         applied.
         """
         st = self._stream(name)
-        with st.cond:
+        with st.lock:
             for reader_id, _ranges in entries:
                 if reader_id not in st.consumed:
                     raise GridBufferError(
@@ -1008,7 +855,7 @@ class GridBufferService:
             st = self._stream(name)
         except GridBufferError:
             return
-        with st.cond:
+        with st.lock:
             if gen is not None and int(gen) != st.gen:
                 return
             ivs = st.holders.get(peer)
@@ -1023,7 +870,7 @@ class GridBufferService:
             for start, end in drops or ():
                 start, end = max(0, int(start)), int(end)
                 if end > start:
-                    _remove_interval(ivs, start, end)
+                    ivs.remove(start, end)
             if not ivs:
                 st.holders.pop(peer, None)
             st.sync_holder_gauges()
@@ -1034,7 +881,7 @@ class GridBufferService:
             st = self._stream(name)
         except GridBufferError:
             return
-        with st.cond:
+        with st.lock:
             st.holders.pop(peer, None)
             st.sync_holder_gauges()
 
@@ -1063,7 +910,7 @@ class GridBufferService:
             return []
         covering: List[str] = []
         touching: List[str] = []
-        with st.cond:
+        with st.lock:
             candidates = [p for p in st.holders if p != exclude]
             if candidates:
                 # Holder dicts are insertion-ordered, so without
@@ -1085,28 +932,6 @@ class GridBufferService:
         return (covering + touching)[:k]
 
     # -- internals -----------------------------------------------------------
-    def _check_recoverable(self, st: _Stream, start: int, end: int) -> None:
-        """Raise if some wanted byte was written, consumed and uncached.
-
-        Without this a re-read on a cache-less stream would block
-        forever waiting for data that will never reappear.
-        """
-        pos = start
-        while pos < end:
-            if st.in_table.covers(pos, pos + 1):
-                gap = st.in_table.first_gap(pos, end)
-                pos = end if gap is None else gap[0]
-                continue
-            if st.cache is not None and st.cache.has(pos, 1):
-                pos = min(st.cache.valid_upto(pos), end)
-                continue
-            if st.written.covers(pos, pos + 1):
-                raise GridBufferError(
-                    f"range [{pos},{end}) of stream {st.name!r} was consumed and no "
-                    "cache file is configured (sequential-only stream)"
-                )
-            return  # genuinely unwritten: caller should wait
-
     def _available_upto(self, st: _Stream, start: int, end: int) -> int:
         """Furthest position in [start, end) servable contiguously now."""
         pos = start
@@ -1123,7 +948,7 @@ class GridBufferService:
     def _plan_assembly(
         self, st: _Stream, reader_id: str, start: int, end: int
     ) -> _AssemblyPlan:
-        """Plan the reply for [start, end) and account it (holds ``cond``).
+        """Plan the reply for [start, end) and account it (holds ``lock``).
 
         Collects memoryview slices over the table's immutable block
         bytes plus cache-range descriptors; the caller executes the
@@ -1198,10 +1023,14 @@ class GridBufferService:
                 out.append(off)
         return out
 
-    def _unindex_block(self, st: _Stream, off: int) -> None:
+    def _drop_block(self, st: _Stream, off: int) -> None:
+        """Remove one table block and its index/interval/byte accounting."""
+        data = st.blocks.pop(off)
         i = bisect_left(st.block_index, off)
         if i < len(st.block_index) and st.block_index[i] == off:
             del st.block_index[i]
+        st.mem_bytes -= len(data)
+        st.in_table.remove(off, off + len(data))
 
     def _gc_blocks(self, st: _Stream, offsets: list[int]) -> None:
         """Drop table blocks fully consumed by every registered reader.
@@ -1213,18 +1042,11 @@ class GridBufferService:
             return
         for off in set(offsets):
             data = st.blocks.get(off)
-            if data is None:
-                continue
-            end = off + len(data)
-            if all(c.covers(off, end) for c in st.consumed.values()):
-                del st.blocks[off]
-                self._unindex_block(st, off)
-                st.mem_bytes -= len(data)
-                _remove_interval(st.in_table, off, end)
+            if data is not None and all(
+                c.covers(off, off + len(data)) for c in st.consumed.values()
+            ):
+                self._drop_block(st, off)
 
     def _drop_blocks_overlapping(self, st: _Stream, start: int, end: int) -> None:
         for off in self._blocks_overlapping(st, start, end):
-            data = st.blocks.pop(off)
-            self._unindex_block(st, off)
-            st.mem_bytes -= len(data)
-            _remove_interval(st.in_table, off, off + len(data))
+            self._drop_block(st, off)

@@ -104,7 +104,7 @@ class TestFigure4GriddlesArchitecture:
 
         svc = GridBufferService()
         svc.create_stream("s")
-        stream = svc._streams["s"]
+        stream = svc._stream("s")
         assert isinstance(stream.blocks, dict)
 
     def test_gridftp_is_generic_not_buffer_specific(self):
@@ -314,6 +314,31 @@ class TestOneStreamPath:
             assert callable(vars(owner)[target.attr]) or isinstance(
                 vars(owner)[target.attr], (staticmethod, classmethod)
             )
+
+
+class TestOneServicePath:
+    """ROADMAP aim 2: the coroutine data ops are the Grid Buffer's only
+    data path, and waiting is a parked future — never a condition wait."""
+
+    def test_no_sync_trio(self):
+        from repro.gridbuffer.service import GridBufferService
+
+        for name in ("write", "write_multi", "read"):
+            assert not hasattr(GridBufferService, name), name
+
+    def test_data_ops_are_coroutines_on_the_class(self):
+        from repro.gridbuffer.service import GridBufferService
+
+        for name in ("write_async", "write_multi_async", "read_async"):
+            assert inspect.iscoroutinefunction(vars(GridBufferService)[name]), name
+
+    def test_one_waiting_discipline(self):
+        from repro.gridbuffer import service
+
+        source = inspect.getsource(service)
+        assert "threading.Condition" not in source
+        assert ".wait(" not in source
+        assert not hasattr(service._Stream("s", 1, None, None), "cond")
 
 
 class TestEnvironmentIsNotConfiguration:

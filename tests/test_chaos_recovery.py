@@ -27,6 +27,8 @@ from repro.transport.gridftp import GridFtpClient, GridFtpServer, TransferError
 from repro.transport.tcp import IDEMPOTENT_OPS, RetryPolicy
 from repro.transport.inmem import HostRegistry
 
+from ._run import run
+
 pytestmark = pytest.mark.faults
 
 SEED = 20260806
@@ -91,11 +93,11 @@ class TestWriteDedupe:
         svc = GridBufferService()
         svc.create_stream("s", n_readers=1)
         svc.register_reader("s", "r")
-        svc.write("s", 0, b"abc", token="tok", seq=0)
-        svc.write("s", 0, b"abc", token="tok", seq=0)  # retry replay
-        svc.write("s", 3, b"def", token="tok", seq=1)
+        run(svc.write_async("s", 0, b"abc", token="tok", seq=0))
+        run(svc.write_async("s", 0, b"abc", token="tok", seq=0))  # retry replay
+        run(svc.write_async("s", 3, b"def", token="tok", seq=1))
         svc.close_writer("s")
-        assert svc.read("s", "r", 0, 64, timeout=1.0) == b"abcdef"
+        assert run(svc.read_async("s", "r", 0, 64, timeout=1.0)) == b"abcdef"
         assert svc.stats("s").bytes_written == 6  # replay not double-counted
 
     def test_replayed_write_multi_is_skipped(self):
@@ -103,11 +105,11 @@ class TestWriteDedupe:
         svc.create_stream("s", n_readers=1)
         svc.register_reader("s", "r")
         runs = [(0, b"ab"), (2, b"cd")]
-        written, _ = svc.write_multi("s", runs, token="tok", seq=0)
+        written, _ = run(svc.write_multi_async("s", runs, token="tok", seq=0))
         assert written == 4
-        replay_written, _ = svc.write_multi("s", runs, token="tok", seq=0)
+        replay_written, _ = run(svc.write_multi_async("s", runs, token="tok", seq=0))
         svc.close_writer("s")
-        assert svc.read("s", "r", 0, 64, timeout=1.0) == b"abcd"
+        assert run(svc.read_async("s", "r", 0, 64, timeout=1.0)) == b"abcd"
         assert svc.stats("s").bytes_written == 4
         assert replay_written == 0 or replay_written == 4  # reply, not re-apply
 

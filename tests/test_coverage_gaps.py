@@ -10,6 +10,8 @@ from repro.transport.aio import read_frame_async
 from repro.transport.tcp import FrameError
 from repro.transport.wire import FLAG_CRC, MAGIC, PREAMBLE, WIRE_VERSION
 
+from ._run import run
+
 
 class TestTcpLimits:
     def test_oversized_header_rejected(self):
@@ -33,7 +35,7 @@ class TestBufferCacheLifecycle:
         svc = GridBufferService()
         svc.create_stream("s", cache=cache)
         svc.register_reader("s", "r")
-        svc.write("s", 0, b"payload")
+        run(svc.write_async("s", 0, b"payload"))
         svc.drop_stream("s")
         # Cache file remains on disk (close without delete) but the
         # stream is gone.

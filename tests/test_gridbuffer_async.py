@@ -11,13 +11,16 @@ parked reader costs a future, not a thread.
 import asyncio
 import resource
 import threading
+import time
 
 import pytest
 
 from repro.gridbuffer.client import GridBufferClient, _ReadAheadWindow
 from repro.gridbuffer.protocol import OP_READ_MULTI
 from repro.gridbuffer.service import GridBufferError
-from repro.transport.aio import AsyncRpcClient
+from repro.transport.aio import AsyncRpcClient, get_engine
+
+from ._run import run
 
 
 @pytest.fixture()
@@ -46,7 +49,7 @@ class TestConsumeMulti:
         service = buffer_server.service
         service.create_stream("mv", n_readers=1)
         service.register_reader("mv", "real")
-        service.write("mv", 0, b"k" * 4096)
+        run(service.write_async("mv", 0, b"k" * 4096))
         with pytest.raises(GridBufferError):
             service.mark_consumed_multi(
                 "mv", [("real", [(0, 4096)]), ("ghost", [(0, 4096)])]
@@ -233,3 +236,57 @@ class TestManyAsyncReaders:
         assert parked_threads["delta"] <= 8, (
             f"{parked_threads['delta']} new threads while {self.N} readers parked"
         )
+
+    def test_stalled_cached_writers_hold_no_threads(self, buffer_server):
+        """Backpressure on cached streams parks futures too.
+
+        A cached stream's write touches the cache file, so part of it
+        runs on a worker thread — but only the bounded store step.  40
+        writers stalled on 40 full cached streams (more than the default
+        executor can ever have threads: its hard cap is 32) must leave
+        the node able to serve a cache-file re-read and a ``gb.create``.
+        """
+        n = 40
+        service = buffer_server.service
+        ctl = GridBufferClient(*buffer_server.address)
+        try:
+            seen = b"s" * 4096
+            ctl.create_stream("seen", cache=True)
+            ctl.register_reader("seen", "r")
+            ctl.write("seen", 0, seen)
+            ctl.close_writer("seen")
+            assert ctl.read_window_ex("seen", "r", 0, len(seen), timeout=5)[0] == seen
+            assert ctl.stats("seen")["blocks_in_table"] == 0  # a re-read needs the file
+
+            payloads = [bytes([i]) * 64 + bytes([i + 100]) * 192 for i in range(n)]
+            baseline = threading.active_count()
+            writers = []
+            for i, payload in enumerate(payloads):
+                ctl.create_stream(f"full{i}", capacity_bytes=64, cache=True)
+                ctl.register_reader(f"full{i}", "r")  # registered, but idle
+                runs = [(off, payload[off : off + 64]) for off in range(0, 256, 64)]
+                writers.append(
+                    get_engine().submit(service.write_multi_async(f"full{i}", runs, timeout=30))
+                )
+                # One at a time, so the executor reuses its idle thread
+                # and the thread-count bound below is machine-independent.
+                deadline = time.monotonic() + 5
+                while service.stats(f"full{i}").writer_stalls == 0:
+                    assert time.monotonic() < deadline, f"writer {i} never reached its stall"
+                    time.sleep(0.002)
+            assert not any(w.done() for w in writers)
+            assert threading.active_count() - baseline <= 8
+
+            t0 = time.monotonic()
+            assert ctl.read_window_ex("seen", "r", 0, len(seen), timeout=5)[0] == seen
+            ctl.create_stream("late", cache=True)
+            assert time.monotonic() - t0 < 1.0
+
+            for i, payload in enumerate(payloads):
+                got = bytearray()
+                while len(got) < len(payload):
+                    got += ctl.read_window_ex(f"full{i}", "r", len(got), 256, timeout=5)[0]
+                assert bytes(got) == payload
+                assert writers[i].result(5) == (256, "slow_reader")
+        finally:
+            ctl.close()

@@ -91,6 +91,38 @@ class TestIntervalSet:
         for (s1, e1), (s2, e2) in zip(spans, spans[1:]):
             assert e1 < s2
 
+    def test_remove_splits_trims_and_ignores_misses(self):
+        ivs = IntervalSet([(0, 10), (20, 30)])
+        ivs.remove(3, 6)      # split
+        ivs.remove(25, 40)    # trim the tail
+        ivs.remove(12, 18)    # nothing there
+        ivs.remove(8, 8)      # empty range inside an interval: no split
+        assert ivs.intervals() == [(0, 3), (6, 10), (20, 25)]
+
+    @given(
+        st.lists(
+            st.tuples(st.booleans(), st.integers(0, 200), st.integers(0, 40)),
+            min_size=1,
+            max_size=30,
+        )
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_remove_matches_reference_set_model(self, ops):
+        """Property: interleaved add/remove behaves like a set of integers."""
+        ivs = IntervalSet()
+        model = set()
+        for is_add, start, length in ops:
+            if is_add:
+                ivs.add(start, start + length)
+                model.update(range(start, start + length))
+            else:
+                ivs.remove(start, start + length)
+                model.difference_update(range(start, start + length))
+            spans = ivs.intervals()
+            assert {p for s, e in spans for p in range(s, e)} == model
+            assert all(s < e for s, e in spans)
+            assert all(e1 < s2 for (_, e1), (s2, _) in zip(spans, spans[1:]))
+
     @given(
         st.lists(st.tuples(st.integers(0, 200), st.integers(1, 40)), min_size=1, max_size=15),
         st.integers(0, 250),

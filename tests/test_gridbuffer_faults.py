@@ -13,6 +13,8 @@ from repro.gridbuffer.service import (
     StreamFailed,
 )
 
+from ._run import run
+
 
 @pytest.fixture()
 def svc():
@@ -31,7 +33,7 @@ class TestAbort:
 
         def reader():
             try:
-                svc.read("s", "r", 0, 10, timeout=5)
+                run(svc.read_async("s", "r", 0, 10, timeout=5))
             except StreamFailed as exc:
                 result["error"] = str(exc)
 
@@ -46,28 +48,28 @@ class TestAbort:
         setup_stream(svc)
         svc.abort_writer("s")
         with pytest.raises(StreamFailed):
-            svc.write("s", 0, b"x")
+            run(svc.write_async("s", 0, b"x"))
 
     def test_read_after_abort_raises_even_with_data(self, svc):
         setup_stream(svc)
-        svc.write("s", 0, b"partial")
+        run(svc.write_async("s", 0, b"partial"))
         svc.abort_writer("s")
         with pytest.raises(StreamFailed):
-            svc.read("s", "r", 0, 100)
+            run(svc.read_async("s", "r", 0, 100))
 
 
 class TestResume:
     def test_resume_returns_high_water(self, svc):
         setup_stream(svc)
-        svc.write("s", 0, b"x" * 100)
-        svc.write("s", 100, b"y" * 50)
+        run(svc.write_async("s", 0, b"x" * 100))
+        run(svc.write_async("s", 100, b"y" * 50))
         svc.abort_writer("s", "transient")
         offset = svc.resume_writer("s")
         assert offset == 150
 
     def test_resume_of_completed_stream_rejected(self, svc):
         setup_stream(svc)
-        svc.write("s", 0, b"done")
+        run(svc.write_async("s", 0, b"done"))
         svc.close_writer("s")
         with pytest.raises(StreamClosed):
             svc.resume_writer("s")
@@ -80,19 +82,19 @@ class TestResume:
         payload = bytes(i % 256 for i in range(10_000))
 
         # First writer delivers 4 KB then "crashes".
-        svc.write("s", 0, payload[:4096])
+        run(svc.write_async("s", 0, payload[:4096]))
         svc.abort_writer("s", "oom-killed")
 
         # Replacement writer resumes exactly at the high-water mark.
         offset = svc.resume_writer("s")
         assert offset == 4096
-        svc.write("s", offset, payload[offset:])
+        run(svc.write_async("s", offset, payload[offset:]))
         svc.close_writer("s")
 
         received = bytearray()
         pos = 0
         while True:
-            chunk = svc.read("s", "r", pos, 1024, timeout=5)
+            chunk = run(svc.read_async("s", "r", pos, 1024, timeout=5))
             if not chunk:
                 break
             received.extend(chunk)
@@ -101,8 +103,8 @@ class TestResume:
 
     def test_high_water_with_gap_reports_contiguous_prefix(self, svc):
         setup_stream(svc)
-        svc.write("s", 0, b"x" * 10)
-        svc.write("s", 20, b"y" * 5)  # gap at [10, 20)
+        run(svc.write_async("s", 0, b"x" * 10))
+        run(svc.write_async("s", 20, b"y" * 5))  # gap at [10, 20)
         assert svc.high_water("s") == 10
 
 

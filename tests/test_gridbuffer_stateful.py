@@ -14,6 +14,8 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, 
 from repro.gridbuffer.cache import BufferCache
 from repro.gridbuffer.service import GridBufferService
 
+from ._run import run
+
 
 class GridBufferModel(RuleBasedStateMachine):
     def __init__(self):
@@ -33,7 +35,7 @@ class GridBufferModel(RuleBasedStateMachine):
     @rule(data=st.binary(min_size=1, max_size=257))
     @precondition(lambda self: not self.closed)
     def write_chunk(self, data):
-        self.svc.write("s", len(self.model), data)
+        run(self.svc.write_async("s", len(self.model), data))
         self.model.extend(data)
 
     @rule(size=st.integers(min_value=1, max_value=300))
@@ -41,7 +43,7 @@ class GridBufferModel(RuleBasedStateMachine):
         want = min(size, len(self.model) - self.read_pos)
         if want <= 0:
             return  # would block (or EOF) — checked in eof rule
-        got = self.svc.read("s", "r", self.read_pos, size, timeout=1)
+        got = run(self.svc.read_async("s", "r", self.read_pos, size, timeout=1))
         assert 0 < len(got) <= size
         assert bytes(got) == bytes(self.model[self.read_pos : self.read_pos + len(got)])
         self.read_pos += len(got)
@@ -55,7 +57,7 @@ class GridBufferModel(RuleBasedStateMachine):
         want = min(size, limit - offset)
         if want <= 0:
             return
-        got = self.svc.read("s", "r", offset, want, timeout=1)
+        got = run(self.svc.read_async("s", "r", offset, want, timeout=1))
         assert bytes(got) == bytes(self.model[offset : offset + len(got)])
 
     @rule()
@@ -68,7 +70,7 @@ class GridBufferModel(RuleBasedStateMachine):
     @rule(size=st.integers(min_value=1, max_value=100))
     @precondition(lambda self: self.closed)
     def read_at_or_past_eof(self, size):
-        got = self.svc.read("s", "r", len(self.model), size, timeout=1)
+        got = run(self.svc.read_async("s", "r", len(self.model), size, timeout=1))
         assert got == b""
 
     @invariant()

@@ -45,6 +45,8 @@ from repro.gridbuffer.client import (
 from repro.gridbuffer.protocol import OP_PEER_READ, OP_READ_MULTI
 from repro.transport.tcp import RpcClient, RpcError
 
+from ._run import run
+
 REPO = Path(__file__).resolve().parents[1]
 HELPER = Path(__file__).resolve().parent / "_peer_reader.py"
 
@@ -155,7 +157,7 @@ class TestHolderLifecycle:
     def _stream(self, service, name):
         service.create_stream(name, n_readers=1)
         service.register_reader(name, "r")
-        service.write(name, 0, b"h" * 8192)
+        run(service.write_async(name, 0, b"h" * 8192))
         return service.stream_generation(name)
 
     def test_advertise_then_evict_leaves_no_stale_hint(self, buffer_server):
