@@ -28,7 +28,7 @@ import io
 import os
 import threading
 import time
-from collections import deque
+from collections import OrderedDict, deque
 from dataclasses import dataclass
 from typing import Any, Deque, Dict, List, Optional, TextIO
 
@@ -60,6 +60,32 @@ class TransferSample:
     seconds: float
 
 
+#: Every finite double is an integer multiple of 2**-1074 s (the smallest
+#: subnormal), so bulk seconds summed in that unit are summed exactly:
+#: subtracting an evicted sample leaves no rounding residue behind.
+_FIXED_ONE = 1 << 1074
+
+
+def _fixed(seconds: float) -> int:
+    """``seconds`` as an exact integer count of 2**-1074 s."""
+    num, den = seconds.as_integer_ratio()  # den is a power of two
+    return num << (1075 - den.bit_length())
+
+
+class _Link:
+    """One peer's sample window plus running aggregates over it."""
+
+    __slots__ = ("samples", "bulk_bytes", "bulk_fixed", "probes")
+
+    def __init__(self, max_samples: int):
+        self.samples: Deque[TransferSample] = deque(maxlen=max_samples)
+        self.bulk_bytes = 0    # sum of nbytes over the bulk samples in the window
+        self.bulk_fixed = 0    # sum of their seconds, in _fixed() units
+        # Monotonic min-deque over the window's probes: oldest first, each
+        # strictly slower than the one before it, so the head is the fastest.
+        self.probes: Deque[TransferSample] = deque()
+
+
 class TransferMonitor:
     """Rolling per-peer transfer observations → bandwidth/latency estimates.
 
@@ -70,22 +96,37 @@ class TransferMonitor:
 
     Latency is estimated from the fastest small-payload round trip seen
     (halved: one-way), bandwidth from the aggregate of bulk samples —
-    small ones are dominated by the round trip, not the pipe.
+    small ones are dominated by the round trip, not the pipe.  Both are
+    taken over the last ``max_samples`` samples per peer.
 
     Classification goes by op type as well as payload size: a
     whole-file ``fetch``/``store`` is a bulk transfer even when the
     file happens to be tiny — its duration includes per-block RPCs and
     disk IO, so counting it as a latency probe would skew the one-way
     estimate upward.
+
+    Both queries are O(1): the read-ahead window asks on every
+    application ``read()``.  :meth:`record` classifies a sample once and
+    keeps per-peer running state — exact integer bulk byte and second
+    sums, and a monotonic min-deque of probe durations — subtracting
+    whatever the window evicts, so an estimate is the one a scan of the
+    window would give (bandwidth to within the scan's float rounding),
+    and the lock is held for constant time.  At most
+    :attr:`MAX_PEERS` peers are tracked; recording a new peer beyond
+    that forgets the least recently recorded one.
     """
 
     #: Samples at or below this payload size count as latency probes.
     SMALL_BYTES = 4096
     #: Ops that are whole-file transfers, never latency probes.
     BULK_OPS = frozenset({"fetch", "store"})
+    #: Peers tracked at once (a stream advertises at most 64 cache holders).
+    MAX_PEERS = 64
 
     def __init__(self, max_samples: int = 1024):
-        self._samples: Dict[str, Deque[TransferSample]] = {}
+        if max_samples < 1:
+            raise ValueError(f"max_samples must be >= 1, got {max_samples}")
+        self._links: "OrderedDict[str, _Link]" = OrderedDict()  # oldest record first
         self._max = max_samples
         self._lock = threading.Lock()
 
@@ -93,51 +134,85 @@ class TransferMonitor:
         sample = TransferSample(peer=peer, op=op, nbytes=nbytes, seconds=max(0.0, seconds))
         _TRANSFER_BYTES.labels(peer=peer, op=op).inc(max(0, nbytes))
         _TRANSFER_SECONDS.labels(peer=peer, op=op).inc(sample.seconds)
+        bulk = self._is_bulk(sample)
+        fixed = _fixed(sample.seconds) if bulk else 0
         with self._lock:
-            bucket = self._samples.get(peer)
-            if bucket is None:
-                bucket = self._samples[peer] = deque(maxlen=self._max)
-            bucket.append(sample)
+            link = self._links.get(peer)
+            if link is None:
+                if len(self._links) >= self.MAX_PEERS:
+                    self._links.popitem(last=False)
+                link = self._links[peer] = _Link(self._max)
+            else:
+                self._links.move_to_end(peer)
+            samples, probes = link.samples, link.probes
+            if len(samples) == self._max:
+                old = samples.popleft()
+                if self._is_bulk(old):
+                    link.bulk_bytes -= old.nbytes
+                    link.bulk_fixed -= _fixed(old.seconds)
+                elif probes[0] is old:  # else a later, no-slower probe displaced it
+                    probes.popleft()
+            samples.append(sample)
+            if bulk:
+                link.bulk_bytes += nbytes
+                link.bulk_fixed += fixed
+            else:
+                while probes and probes[-1].seconds >= sample.seconds:
+                    probes.pop()
+                probes.append(sample)
 
     def samples(self, peer: str) -> list:
         with self._lock:
-            return list(self._samples.get(peer, ()))
+            link = self._links.get(peer)
+            return [] if link is None else list(link.samples)
 
     def _is_bulk(self, sample: TransferSample) -> bool:
         return sample.op in self.BULK_OPS or sample.nbytes > self.SMALL_BYTES
 
+    @staticmethod
+    def _latency(link: _Link) -> Optional[float]:
+        return link.probes[0].seconds / 2.0 if link.probes else None
+
+    @staticmethod
+    def _bandwidth(link: _Link) -> Optional[float]:
+        if not link.bulk_fixed:  # no bulk sample, or every one took 0 s
+            return None
+        return link.bulk_bytes / (link.bulk_fixed / _FIXED_ONE)
+
     def latency(self, peer: str) -> Optional[float]:
         """Best observed one-way latency to ``peer`` in seconds."""
-        probes = [s.seconds for s in self.samples(peer) if not self._is_bulk(s)]
-        if not probes:
-            return None
-        return min(probes) / 2.0
+        with self._lock:
+            link = self._links.get(peer)
+            return None if link is None else self._latency(link)
 
     def bandwidth(self, peer: str) -> Optional[float]:
         """Observed bulk throughput to ``peer`` in bytes/second."""
-        bulk = [s for s in self.samples(peer) if self._is_bulk(s)]
-        if not bulk:
-            return None
-        total_bytes = sum(s.nbytes for s in bulk)
-        total_secs = sum(s.seconds for s in bulk)
-        if total_secs <= 0:
-            return None
-        return total_bytes / total_secs
+        with self._lock:
+            link = self._links.get(peer)
+            return None if link is None else self._bandwidth(link)
 
     def summary(self) -> Dict[str, Dict[str, Any]]:
-        """Per-peer roll-up for logging/benchmark emission."""
+        """Per-peer roll-up for logging/benchmark emission.
+
+        Each row is built under one lock hold, so its counts and its
+        estimates describe the same samples.
+        """
         out: Dict[str, Dict[str, Any]] = {}
         with self._lock:
-            peers = list(self._samples)
+            peers = list(self._links)
         for peer in peers:
-            samples = self.samples(peer)
-            out[peer] = {
-                "ops": len(samples),
-                "bytes": sum(s.nbytes for s in samples),
-                "seconds": sum(s.seconds for s in samples),
-                "bandwidth_bps": self.bandwidth(peer),
-                "latency_s": self.latency(peer),
-            }
+            with self._lock:
+                link = self._links.get(peer)
+                if link is None:  # forgotten since the peer list was taken
+                    continue
+                samples = link.samples
+                out[peer] = {
+                    "ops": len(samples),
+                    "bytes": sum(s.nbytes for s in samples),
+                    "seconds": sum(s.seconds for s in samples),
+                    "bandwidth_bps": self._bandwidth(link),
+                    "latency_s": self._latency(link),
+                }
         return out
 
 

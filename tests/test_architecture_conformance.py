@@ -341,6 +341,41 @@ class TestOneServicePath:
         assert not hasattr(service._Stream("s", 1, None, None), "cond")
 
 
+class TestLinkEstimatesAreConstantTime:
+    """The read-ahead window asks for link estimates on every ``read()``:
+    answering must never walk the peer's sample window."""
+
+    def test_queries_never_touch_the_samples(self):
+        from collections import deque
+
+        from repro.core.trace import TransferMonitor
+
+        class CountingDeque(deque):
+            touches = 0
+
+            def __iter__(self):
+                CountingDeque.touches += 1
+                return super().__iter__()
+
+            def __getitem__(self, index):
+                CountingDeque.touches += 1
+                return super().__getitem__(index)
+
+        mon = TransferMonitor()
+        for i in range(1024):
+            if i % 4:
+                mon.record("p", "gb.read_multi", 65536, 0.001 + i * 1e-6)
+            else:
+                mon.record("p", "gb.consume_multi", 0, 0.0002 + i * 1e-7)
+        link = mon._links["p"]
+        link.samples = CountingDeque(link.samples, maxlen=link.samples.maxlen)
+        CountingDeque.touches = 0
+        for _ in range(1000):
+            assert mon.latency("p") is not None
+            assert mon.bandwidth("p") is not None
+        assert CountingDeque.touches == 0
+
+
 class TestEnvironmentIsNotConfiguration:
     """``scripts/check.py``'s third rule: configuration that changes how
     bytes move lives in the GNS record or a constructor argument."""

@@ -1,12 +1,17 @@
 """Tests for FM call tracing and transfer monitoring."""
 
 import io
+import math
+import sys
 import threading
+from collections import deque
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.multiplexer import FileMultiplexer, GridContext
-from repro.core.trace import FmTracer, TransferMonitor
+from repro.core.trace import FmTracer, TransferMonitor, TransferSample
 from repro.gns.client import LocalGnsClient
 from repro.gns.server import NameService
 
@@ -192,3 +197,169 @@ class TestTransferMonitor:
         assert out["bytes"] == 16 + (1 << 16)
         assert out["bandwidth_bps"] is not None
         assert out["latency_s"] == pytest.approx(0.001)
+
+    def test_max_samples_must_be_positive(self):
+        with pytest.raises(ValueError):
+            TransferMonitor(max_samples=0)
+
+
+class ScanMonitor:
+    """Reference model: the list-scan estimator the running aggregates replace."""
+
+    def __init__(self, max_samples):
+        self.windows = {}
+        self.max = max_samples
+
+    def record(self, peer, op, nbytes, seconds):
+        window = self.windows.setdefault(peer, deque(maxlen=self.max))
+        window.append(TransferSample(peer, op, nbytes, max(0.0, seconds)))
+
+    @staticmethod
+    def is_bulk(s):
+        return s.op in TransferMonitor.BULK_OPS or s.nbytes > TransferMonitor.SMALL_BYTES
+
+    def latency(self, peer):
+        probes = [s.seconds for s in self.windows.get(peer, ()) if not self.is_bulk(s)]
+        if not probes:
+            return None
+        return min(probes) / 2.0
+
+    def bandwidth(self, peer):
+        bulk = [s for s in self.windows.get(peer, ()) if self.is_bulk(s)]
+        if not bulk:
+            return None
+        total_bytes = sum(s.nbytes for s in bulk)
+        total_secs = sum(s.seconds for s in bulk)
+        if total_secs <= 0:
+            return None
+        return total_bytes / total_secs
+
+    def row(self, peer):
+        window = self.windows[peer]
+        return {
+            "ops": len(window),
+            "bytes": sum(s.nbytes for s in window),
+            "seconds": sum(s.seconds for s in window),
+            "bandwidth_bps": self.bandwidth(peer),
+            "latency_s": self.latency(peer),
+        }
+
+
+def assert_same_bandwidth(got, want):
+    """Sums run in another order, so equal within a relative 1e-12."""
+    assert (got is None) == (want is None), (got, want)
+    if want is not None:
+        assert math.isclose(got, want, rel_tol=1e-12, abs_tol=0.0), (got, want)
+
+
+def assert_row_matches(row, want):
+    assert_same_bandwidth(row.pop("bandwidth_bps"), want.pop("bandwidth_bps"))
+    assert row == want
+
+
+_PEERS = ("a", "b", "c")
+_SMALL = TransferMonitor.SMALL_BYTES
+_RECORDS = st.lists(
+    st.tuples(
+        st.sampled_from(_PEERS),
+        st.sampled_from(["fetch", "store", "get_block", "size", "gb.read_multi"]),
+        st.integers(0, 2 * _SMALL) | st.sampled_from([0, _SMALL, _SMALL + 1]),
+        # Wide magnitudes make a float running sum cancel catastrophically.
+        st.floats(-1.0, 1e6, allow_nan=False, allow_infinity=False) | st.just(0.0),
+    ),
+    max_size=80,
+)
+
+
+class TestTransferMonitorMatchesScan:
+    """The O(1) estimates equal what a scan of the same window returns."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(max_samples=st.integers(1, 8), records=_RECORDS)
+    # A slow bulk sample ages out and leaves a fast one, then none at all:
+    # a float running sum keeps a residue here and answers wrongly twice.
+    @example(
+        max_samples=2,
+        records=[
+            ("a", "get_block", 1 << 20, 1e6),
+            ("a", "get_block", 1 << 20, 1e-9),
+            ("a", "size", 8, 0.5),
+            ("a", "size", 8, 0.5),
+        ],
+    )
+    def test_every_record(self, max_samples, records):
+        mon = TransferMonitor(max_samples=max_samples)
+        ref = ScanMonitor(max_samples)
+        for peer, op, nbytes, seconds in records:
+            mon.record(peer, op, nbytes, seconds)
+            ref.record(peer, op, nbytes, seconds)
+            for p in _PEERS:
+                assert mon.samples(p) == list(ref.windows.get(p, ()))
+                assert mon.latency(p) == ref.latency(p)
+                assert_same_bandwidth(mon.bandwidth(p), ref.bandwidth(p))
+        summary = mon.summary()
+        assert set(summary) == set(ref.windows)
+        for peer, row in summary.items():
+            assert_row_matches(row, ref.row(peer))
+
+    def test_summary_rows_are_not_torn(self):
+        """Each row's counts and estimates describe the same samples.
+
+        The recorder appends a known stream in which every sample moves
+        the bandwidth or the latency, so a row whose estimates were read
+        after a later record than its ``ops`` cannot match the reference
+        built from the first ``ops`` samples.
+        """
+        def sample(i):
+            if i % 3 == 2:
+                return ("p", "size", 64, 0.01 / (i + 1))
+            return ("p", "get_block", 8192 * (i + 1), 0.001 * (1 + i % 7))
+
+        n = 1000
+        mon = TransferMonitor(max_samples=n)
+        done = threading.Event()
+
+        def recorder():
+            for i in range(n):
+                mon.record(*sample(i))
+            done.set()
+
+        rows = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            t = threading.Thread(target=recorder, daemon=True)
+            t.start()
+            while not done.is_set():
+                rows.extend(mon.summary().values())
+            t.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not t.is_alive()
+        rows.extend(mon.summary().values())
+        ref = ScanMonitor(n)
+        refs = {}
+        for i in range(n):
+            ref.record(*sample(i))
+            refs[i + 1] = ref.row("p")
+        for row in rows:
+            assert_row_matches(dict(row), dict(refs[row["ops"]]))
+
+    def test_peer_map_is_bounded(self):
+        """Past MAX_PEERS, the least recently recorded peer is forgotten."""
+        cap = TransferMonitor.MAX_PEERS
+        mon = TransferMonitor()
+        for i in range(cap):
+            mon.record(f"peer{i}", "size", 8, 0.001 * (i + 1))
+            mon.record(f"peer{i}", "get_block", 1 << 16, 0.01 * (i + 1))
+        mon.record("peer0", "size", 8, 0.0005)  # peer1 is now least recent
+        before = {p: (mon.latency(p), mon.bandwidth(p)) for p in mon.summary()}
+        mon.record("newcomer", "size", 8, 0.002)
+        assert mon.latency("peer1") is None
+        assert mon.bandwidth("peer1") is None
+        assert mon.samples("peer1") == []
+        summary = mon.summary()
+        assert len(summary) == cap and "peer1" not in summary
+        del before["peer1"]
+        assert {p: (mon.latency(p), mon.bandwidth(p)) for p in before} == before
+        assert mon.latency("newcomer") == 0.001
