@@ -179,10 +179,10 @@ class Container:
 
 @dataclass
 class _PSJob:
+    work: float             # work units submitted
     remaining: float        # work units left
     done: Event
     last_update: float
-    rate_share: float = 1.0
 
 
 class ProcessorSharing:
@@ -223,7 +223,7 @@ class ProcessorSharing:
             done.succeed(None)
             return done
         self._advance_all()
-        self._jobs.append(_PSJob(remaining=float(work), done=done, last_update=self.env.now))
+        self._jobs.append(_PSJob(float(work), float(work), done, self.env.now))
         self._kick()
         return done
 
@@ -254,16 +254,17 @@ class ProcessorSharing:
     def _scheduler(self):
         while self._jobs:
             self._advance_all()
-            # A job is done when less than a nanosecond of work remains
-            # — or less than the clock can resolve: once env.now is
-            # large, ulp(now) exceeds a fixed nanosecond, a scheduled
-            # timeout below it no longer advances float time and the
-            # loop would livelock on the unreachable residue.
+            # A job is done when its residue is below what the clock can
+            # resolve at this rate — a timeout under ulp(now) no longer
+            # advances float time, so the loop would livelock on it — or
+            # below the rounding of its own work.  Never an absolute
+            # nanosecond: at a high rate that is real work, and a small
+            # job would finish early.
             rate = self._per_job_rate()
-            eps = rate * max(1e-9, 2.0 * math.ulp(self.env.now))
-            finished = [j for j in self._jobs if j.remaining <= eps]
+            tick = rate * 2.0 * math.ulp(self.env.now)
+            finished = [j for j in self._jobs if j.remaining <= tick + 4.0 * math.ulp(j.work)]
             if finished:
-                self._jobs = [j for j in self._jobs if j.remaining > eps]
+                self._jobs = [j for j in self._jobs if j not in finished]
                 for job in finished:
                     job.done.succeed(None)
                 continue
