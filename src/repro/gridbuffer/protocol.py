@@ -56,8 +56,8 @@ OP_HIGH_WATER = "gb.high_water"
 
 # -- vectored ops -----------------------------------------------------------
 # Same frames, more per round trip.  ``gb.write`` above stays on the
-# hot path: a batch of one contiguous run rides it.  Every read — the
-# window's prefetch and a reader's demand read alike — is
+# hot path: a batch of one contiguous run rides it.  Every read — a
+# window prefetch and a reader's inline head fetch alike — is
 # ``gb.read_multi``; the single-block ``gb.read`` is retired (its id
 # slot stays reserved in :data:`repro.transport.wire.OPS`).
 

@@ -439,12 +439,23 @@ class AsyncRpcServer:
             self._sock.close()
             return
         done = threading.Event()
+        loop = self._engine.loop
 
         def _close() -> None:
             server.close()
             done.set()
 
-        self._engine.loop.call_soon_threadsafe(_close)
+        def _quiesce() -> None:
+            # Stop accepting now, close one loop pass later.  A connection
+            # accepted in this pass has its transport built by a task
+            # queued ahead of _close; closing first fails that task's
+            # Server._attach assertion, which asyncio swallows, orphaning
+            # the socket: open, never read, invisible to disconnect_all,
+            # so its client waits out the whole socket timeout.
+            loop.remove_reader(self._sock.fileno())
+            loop.call_soon(_close)
+
+        loop.call_soon_threadsafe(_quiesce)
         done.wait(timeout=5)
 
     def disconnect_all(self) -> None:

@@ -46,9 +46,9 @@ from repro.transport.gridftp import GridFtpServer
 from repro.transport.inmem import HostRegistry
 from repro.transport.tcp import IDEMPOTENT_OPS, RpcClient, RpcError
 
-pytestmark = pytest.mark.gns
+from ._seed import SEED
 
-SEED = 20260806
+pytestmark = pytest.mark.gns
 
 
 @pytest.fixture(autouse=True)

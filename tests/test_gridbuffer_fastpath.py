@@ -215,7 +215,8 @@ class TestReaderShutdown:
         elapsed = time.perf_counter() - t0
         assert elapsed < 3.0, f"close() hung {elapsed:.1f}s on blocked read-ahead"
         assert all(not t.is_alive() for t in workers), "window thread leaked"
-        assert not r._rpc._idle and not window._rpc._idle  # connections released
+        # The window's pool is the reader's only one, and it is released.
+        assert not window._rpc._idle and not window._rpc._inflight
 
     def test_repeated_open_close_leaks_no_threads(self, client):
         client.create_stream("leak", n_readers=5)
@@ -229,6 +230,47 @@ class TestReaderShutdown:
             t.name for t in threading.enumerate() if t.name.startswith("gb-window")
         ]
         assert lingering == [], lingering
+
+
+class TestHeadFetchNeverStarves:
+    def test_reread_after_seek_is_not_queued_behind_parked_prefetches(
+        self, client, buffer_server
+    ):
+        """A writer stalled on ``buffer_full`` leaves the whole depth-4
+        window parked ahead of the reader; a re-read after ``seek(0)``
+        must still get a connection and return at once."""
+        chunk, cap = 16 * 1024, 64 * 1024
+        client.create_stream("starve", n_readers=2, capacity_bytes=cap, cache=True)
+        client.register_reader("starve", "lagger")  # never reads: GC cannot free capacity
+        client.write_multi("starve", [(o, PAYLOAD[o : o + chunk]) for o in range(0, cap, chunk)])
+        outcome = []
+
+        def stalled_write():
+            try:
+                client.write("starve", cap, PAYLOAD[cap : cap + chunk])
+            except RpcError as exc:
+                outcome.append(exc.kind)
+
+        stalled = threading.Thread(target=stalled_write, daemon=True)
+        stalled.start()
+        r = client.open_reader("starve", reader_id="r", read_ahead_bytes=chunk, read_ahead_depth=4)
+        try:
+            for off in range(0, cap, chunk):
+                assert r.read(chunk) == PAYLOAD[off : off + chunk]
+            stream = buffer_server.service._stream("starve")
+            deadline = time.monotonic() + 5.0
+            while len(stream.async_readers) < 4 or not stream.async_writers:
+                assert time.monotonic() < deadline, "window or writer never parked"
+                time.sleep(0.01)
+            r.seek(0)
+            t0 = time.perf_counter()
+            assert r.read(chunk) == PAYLOAD[:chunk]
+            assert time.perf_counter() - t0 < 3.0
+        finally:
+            r.close()
+            client.abort_writer("starve")  # fails the stalled write
+            stalled.join(timeout=5.0)
+        assert not stalled.is_alive() and outcome
 
 
 class TestOpenWaitsForStream:

@@ -54,9 +54,9 @@ from repro.transport.tcp import (
 )
 from repro.transport.wire import CRC_TRAILER, FLAG_CRC, build_binary_frame
 
-pytestmark = pytest.mark.corrupt
+from ._seed import SEED
 
-SEED = 20260806
+pytestmark = pytest.mark.corrupt
 
 
 @pytest.fixture(autouse=True)

@@ -620,6 +620,60 @@ class TestAsyncServerHandlers:
         finally:
             server.stop()
 
+    def test_stop_never_orphans_a_connection_accepted_in_the_same_pass(self):
+        """``stop()`` lands after the listener's accept in one loop pass.
+
+        The accepted socket's transport is built by a task queued behind
+        the close; closing first made asyncio drop that socket silently
+        (open, never read), and its client waited out the whole socket
+        timeout.  The loop is held at two gates so the order is forced.
+        """
+        from repro.transport.aio import get_engine
+
+        loop = get_engine().loop
+        server = RpcServer()
+        server.register("echo", lambda h, p: ({"echo": h.get("msg")}, p), inline=True)
+        server.start()
+        gate_a, gate_b = threading.Event(), threading.Event()
+        in_a, in_b = threading.Event(), threading.Event()
+
+        def hold(entered, gate):
+            entered.set()
+            gate.wait(5)
+
+        outcome = []
+
+        def call():
+            client = RpcClient(*server.address, timeout=3.0, retry=RetryPolicy(retries=0))
+            t0 = time.monotonic()
+            try:
+                outcome.append(client.call("echo", {"msg": "late"})[0]["echo"])
+            except (OSError, FrameError) as exc:
+                outcome.append(type(exc).__name__)
+            outcome.append(time.monotonic() - t0)
+            client.close()
+
+        loop.call_soon_threadsafe(hold, in_a, gate_a)
+        assert in_a.wait(5)
+        caller = threading.Thread(target=call)
+        caller.start()  # connects into the backlog; the loop is held
+        time.sleep(0.05)
+        # B runs first in the next pass, ahead of the accept handler.
+        loop.call_soon_threadsafe(hold, in_b, gate_b)
+        gate_a.set()
+        assert in_b.wait(5)
+        stopper = threading.Thread(target=server.stop)
+        stopper.start()  # posts its callback behind the accept handler
+        time.sleep(0.05)
+        gate_b.set()
+        stopper.join(5)
+        caller.join(5)
+        try:
+            assert outcome[0] == "late"  # accepted before stop: still served
+            assert outcome[1] < 1.0
+        finally:
+            server.disconnect_all()
+
 
 class TestAsyncRpcClient:
     def test_echo(self):
