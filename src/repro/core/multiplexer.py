@@ -172,33 +172,23 @@ class GridContext:
 class FMFile(ReadIntoFromRead, io.RawIOBase):
     """The handle returned by :meth:`FileMultiplexer.open`.
 
-    Wraps whichever client implements this open's IO mode, counts
-    traffic, and (for read-only replicated opens) consults the replica
-    selector periodically to re-map mid-run.
+    Wraps whichever client implements this open's IO mode and counts
+    traffic.  The handle changes source only through :meth:`_rebind`:
+    replica failover, the periodic replica re-map of read-only
+    replicated opens (Section 3.1), and live migration.
     """
 
-    def __init__(
-        self,
-        inner: io.RawIOBase,
-        record: GnsRecord,
-        stats: OpenStats,
-        remap_hook: Optional[Callable[["FMFile"], Optional[io.RawIOBase]]] = None,
-        remap_every: int = 64,
-        failover_hook: Optional[
-            Callable[["FMFile", BaseException], Optional[io.RawIOBase]]
-        ] = None,
-    ):
+    def __init__(self, inner: io.RawIOBase, record: GnsRecord, stats: OpenStats):
         super().__init__()
         self._inner = inner
         self.record = record
         self.stats = stats
-        self._remap_hook = remap_hook
-        self._remap_every = max(1, remap_every)
-        self._failover_hook = failover_hook
-        # Live-remap plumbing, attached by the FM after a live open:
-        # the watcher parks a pending record here and the reader's own
-        # thread applies it at the next read boundary (the quiesce
-        # point — FMFile is single-reader, so no IO is in flight).
+        # Attached by the FM after open: the replica walker of a
+        # REMOTE_REPLICA open, and the live-remap plumbing.  The watcher
+        # parks a pending record here and the reader's own thread
+        # applies it at the next read boundary (the quiesce point —
+        # FMFile is single-reader, so no IO is in flight).
+        self._replicas: Optional[_ReplicaWalker] = None
         self._migrate_opener: Optional[Callable[[GnsRecord], io.RawIOBase]] = None
         self._on_close: Optional[Callable[[], None]] = None
         self._pending_record: Optional[GnsRecord] = None
@@ -232,7 +222,8 @@ class FMFile(ReadIntoFromRead, io.RawIOBase):
     # -- IO with accounting ---------------------------------------------------
     def read(self, size: int = -1) -> bytes:  # type: ignore[override]
         self._maybe_migrate()
-        self._maybe_remap()
+        if self._replicas is not None:
+            self._replicas.remap(self)
         data = self._read_failsafe(size)
         self.stats.read_ops += 1
         self.stats.bytes_read += len(data or b"")
@@ -241,7 +232,7 @@ class FMFile(ReadIntoFromRead, io.RawIOBase):
         return data
 
     def _read_failsafe(self, size: int) -> bytes:
-        """One logical read; fails over to a replacement source if wired.
+        """One logical read; a replicated handle fails over on error.
 
         The position is captured *before* the attempt: a failed read may
         already have advanced the inner handle's bookkeeping for bytes
@@ -253,17 +244,8 @@ class FMFile(ReadIntoFromRead, io.RawIOBase):
             try:
                 return self._inner.read(size)
             except (OSError, RpcError) as exc:
-                if self._failover_hook is None:
+                if self._replicas is None or not self._replicas.failover(self, exc, pos):
                     raise
-                replacement = self._failover_hook(self, exc)
-                if replacement is None:
-                    raise
-                try:
-                    self._inner.close()
-                except (OSError, RpcError):
-                    pass  # the old source is already dead
-                replacement.seek(pos)
-                self._inner = replacement
                 self.stats.failovers += 1
 
     def write(self, data) -> int:  # type: ignore[override]
@@ -316,21 +298,29 @@ class FMFile(ReadIntoFromRead, io.RawIOBase):
             if self._on_close is not None:
                 self._on_close()
 
-    # -- dynamic re-mapping -------------------------------------------------
-    def _maybe_remap(self) -> None:
-        if self._remap_hook is None:
-            return
-        if self.stats.read_ops % self._remap_every != 0:
-            return
-        replacement = self._remap_hook(self)
-        if replacement is not None:
-            pos = self._inner.tell()
-            old = self._inner
-            replacement.seek(pos)
-            self._inner = replacement
-            old.close()
-            self.stats.remaps += 1
-            _FM_REMAPS.inc()
+    # -- the one source swap ------------------------------------------------
+    def _rebind(self, open_source: Callable[[], io.RawIOBase], checkpoint: int) -> bool:
+        """Move this handle onto a new source that resumes at ``checkpoint``.
+
+        Failover, the replica re-map and live migration all come through
+        here.  The replacement is opened and seeked first; only then is
+        it swapped in and the old source closed, ignoring errors from
+        that close (it may be the source that just died).  If the open
+        or the seek fails, the handle keeps its current source and this
+        returns False.
+        """
+        replacement = None
+        try:
+            replacement = open_source()
+            replacement.seek(checkpoint)
+        except (OSError, RpcError, FMError, NoReplicaError) as exc:
+            if replacement is not None:
+                _close_quietly(replacement)
+            logger.warning("%s: new source unusable (%s); staying put", self.stats.path, exc)
+            return False
+        old, self._inner = self._inner, replacement
+        _close_quietly(old)
+        return True
 
     # -- live migration (GNS-driven mode change) ----------------------------
     def request_migration(self, record: GnsRecord) -> bool:
@@ -362,10 +352,7 @@ class FMFile(ReadIntoFromRead, io.RawIOBase):
             "remap", path=self.stats.path, from_mode=from_mode, to_mode=to_mode
         ):
             pos = self._inner.tell()
-            try:
-                replacement = self._migrate_opener(record)
-                replacement.seek(pos)
-            except (OSError, RpcError, FMError) as exc:
+            if not self._rebind(lambda: self._migrate_opener(record), pos):  # type: ignore[misc]
                 # New binding unreachable: stay on the current one; a
                 # later GNS change (or the same record, retried by the
                 # watcher on its next batch) can still move us.
@@ -374,19 +361,8 @@ class FMFile(ReadIntoFromRead, io.RawIOBase):
                     path=self.stats.path,
                     from_mode=from_mode,
                     to_mode=to_mode,
-                    error=str(exc),
-                )
-                logger.warning(
-                    "live remap of %s %s->%s failed (%s); staying on %s",
-                    self.stats.path, from_mode, to_mode, exc, from_mode,
                 )
                 return
-            old = self._inner
-            self._inner = replacement
-            try:
-                old.close()
-            except (OSError, RpcError):
-                pass  # the old binding may already be dead; we have moved on
             self.record = record
             self.stats.io_mode = to_mode
             self.stats.remaps += 1
@@ -403,6 +379,97 @@ class FMFile(ReadIntoFromRead, io.RawIOBase):
                 "live remap %s: %s -> %s at offset %d",
                 self.stats.path, from_mode, to_mode, pos,
             )
+
+
+def _close_quietly(source: io.RawIOBase) -> None:
+    try:
+        source.close()
+    except (OSError, RpcError):
+        pass  # a dead or abandoned source; the handle has moved on
+
+
+class _ReplicaWalker:
+    """One open's walk over a replicated file's replicas, best first.
+
+    ``open_replica`` turns a chosen replica into a raw source (a proxy
+    for REMOTE_REPLICA, a copy-in for LOCAL_REPLICA).  Every ``(host,
+    path)`` that fails this open — at open, mid-read or mid-copy — is
+    excluded for the rest of the open, so no choice is tried twice.
+    """
+
+    def __init__(
+        self,
+        ctx: GridContext,
+        record: GnsRecord,
+        open_replica: Callable[[Replica], io.RawIOBase],
+    ):
+        if ctx.selector is None:
+            raise FMError(
+                f"replicated file {record.logical_name!r} needs a ReplicaSelector"
+            )
+        self._ctx = ctx
+        self._name: str = record.logical_name  # type: ignore[assignment]
+        self._open_replica = open_replica
+        self._failed: set = set()
+        self.current: Optional[Replica] = None
+
+    def walk(self) -> io.RawIOBase:
+        """Open the best replica not yet excluded, excluding each that
+        cannot be opened; once none is left, raise the last open error."""
+        last: Optional[BaseException] = None
+        while True:
+            try:
+                choice = self._ctx.selector.best(  # type: ignore[union-attr]
+                    self._name, self._ctx.machine, exclude=self._failed
+                )
+            except NoReplicaError:
+                if last is None:
+                    raise
+                raise last
+            try:
+                source = self.open(choice.replica)
+            except (OSError, RpcError) as exc:
+                last = exc
+                continue
+            self.current = choice.replica
+            return source
+
+    def open(self, replica: Replica) -> io.RawIOBase:
+        try:
+            return self._open_replica(replica)
+        except (OSError, RpcError) as exc:
+            self.exclude(replica, exc)
+            raise
+
+    def exclude(self, replica: Replica, exc: BaseException) -> None:
+        self._failed.add((replica.host, replica.path))
+        _FM_FAILOVERS.labels(logical_name=self._name).inc()
+        obs.event(
+            "fm.replica_failover", logical_name=self._name, from_host=replica.host, error=str(exc)
+        )
+        logger.warning("replica %s on %s failed (%s); excluded", self._name, replica.host, exc)
+
+    def failover(self, fmfile: FMFile, exc: BaseException, checkpoint: int) -> bool:
+        """Exclude the source whose read failed; rebind to the next best."""
+        self.exclude(self.current, exc)  # type: ignore[arg-type]
+        return fmfile._rebind(self.walk, checkpoint)
+
+    def remap(self, fmfile: FMFile) -> None:
+        """Every ``remap_every`` reads, rebind to a replica the selector
+        now forecasts as clearly cheaper; one that cannot be opened is
+        excluded and the handle stays put."""
+        if fmfile.stats.read_ops % max(1, self._ctx.remap_every):
+            return
+        try:
+            choice = self._ctx.selector.maybe_remap(  # type: ignore[union-attr]
+                self._name, self._ctx.machine, self.current, exclude=self._failed  # type: ignore
+            )
+        except NoReplicaError:
+            return  # every replica has failed; the next read raises
+        if choice is not None and fmfile._rebind(lambda: self.open(choice.replica), fmfile.tell()):
+            self.current = choice.replica
+            fmfile.stats.remaps += 1
+            _FM_REMAPS.inc()
 
 
 class FileMultiplexer:
@@ -467,7 +534,13 @@ class FileMultiplexer:
 
     # -- the public entry point ----------------------------------------------
     def open(self, path: str, mode: str = "r") -> FMFile:
-        """Open ``path`` the way the GNS says this machine should."""
+        """Open ``path`` the way the GNS says this machine should.
+
+        A binding that is unreachable at OPEN (``OSError``/``RpcError``:
+        a dead host, a missing file) degrades down the record's
+        ``fallback`` chain, whatever its mode; a configuration error
+        (:class:`FMError`) raises.
+        """
         record = self.ctx.gns.resolve(self.ctx.machine, path)
         stats = OpenStats(path=path, mode=mode, io_mode=record.mode.value)
         self.open_history.append(stats)
@@ -478,224 +551,116 @@ class FileMultiplexer:
         logger.debug(
             "open %s mode=%s on %s -> %s", path, mode, self.ctx.machine, record.mode.value
         )
-        dispatch = {
-            IOMode.LOCAL: self._open_local,
-            IOMode.COPY: self._open_copy,
-            IOMode.REMOTE: self._open_remote,
-            IOMode.REMOTE_REPLICA: self._open_remote_replica,
-            IOMode.LOCAL_REPLICA: self._open_local_replica,
-            IOMode.BUFFER: self._open_buffer,
-        }
-        try:
-            opener = dispatch[record.mode]
-        except KeyError:  # pragma: no cover - enum is closed
-            raise FMError(f"unhandled IO mode {record.mode!r}")
-        fmfile = opener(record, path, mode, stats)
+        while True:
+            try:
+                inner, replicas = self._open_source(record, path, mode, stats)
+                break
+            except (OSError, RpcError) as exc:
+                fallback = record.fallback
+                if fallback is None:
+                    raise
+                _FM_DEGRADED.labels(
+                    from_mode=record.mode.value, to_mode=fallback.mode.value
+                ).inc()
+                _FM_REMAPS.inc()
+                stats.remaps += 1
+                stats.io_mode = fallback.mode.value
+                obs.event(
+                    "fm.mode_degraded",
+                    path=path,
+                    from_mode=record.mode.value,
+                    to_mode=fallback.mode.value,
+                    error=str(exc),
+                )
+                logger.warning(
+                    "open %s: %s unreachable (%s); degrading to %s",
+                    path, record.mode.value, exc, fallback.mode.value,
+                )
+                record = fallback
+        fmfile = FMFile(inner, record, stats)
+        fmfile._replicas = replicas
         self._maybe_register_live(path, mode, fmfile)
         return fmfile
 
-    # -- per-mode openers ---------------------------------------------------
-    def _open_local(self, record: GnsRecord, path: str, mode: str, stats: OpenStats) -> FMFile:
-        real = record.local_path or path
-        return FMFile(self._local.open(real, mode), record, stats)
-
-    def _open_copy(self, record: GnsRecord, path: str, mode: str, stats: OpenStats) -> FMFile:
-        remote = self._remote(record.remote_host)  # type: ignore[arg-type]
-        inner = remote.open_copy(
-            record.remote_path, mode, verify=self.ctx.verify_copies  # type: ignore[arg-type]
-        )
-        return FMFile(inner, record, stats)
-
-    def _open_remote(self, record: GnsRecord, path: str, mode: str, stats: OpenStats) -> FMFile:
-        remote = self._remote(record.remote_host)  # type: ignore[arg-type]
-        inner = remote.open_proxy(record.remote_path, mode)  # type: ignore[arg-type]
-        return FMFile(inner, record, stats)
-
-    def _choose_replica(self, record: GnsRecord, exclude=()) -> Replica:
-        if self.ctx.selector is None:
-            raise FMError(
-                f"replicated file {record.logical_name!r} needs a ReplicaSelector"
-            )
-        choice = self.ctx.selector.best(
-            record.logical_name, self.ctx.machine, exclude=exclude  # type: ignore[arg-type]
-        )
-        return choice.replica
-
-    def _open_remote_replica(
+    # -- the one table: GNS record -> raw source ------------------------------
+    def _open_source(
         self, record: GnsRecord, path: str, mode: str, stats: OpenStats
-    ) -> FMFile:
+    ) -> Tuple[io.RawIOBase, Optional[_ReplicaWalker]]:
+        """The only place an IO mode becomes a source.
+
+        ``open``, each fallback it degrades to, and each live migration
+        come through here.  A REMOTE_REPLICA source comes with the
+        replica walker the handle fails over and re-maps through.
+        """
         core = mode.replace("b", "").replace("t", "")
+        if record.mode is IOMode.LOCAL:
+            return self._local.open(record.local_path or path, mode), None
+        if record.mode is IOMode.COPY:
+            remote = self._remote(record.remote_host)  # type: ignore[arg-type]
+            return remote.open_copy(record.remote_path, mode, verify=self.ctx.verify_copies), None
+        if record.mode is IOMode.REMOTE:
+            remote = self._remote(record.remote_host)  # type: ignore[arg-type]
+            return remote.open_proxy(record.remote_path, mode), None  # type: ignore[arg-type]
+        if record.mode is IOMode.BUFFER:
+            endpoint = record.buffer
+            assert endpoint is not None  # enforced by GnsRecord validation
+            if core in ("r+", "w+", "a+"):
+                raise FMError("buffered streams are unidirectional (read xor write)")
+            if core == "r":
+                inner = self._buffer_pool.open_reader(
+                    endpoint,
+                    self._locate_buffer(endpoint, "reader"),
+                    read_timeout=self.ctx.io_timeout,
+                    read_ahead_depth=self.ctx.buffer_readahead_depth,
+                )
+            else:
+                inner = self._buffer_pool.open_writer(
+                    endpoint,
+                    self._locate_buffer(endpoint, "writer"),
+                    write_timeout=self.ctx.io_timeout,
+                )
+            return inner, None
+        # Only the two replicated modes are left, and both are read-only.
         if core != "r":
             raise FMError("replicated files are read-only")
-        failed: set = set()  # (host, path) of sources that died mid-read
-        replica = self._choose_replica(record)
-        current = {"replica": replica}
-        inner = self._open_replica_source(replica)
-
-        def remap_hook(_fmfile: FMFile) -> Optional[io.RawIOBase]:
-            choice = self.ctx.selector.maybe_remap(  # type: ignore[union-attr]
-                record.logical_name, self.ctx.machine, current["replica"],  # type: ignore[arg-type]
-                exclude=failed,
-            )
-            if choice is None:
-                return None
-            current["replica"] = choice.replica
-            return self._open_replica_source(choice.replica)
-
-        def failover_hook(_fmfile: FMFile, exc: BaseException) -> Optional[io.RawIOBase]:
-            dead = current["replica"]
-            failed.add((dead.host, dead.path))
-            try:
-                choice = self.ctx.selector.best(  # type: ignore[union-attr]
-                    record.logical_name, self.ctx.machine, exclude=failed  # type: ignore[arg-type]
-                )
-            except NoReplicaError:
-                return None  # exhausted: let the original failure surface
-            current["replica"] = choice.replica
-            _FM_FAILOVERS.labels(logical_name=record.logical_name).inc()
-            obs.event(
-                "fm.replica_failover",
-                logical_name=record.logical_name,
-                from_host=dead.host,
-                to_host=choice.replica.host,
-                error=str(exc),
-            )
-            logger.warning(
-                "replica %s on %s failed (%s); failing over to %s",
-                record.logical_name, dead.host, exc, choice.replica.host,
-            )
-            return self._open_replica_source(choice.replica)
-
-        return FMFile(
-            inner,
-            record,
-            stats,
-            remap_hook=remap_hook,
-            remap_every=self.ctx.remap_every,
-            failover_hook=failover_hook,
-        )
+        if record.mode is IOMode.REMOTE_REPLICA:
+            replicas = _ReplicaWalker(self.ctx, record, self._open_replica_source)
+            return replicas.walk(), replicas
+        assert record.mode is IOMode.LOCAL_REPLICA  # the enum is closed
+        return _ReplicaWalker(self.ctx, record, self._copy_in(record, path, stats)).walk(), None
 
     def _open_replica_source(self, replica: Replica) -> io.RawIOBase:
         if replica.host == self.ctx.machine:
             return self._local.open(replica.path, "r")
         return self._remote(replica.host).open_proxy(replica.path, "r")
 
-    def _open_local_replica(
-        self, record: GnsRecord, path: str, mode: str, stats: OpenStats
-    ) -> FMFile:
-        core = mode.replace("b", "").replace("t", "")
-        if core != "r":
-            raise FMError("replicated files are read-only")
-        failed: set = set()
-        resume = 0  # contiguous bytes already copied by failed attempts
-        last_exc: Optional[Exception] = None
+    def _copy_in(
+        self, record: GnsRecord, path: str, stats: OpenStats
+    ) -> Callable[[Replica], io.RawIOBase]:
+        """LOCAL_REPLICA's replica opener: copy the replica in, then read
+        the local copy.  A copy that dies counts as a failover, and the
+        next replica resumes it at :attr:`TransferError.copied`."""
         local_copy = record.local_path or f"/fm-replica-cache{path}"
-        while True:
-            try:
-                replica = self._choose_replica(record, exclude=failed)
-            except NoReplicaError:
-                if last_exc is not None:
-                    raise last_exc
-                raise
+        resume = 0  # contiguous bytes already copied by failed attempts
+
+        def copy_in(replica: Replica) -> io.RawIOBase:
+            nonlocal resume
             if replica.host == self.ctx.machine:
-                return FMFile(self._local.open(replica.path, "r"), record, stats)
-            target = self._local.resolve(local_copy)
+                return self._local.open(replica.path, "r")
             try:
                 # Replicas are byte-identical, so a copy interrupted at
                 # offset N resumes at N from the *next* source.
                 self._ftp(replica.host).fetch_file(
-                    replica.path, target, resume_from=resume
+                    replica.path, self._local.resolve(local_copy), resume_from=resume
                 )
-            except (TransferError, OSError, RpcError) as exc:
-                failed.add((replica.host, replica.path))
+            except (OSError, RpcError) as exc:
+                stats.failovers += 1
                 if isinstance(exc, TransferError):
                     resume = exc.copied
-                last_exc = exc
-                stats.failovers += 1
-                _FM_FAILOVERS.labels(logical_name=record.logical_name).inc()
-                obs.event(
-                    "fm.replica_failover",
-                    logical_name=record.logical_name,
-                    from_host=replica.host,
-                    resume_from=resume,
-                    error=str(exc),
-                )
-                logger.warning(
-                    "copy-in of %s from %s died at byte %d (%s); trying next replica",
-                    record.logical_name, replica.host, resume, exc,
-                )
-                continue
-            return FMFile(self._local.open(local_copy, "r"), record, stats)
-
-    def _open_buffer(self, record: GnsRecord, path: str, mode: str, stats: OpenStats) -> FMFile:
-        endpoint = record.buffer
-        assert endpoint is not None  # enforced by GnsRecord validation
-        core = mode.replace("b", "").replace("t", "")
-        role = "reader" if core == "r" else "writer"
-        if core in ("r+", "w+", "a+"):
-            raise FMError("buffered streams are unidirectional (read xor write)")
-        try:
-            if role == "writer":
-                inner = self._buffer_pool.open_writer(
-                    endpoint,
-                    self._locate_buffer(endpoint, role),
-                    write_timeout=self.ctx.io_timeout,
-                )
-            else:
-                inner = self._open_buffer_reader(endpoint)
-        except (OSError, RpcError) as exc:
-            if record.fallback is None:
                 raise
-            return self._degrade(record, path, mode, stats, exc)
-        return FMFile(inner, record, stats)
+            return self._local.open(local_copy, "r")
 
-    def _degrade(
-        self,
-        record: GnsRecord,
-        path: str,
-        mode: str,
-        stats: OpenStats,
-        exc: BaseException,
-    ) -> FMFile:
-        """Walk the record's fallback chain after an unreachable OPEN."""
-        fallback = record.fallback
-        while fallback is not None:
-            _FM_DEGRADED.labels(
-                from_mode=record.mode.value, to_mode=fallback.mode.value
-            ).inc()
-            _FM_REMAPS.inc()
-            stats.remaps += 1
-            stats.io_mode = fallback.mode.value
-            obs.event(
-                "fm.mode_degraded",
-                path=path,
-                from_mode=record.mode.value,
-                to_mode=fallback.mode.value,
-                error=str(exc),
-            )
-            logger.warning(
-                "open %s: %s unreachable (%s); degrading to %s",
-                path, record.mode.value, exc, fallback.mode.value,
-            )
-            try:
-                return self._open_with(fallback, path, mode, stats)
-            except (OSError, RpcError) as next_exc:
-                exc = next_exc
-                record, fallback = fallback, fallback.fallback
-        raise exc
-
-    def _open_with(self, record: GnsRecord, path: str, mode: str, stats: OpenStats) -> FMFile:
-        # Dispatch for fallback records; open() keeps its own inline
-        # table (the conformance suite checks the mode names there).
-        openers = {
-            IOMode.LOCAL: self._open_local,
-            IOMode.COPY: self._open_copy,
-            IOMode.REMOTE: self._open_remote,
-            IOMode.REMOTE_REPLICA: self._open_remote_replica,
-            IOMode.LOCAL_REPLICA: self._open_local_replica,
-            IOMode.BUFFER: self._open_buffer,
-        }
-        return openers[record.mode](record, path, mode, stats)
+        return copy_in
 
     # -- live remap (GNS change subscription) -------------------------------
     def _maybe_register_live(self, path: str, mode: str, fmfile: FMFile) -> None:
@@ -711,7 +676,9 @@ class FileMultiplexer:
         if core != "r" or fmfile.record.mode not in _MIGRATABLE:
             return
         key = id(fmfile)
-        fmfile._migrate_opener = lambda record: self._migration_inner(record, path, mode)
+        fmfile._migrate_opener = lambda record: self._open_source(
+            record, path, mode, fmfile.stats
+        )[0]
         fmfile._on_close = lambda: self._unregister_live(key)
         with self._watch_lock:
             self._watched[key] = (path, fmfile)
@@ -775,34 +742,6 @@ class FileMultiplexer:
                 continue  # control plane briefly unreachable; next batch retries
             if record != fmfile.record:
                 fmfile.request_migration(record)
-
-    def _migration_inner(self, record: GnsRecord, path: str, mode: str) -> io.RawIOBase:
-        """Open the raw source a live migration moves a read handle onto."""
-        if record.mode is IOMode.LOCAL:
-            return self._local.open(record.local_path or path, mode)
-        if record.mode is IOMode.COPY:
-            remote = self._remote(record.remote_host)  # type: ignore[arg-type]
-            return remote.open_copy(
-                record.remote_path, mode, verify=self.ctx.verify_copies  # type: ignore[arg-type]
-            )
-        if record.mode is IOMode.REMOTE:
-            remote = self._remote(record.remote_host)  # type: ignore[arg-type]
-            return remote.open_proxy(record.remote_path, mode)  # type: ignore[arg-type]
-        if record.mode is IOMode.BUFFER:
-            endpoint = record.buffer
-            assert endpoint is not None  # enforced by GnsRecord validation
-            return self._open_buffer_reader(endpoint)
-        raise FMError(f"live migration to mode {record.mode.value!r} is unsupported")
-
-    def _open_buffer_reader(self, endpoint: BufferEndpoint) -> io.RawIOBase:
-        """The one place a BUFFER reader is configured: ``open`` and a
-        live remap both come through here, so they cannot differ."""
-        return self._buffer_pool.open_reader(
-            endpoint,
-            self._locate_buffer(endpoint, "reader"),
-            read_timeout=self.ctx.io_timeout,
-            read_ahead_depth=self.ctx.buffer_readahead_depth,
-        )
 
     def _locate_buffer(self, endpoint: BufferEndpoint, role: str) -> Address:
         if endpoint.host and endpoint.port:

@@ -16,10 +16,11 @@ tree (a virtual host's root).
 from __future__ import annotations
 
 import hashlib
+import os
 import threading
 import time
 from pathlib import Path
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from .. import faults, obs
 from .tcp import DEFAULT_POOL_CONNECTIONS, RpcClient, RpcError, RpcServer
@@ -34,8 +35,7 @@ class TransferError(IOError):
 
     ``copied`` is the byte offset up to which the *destination* is known
     good and contiguous — pass it back as ``fetch_file(resume_from=...)``
-    to continue instead of re-copying.  Parallel transfers interleave
-    ranges, so a mid-copy failure there reports ``copied=0`` (restart).
+    to continue instead of re-copying, with any number of streams.
     """
 
     def __init__(self, message: str, copied: int = 0):
@@ -195,8 +195,8 @@ class GridFtpServer:
 class GridFtpClient:
     """Client-side API over one GridFTP server.
 
-    ``parallel_streams`` splits bulk copies into interleaved ranges
-    moved by concurrent connections (both directions: fetch and store),
+    ``parallel_streams`` stripes bulk copies (fetch and store) block by
+    block over that many concurrent streams on the pooled client,
     mirroring GridFTP's parallel TCP streams.
 
     ``monitor`` is any object with ``record(peer, op, nbytes, seconds)``
@@ -264,9 +264,8 @@ class GridFtpClient:
     def open_channel(self) -> RpcClient:
         """A dedicated connection for a background pipeline thread.
 
-        Prefetchers and parallel streams must not share the demand
-        connection: one blocking request would head-of-line block the
-        application's reads.
+        A prefetcher must not share the demand connection: one blocking
+        request would head-of-line block the application's reads.
         """
         return self._rpc.clone()
 
@@ -337,181 +336,114 @@ class GridFtpClient:
 
     # -- bulk copy -----------------------------------------------------------
     def fetch_file(self, remote_path: str, local_path: Path, resume_from: int = 0) -> int:
-        """Copy remote → local, using parallel streams for large files.
+        """Copy remote → local over ``parallel_streams`` striped streams.
 
         ``resume_from`` continues an interrupted copy: the first
         ``resume_from`` bytes of ``local_path`` are assumed good (use
         :attr:`TransferError.copied` from the failed attempt) and the
-        transfer restarts there, single-stream.  Returns the bytes moved
-        *this call*.  Raises :class:`TransferError` on a mid-copy
-        connection failure or a short copy (e.g. the file shrank) — a
-        short copy must never pass silently.
+        transfer restarts there, striped like any other.  Returns the
+        bytes moved *this call*.  Raises :class:`TransferError` on a
+        mid-copy connection failure or a short copy (e.g. the file
+        shrank) — a short copy must never pass silently.
         """
         total = self.size(remote_path)
         local_path = Path(local_path)
         local_path.parent.mkdir(parents=True, exist_ok=True)
         if resume_from < 0 or resume_from > total:
             raise ValueError(f"resume_from {resume_from} outside [0, {total}]")
-        if total == 0:
-            local_path.write_bytes(b"")
-            return 0
-        if resume_from == total:
-            return 0
         t0 = time.perf_counter()
-        single = bool(resume_from) or self.parallel_streams == 1 or total <= self.block_size
-        if single:
-            copied = 0
-            mode = "r+b" if resume_from and local_path.exists() else "wb"
-            with open(local_path, mode) as out:
-                out.seek(resume_from)
-                out.truncate()
-                try:
-                    while resume_from + copied < total:
-                        data = self.read_block(
-                            remote_path, resume_from + copied, self.block_size
-                        )
-                        if not data:
-                            break
-                        out.write(data)
-                        copied += len(data)
-                except (OSError, RpcError) as exc:
-                    out.flush()
-                    raise TransferError(
-                        f"fetch of {remote_path!r} died at byte "
-                        f"{resume_from + copied} of {total}: {exc}",
-                        copied=resume_from + copied,
-                    ) from exc
-        else:
-            copied = self._parallel_fetch(remote_path, local_path, total)
-        if resume_from + copied != total:
-            raise TransferError(
-                f"short fetch of {remote_path!r}: have {resume_from + copied} "
-                f"of {total} bytes",
-                copied=resume_from + copied if single else 0,
-            )
-        if self.monitor is not None:
+        mode = "r+b" if resume_from and local_path.exists() else "wb"
+        with open(local_path, mode, buffering=0) as out:
+            out.truncate(resume_from)
+            fd = out.fileno()
+
+            def move(offset: int) -> int:
+                return os.pwrite(fd, self.read_block(remote_path, offset, self.block_size), offset)
+
+            self._striped("fetch", remote_path, resume_from, total, move)
+        copied = total - resume_from
+        if copied and self.monitor is not None:
             self.monitor.record(self.peer, "fetch", copied, time.perf_counter() - t0)
         return copied
 
-    def _parallel_fetch(self, remote_path: str, local_path: Path, total: int) -> int:
-        with open(local_path, "wb") as out:
-            out.truncate(total)
-        errors: list[BaseException] = []
-        copied = [0] * self.parallel_streams
-
-        def worker(stream_idx: int) -> None:
-            # All streams draw from the shared pool: the pool is sized
-            # for them (see __init__), and a pooled socket that dies is
-            # discarded and redialed by the RPC retry layer instead of
-            # killing the whole transfer.
-            try:
-                with open(local_path, "r+b") as out:
-                    offset = stream_idx * self.block_size
-                    stride = self.parallel_streams * self.block_size
-                    while offset < total:
-                        data = self.read_block(remote_path, offset, self.block_size)
-                        if not data:
-                            break
-                        out.seek(offset)
-                        out.write(data)
-                        copied[stream_idx] += len(data)
-                        offset += stride
-            except BaseException as exc:  # noqa: BLE001 - propagate to caller
-                errors.append(exc)
-
-        threads = [
-            threading.Thread(target=worker, args=(i,), daemon=True)
-            for i in range(self.parallel_streams)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        if errors:
-            exc = errors[0]
-            if isinstance(exc, (OSError, RpcError)):
-                raise TransferError(
-                    f"parallel fetch of {remote_path!r} failed: {exc}", copied=0
-                ) from exc
-            raise exc
-        return sum(copied)
-
     def store_file(self, local_path: Path, remote_path: str) -> int:
-        """Copy local → remote, using parallel streams for large files."""
+        """Copy local → remote over ``parallel_streams`` striped streams."""
         local_path = Path(local_path)
         total = local_path.stat().st_size
         t0 = time.perf_counter()
-        if total == 0:
+        # A lone stream truncates the target with its first block, so a
+        # store costs no extra RPC; striped streams (and an empty file,
+        # which has no block) truncate it first.
+        lone = self.parallel_streams == 1 or total <= self.block_size
+        if total == 0 or not lone:
             self.write_block(remote_path, 0, b"", truncate=True)
-            return 0
-        if self.parallel_streams == 1 or total <= self.block_size:
-            with open(local_path, "rb") as fh:
-                offset = 0
-                first = True
-                while True:
-                    chunk = fh.read(self.block_size)
-                    if not chunk:
-                        break
-                    self.write_block(remote_path, offset, chunk, truncate=first)
-                    offset += len(chunk)
-                    first = False
-            stored = offset
-        else:
-            stored = self._parallel_store(local_path, remote_path, total)
-        if stored != total:
-            raise TransferError(
-                f"short store of {remote_path!r}: sent {stored} of {total} bytes",
-                copied=0,
-            )
-        if self.monitor is not None:
-            self.monitor.record(self.peer, "store", stored, time.perf_counter() - t0)
-        return stored
+        with open(local_path, "rb", buffering=0) as src:
+            fd = src.fileno()
 
-    def _parallel_store(self, local_path: Path, remote_path: str, total: int) -> int:
-        """Interleaved-range upload mirroring :meth:`_parallel_fetch`."""
-        # Create/truncate the target first so every stream can open r+b.
-        self.write_block(remote_path, 0, b"", truncate=True)
-        errors: list[BaseException] = []
-        sent = [0] * self.parallel_streams
+            def move(offset: int) -> int:
+                chunk = os.pread(fd, self.block_size, offset)
+                return self.write_block(remote_path, offset, chunk, truncate=lone and offset == 0)
 
-        def worker(stream_idx: int) -> None:
-            # Streams share the pooled client; see _parallel_fetch.
+            self._striped("store", remote_path, 0, total, move)
+        if total and self.monitor is not None:
+            self.monitor.record(self.peer, "store", total, time.perf_counter() - t0)
+        return total
+
+    def _striped(
+        self, verb: str, path: str, start: int, total: int, move: Callable[[int], int]
+    ) -> None:
+        """The one bulk-copy loop: move ``[start, total)`` in blocks.
+
+        Stream *i* of *N* moves every *N*-th block from ``start``, in
+        order; ``move(offset)`` moves one block and returns its length.
+        A lone stream runs inline on the caller's thread.  All streams
+        share the pooled client (sized for them in ``__init__``), whose
+        retry layer redials a dead socket instead of failing the copy.
+
+        A stream stops at a short block or once any stream has failed.
+        The lowest stream's next offset is then a contiguous good
+        prefix for any *N*: a failure or short copy raises
+        :class:`TransferError` with ``copied`` set to it.
+        """
+        blocks = -(-(total - start) // self.block_size)  # ceiling division
+        streams = max(1, min(self.parallel_streams, blocks))
+        stride = streams * self.block_size
+        ahead = [start + i * self.block_size for i in range(streams)]  # next offset per stream
+        errors: list = []
+
+        def stream(i: int) -> None:
             try:
-                with open(local_path, "rb") as src:
-                    offset = stream_idx * self.block_size
-                    stride = self.parallel_streams * self.block_size
-                    while offset < total:
-                        src.seek(offset)
-                        chunk = src.read(self.block_size)
-                        if not chunk:
-                            break
-                        self._timed(
-                            "put_block",
-                            self._rpc,
-                            {"path": remote_path, "offset": offset, "truncate": False},
-                            payload=chunk,
-                        )
-                        sent[stream_idx] += len(chunk)
-                        offset += stride
-            except BaseException as exc:  # noqa: BLE001 - propagate to caller
+                while ahead[i] < total and not errors:
+                    n = move(ahead[i])
+                    if n < min(self.block_size, total - ahead[i]):
+                        ahead[i] += n
+                        return
+                    ahead[i] += stride
+            except BaseException as exc:  # noqa: BLE001 - re-raised on the caller's thread
                 errors.append(exc)
 
-        threads = [
-            threading.Thread(target=worker, args=(i,), daemon=True)
-            for i in range(self.parallel_streams)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        if streams == 1:
+            stream(0)
+        else:
+            threads = [
+                threading.Thread(target=stream, args=(i,), daemon=True) for i in range(streams)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        copied = min(min(ahead), total)
         if errors:
             exc = errors[0]
-            if isinstance(exc, (OSError, RpcError)):
-                raise TransferError(
-                    f"parallel store of {remote_path!r} failed: {exc}", copied=0
-                ) from exc
-            raise exc
-        return sum(sent)
+            if not isinstance(exc, (OSError, RpcError)):
+                raise exc
+            raise TransferError(
+                f"{verb} of {path!r} died at byte {copied} of {total}: {exc}", copied=copied
+            ) from exc
+        if copied < total:
+            raise TransferError(
+                f"short {verb} of {path!r}: have {copied} of {total} bytes", copied=copied
+            )
 
     def close(self) -> None:
         # Hard close: also kills any data-channel socket still mid-RPC,

@@ -10,8 +10,6 @@ import inspect
 
 
 from repro.core.multiplexer import FileMultiplexer, GridContext
-from repro.core.multiplexer import FileMultiplexer, GridContext
-from repro.gns.records import IOMode
 from repro.gns.records import IOMode
 
 
@@ -29,10 +27,10 @@ class TestFigure2FileMultiplexer:
             assert callable(getattr(FMFile, op)), f"FMFile lacks {op}"
 
     def test_fm_dispatches_every_mode(self):
-        """Every IOMode has a dedicated opener on the FM."""
-        source = inspect.getsource(FileMultiplexer.open)
+        """Every IOMode becomes a source in one table, ``_open_source``."""
+        source = inspect.getsource(FileMultiplexer._open_source)
         for mode in IOMode:
-            assert f"IOMode.{mode.name}" in source, f"open() does not dispatch {mode}"
+            assert f"IOMode.{mode.name}" in source, f"_open_source() does not map {mode}"
 
     def test_per_open_independent_choice(self, hosts, gns):
         """'Each OPEN operation makes an independent choice.'"""
@@ -309,13 +307,14 @@ class TestOneStreamPath:
             assert not hasattr(gbc._ReadAheadWindow, gone), gone
 
     def test_fm_opens_readers_through_one_helper(self):
-        """``open`` and a live remap must not configure readers apart."""
+        """``open`` and a live remap must not configure readers apart:
+        both reach the one BUFFER branch of the FM's one table."""
         from repro.core import multiplexer
 
         source = inspect.getsource(multiplexer)
         assert source.count("_buffer_pool.open_reader(") == 1
-        for fn in (FileMultiplexer._open_buffer, FileMultiplexer._migration_inner):
-            assert "_open_buffer_reader(" in inspect.getsource(fn)
+        assert "_buffer_pool.open_reader(" in inspect.getsource(FileMultiplexer._open_source)
+        assert "self._open_source(" in inspect.getsource(FileMultiplexer._maybe_register_live)
 
     def test_bench_trace_targets_resolve(self):
         """Every callable ``bench_e2e`` wraps is defined directly on its
@@ -337,6 +336,83 @@ class TestOneStreamPath:
             assert callable(vars(owner)[target.attr]) or isinstance(
                 vars(owner)[target.attr], (staticmethod, classmethod)
             )
+
+
+class TestOneWayToRebind:
+    """ROADMAP aim 2: a GNS record becomes a source in one place, an open
+    handle changes source in one place, and a bulk copy moves through one
+    loop — so open, fallback, failover, re-map and migration cannot drift."""
+
+    def test_one_function_maps_io_modes(self):
+        import re
+
+        from repro.core import multiplexer
+
+        mapping = [
+            qualname
+            for qualname, fn in _functions(multiplexer)
+            if re.search(r"IOMode\.[A-Z]", inspect.getsource(fn))
+        ]
+        assert mapping == ["FileMultiplexer._open_source"]
+
+    def test_one_source_swap(self):
+        from repro.core import multiplexer
+
+        swapping = [
+            qualname
+            for qualname, fn in _functions(multiplexer)
+            if "self._inner =" in inspect.getsource(fn)
+        ]
+        assert swapping == ["FMFile.__init__", "FMFile._rebind"]
+        callers = [
+            qualname
+            for qualname, fn in _functions(multiplexer)
+            if "._rebind(" in inspect.getsource(fn)
+        ]
+        assert sorted(callers) == [
+            "FMFile._maybe_migrate", "_ReplicaWalker.failover", "_ReplicaWalker.remap",
+        ]
+
+    def test_one_striped_copy_loop(self):
+        from repro.transport import gridftp
+
+        threaded = [
+            qualname
+            for qualname, fn in _functions(gridftp)
+            if "threading.Thread(" in inspect.getsource(fn)
+        ]
+        assert threaded == ["GridFtpClient._striped"]
+        for name in ("fetch_file", "store_file"):
+            assert "self._striped(" in inspect.getsource(getattr(gridftp.GridFtpClient, name))
+
+    def test_old_paths_are_gone(self):
+        from repro.core.multiplexer import FMFile
+        from repro.transport.gridftp import GridFtpClient
+
+        for gone in (
+            "_open_with", "_migration_inner", "_open_buffer_reader", "_degrade",
+            "_open_local", "_open_copy", "_open_remote", "_open_remote_replica",
+            "_open_local_replica", "_open_buffer", "_choose_replica",
+        ):
+            assert not hasattr(FileMultiplexer, gone), gone
+        assert not hasattr(FMFile, "_maybe_remap")
+        assert set(inspect.signature(FMFile.__init__).parameters) == {
+            "self", "inner", "record", "stats",
+        }
+        for gone in ("_parallel_fetch", "_parallel_store"):
+            assert not hasattr(GridFtpClient, gone), gone
+
+
+def _functions(module):
+    """``(qualname, function)`` for every function written in ``module``'s
+    source (generated dataclass methods have none)."""
+    found = []
+    for name, obj in vars(module).items():
+        members = vars(obj).items() if inspect.isclass(obj) else [("", obj)]
+        for attr, fn in members:
+            if inspect.isfunction(fn) and fn.__code__.co_filename == module.__file__:
+                found.append((f"{name}.{attr}" if attr else name, fn))
+    return found
 
 
 class TestOneServicePath:

@@ -391,6 +391,48 @@ class TestReaderResume:
             reader_client.close()
             writer_client.close()
 
+    def test_recreated_stream_moves_the_reader_to_the_new_generation(self, buffer_server):
+        """The stream is dropped and re-created under a reader with other
+        bytes: its next fetch is "not registered", and recovery rebinds
+        the window and the shared cache to the new generation, so every
+        byte read after it belongs to the new incarnation."""
+        name, chunk = "regen-stream", self.CHUNK
+        host, port = buffer_server.address
+        rng = random.Random(SEED + 5)
+        old, new = rng.randbytes(4 * chunk), rng.randbytes(8 * chunk)
+        writer_client = GridBufferClient(host, port)
+        with writer_client.open_writer(name, n_readers=1, cache=True) as w:
+            w.write(old)
+        reader_client = GridBufferClient(host, port)
+        r = reader_client.open_reader(
+            name, reader_id="r1", read_ahead_bytes=chunk, read_ahead_depth=1, shared_cache=True
+        )
+        before = _counter("buffer_reader_resumes_total", {"stream": name})
+        try:
+            assert r.read(chunk) == old[:chunk]
+            deadline = time.monotonic() + 5.0
+            while r._ra._inflight or not r._ra._results:  # the prefetch of [16K, 32K)
+                assert time.monotonic() < deadline, "the window never prefetched"
+                time.sleep(0.01)
+            old_gen, old_cache = r._gen, r._shared
+            writer_client.drop_stream(name)
+            with writer_client.open_writer(name, n_readers=1, cache=True) as w:
+                w.write(new)
+            # Landed before the drop: the old incarnation's, by design.
+            assert r.read(chunk) == old[chunk : 2 * chunk]
+            assert _counter("buffer_reader_resumes_total", {"stream": name}) == before
+            rest = r.read()
+            assert _counter("buffer_reader_resumes_total", {"stream": name}) == before + 1
+            assert rest == new[2 * chunk :]
+            assert r._gen == r._ra._gen == old_gen + 1
+            assert r._shared is not old_cache and r._shared.gen == r._gen
+            assert r._ra._shared is r._shared
+            assert (host, port, name, old_gen) not in gbc._SHARED_CACHES
+        finally:
+            r.close()
+            reader_client.close()
+            writer_client.close()
+
     def test_pool_exhaustion_is_not_recovered(self, buffer_server):
         """No free connection is the caller's problem, not a dead server:
         redialing would not help, so recovery re-raises it."""
@@ -429,6 +471,33 @@ class TestTransferResume:
                 copied = excinfo.value.copied
                 assert 0 < copied < len(payload)
                 moved = client.fetch_file("big.bin", dst, resume_from=copied)
+            assert moved == len(payload) - copied
+            assert dst.read_bytes() == payload
+            client.close()
+
+    def test_striped_fetch_resumes_from_reported_offset(self, tmp_path):
+        """Four streams, the 9th block request fails: ``copied`` is the
+        lowest stream's next offset — a good prefix — and a striped
+        resume from there reproduces the file."""
+        root = tmp_path / "export"
+        root.mkdir()
+        payload = bytes(random.Random(SEED + 4).randbytes(1_000_000))
+        (root / "big.bin").write_bytes(payload)
+        block = 32 * 1024
+        with GridFtpServer(root) as server:
+            client = GridFtpClient(*server.address, parallel_streams=4, block_size=block)
+            dst = tmp_path / "out.bin"
+            with faults.injected(
+                FaultRule(layer="gridftp", op="get_block", action="error", nth=9),
+                seed=SEED,
+            ):
+                with pytest.raises(TransferError) as excinfo:
+                    client.fetch_file("big.bin", dst)
+            copied = excinfo.value.copied
+            assert 0 < copied < len(payload)
+            assert copied % block == 0
+            assert dst.read_bytes()[:copied] == payload[:copied]
+            moved = client.fetch_file("big.bin", dst, resume_from=copied)
             assert moved == len(payload) - copied
             assert dst.read_bytes() == payload
             client.close()

@@ -70,8 +70,9 @@ class TestForecasterInternals:
 
 class TestFmFileRemapContinuity:
     def test_remap_preserves_position(self, tmp_path):
-        """After a re-map the handle continues at the same byte offset."""
+        """After a source swap the handle continues at the same byte offset."""
         import io
+        from dataclasses import replace
 
         from repro.core.multiplexer import FMFile, OpenStats
         from repro.gns.records import GnsRecord, IOMode
@@ -79,23 +80,64 @@ class TestFmFileRemapContinuity:
         record = GnsRecord(machine="m", path="/f", mode=IOMode.LOCAL)
         first = io.BytesIO(b"A" * 100)
         second = io.BytesIO(b"B" * 100)
-        calls = {"n": 0}
-
-        # The hook is consulted every `remap_every` reads (including
-        # before the very first); switch on its SECOND consultation so
-        # some bytes are read from the original source first.
-        def hook(_fmfile):
-            calls["n"] += 1
-            return second if calls["n"] == 2 else None
-
-        f = FMFile(first, record, OpenStats(), remap_hook=hook, remap_every=2)
-        out = b"".join(f.read(10) for _ in range(4))
-        # Reads 1-2 come from A; the switch happens at offset 20 and the
-        # replacement is seeked there, so B bytes continue seamlessly.
-        assert out[:20] == b"A" * 20
-        assert out[20:] == b"B" * 20
+        f = FMFile(first, record, OpenStats())
+        f._migrate_opener = lambda _record: second
+        out = f.read(10) + f.read(10)
+        # The GNS moves the file; the swap happens at the next read, at
+        # offset 20, and the replacement is seeked there.
+        assert f.request_migration(replace(record, local_path="/g"))
+        out += f.read(10) + f.read(10)
+        assert out == b"A" * 20 + b"B" * 20
         assert second.tell() == 40  # continued from position 20, read 20 more
+        assert first.closed
         assert f.stats.remaps == 1
+
+    def test_unreachable_migration_keeps_the_current_binding(self):
+        import io
+        from dataclasses import replace
+
+        from repro.core.multiplexer import FMFile, OpenStats
+        from repro.gns.records import GnsRecord, IOMode
+
+        record = GnsRecord(machine="m", path="/f", mode=IOMode.LOCAL)
+        first = io.BytesIO(b"A" * 100)
+        f = FMFile(first, record, OpenStats())
+
+        def unreachable(_record):
+            raise ConnectionRefusedError("new binding is down")
+
+        f._migrate_opener = unreachable
+        assert f.read(10) == b"A" * 10
+        assert f.request_migration(replace(record, local_path="/g"))
+        assert f.read(10) == b"A" * 10
+        assert f.record is record and f.stats.remaps == 0
+
+    def test_failed_swap_keeps_the_current_source(self):
+        """The one swap opens and seeks the replacement before touching the
+        handle: if either fails, the handle reads on from its old source."""
+        import io
+
+        from repro.core.multiplexer import FMFile, OpenStats
+        from repro.gns.records import GnsRecord, IOMode
+
+        record = GnsRecord(machine="m", path="/f", mode=IOMode.LOCAL)
+        first = io.BytesIO(b"A" * 100)
+        f = FMFile(first, record, OpenStats())
+        assert f.read(10) == b"A" * 10
+
+        def unreachable():
+            raise ConnectionRefusedError("no route")
+
+        class Unseekable(io.BytesIO):
+            def seek(self, *args):
+                raise OSError("cannot seek")
+
+        half_open = Unseekable(b"B" * 100)
+        assert not f._rebind(unreachable, 10)
+        assert not f._rebind(lambda: half_open, 10)
+        assert half_open.closed  # the replacement that failed its seek
+        assert not first.closed
+        assert f.read(10) == b"A" * 10
 
 
 class TestStoreScale:

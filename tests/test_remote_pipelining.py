@@ -293,6 +293,40 @@ class TestBulkTransfers:
             client.store_file(src, "/big-old.bin")
         assert (root / "big-old.bin").read_bytes() == payload
 
+    def test_lone_stream_copies_inline_and_truncates_with_its_first_block(
+        self, export, tmp_path
+    ):
+        """One stream moves every block on the caller's thread, and a store
+        over a longer file costs one ``put_block`` per block: the first one
+        truncates, so a COPY close pays no extra round trip."""
+        server, root = export
+        (root / "old.bin").write_bytes(b"\xff" * (8 * BLOCK))
+        src = tmp_path / "new.bin"
+        src.write_bytes(PATTERN[: 3 * BLOCK + 5])
+        client = GridFtpClient(*server.address, block_size=BLOCK)
+        threads = set()
+        real_read, real_write = client.read_block, client.write_block
+
+        def read_block(*args):
+            threads.add(threading.current_thread())
+            return real_read(*args)
+
+        def write_block(path, offset, data, truncate=False):
+            threads.add(threading.current_thread())
+            puts.append((offset, truncate))
+            return real_write(path, offset, data, truncate=truncate)
+
+        puts = []
+        client.read_block, client.write_block = read_block, write_block
+        try:
+            assert client.store_file(src, "/old.bin") == 3 * BLOCK + 5
+            assert client.fetch_file("/old.bin", tmp_path / "back.bin") == 3 * BLOCK + 5
+        finally:
+            client.close()
+        assert puts == [(0, True), (BLOCK, False), (2 * BLOCK, False), (3 * BLOCK, False)]
+        assert (tmp_path / "back.bin").read_bytes() == PATTERN[: 3 * BLOCK + 5]
+        assert threads == {threading.current_thread()}
+
     def test_store_empty_file(self, export, tmp_path):
         server, root = export
         src = tmp_path / "empty.bin"
