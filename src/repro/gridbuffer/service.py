@@ -179,9 +179,12 @@ class _Stream:
         self.in_table = IntervalSet()
         self.written = IntervalSet()
         self.consumed: Dict[str, IntervalSet] = {}
-        #: Highest write-batch sequence applied per writer token; replayed
-        #: batches (client retried after a lost reply) are deduped here.
-        self.applied_seq: Dict[str, int] = {}
+        #: Write-batch sequences applied per writer token, exactly: a
+        #: replayed batch (client retried after a lost reply) is deduped
+        #: here even when it lands after later batches.  Seqs count up
+        #: per stream, so the set is one interval plus at most the
+        #: writer's in-flight window of gaps.
+        self.applied_seq: Dict[str, IntervalSet] = {}
         self.eof_total: Optional[int] = None
         self.failed: Optional[str] = None
         self.mem_bytes = 0
@@ -491,11 +494,12 @@ class GridBufferService:
         ``"buffer_full"``/``"slow_reader"`` — see :meth:`_store_fitting`).
         ``timeout`` bounds the whole call, however often it parks.
 
-        ``token`` identifies the writer and ``seq`` must increase per
-        batch: a batch whose ``seq`` was already applied for ``token``
-        is a transport-level replay (the client retried after losing the
-        reply, not the request) and is skipped, making ``gb.write_multi``
-        safe to retry.
+        ``token`` identifies the writer and ``seq`` its batch, unique
+        per batch: a batch whose ``seq`` was already applied for
+        ``token`` is a transport-level replay (the client retried after
+        losing the reply, not the request) and is skipped, in whatever
+        order batches arrive, making ``gb.write_multi`` safe to retry
+        and to pipeline.
         """
         return await self._write_runs_async("write_multi", name, runs, timeout, token, seq)
 
@@ -571,7 +575,8 @@ class GridBufferService:
         fut = None
         dedupe = token is not None and seq is not None
         with st.lock:
-            if i == 0 and dedupe and st.applied_seq.get(token, -1) >= seq:
+            applied = st.applied_seq.setdefault(token, IntervalSet()) if dedupe else None
+            if i == 0 and applied is not None and applied.covers(seq, seq + 1):
                 return len(runs), 0, None, None  # replayed batch: already landed
             while i < len(runs):
                 offset, data = runs[i]
@@ -584,8 +589,8 @@ class GridBufferService:
                 self._store_block(st, offset, data)
                 stored += len(data)
                 i += 1
-            if i == len(runs) and dedupe:
-                st.applied_seq[token] = seq
+            if i == len(runs) and applied is not None:
+                applied.add(seq, seq + 1)
             st.sync_table_gauges()
             # Publish whatever landed (possibly a partial batch), or the
             # readers a stalled writer depends on could never drain —

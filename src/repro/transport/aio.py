@@ -810,7 +810,10 @@ class AsyncRpcClient:
         header: Optional[Dict[str, Any]] = None,
         payload: bytes = b"",
         retryable: Optional[bool] = None,
+        parent: Optional[obs.SpanContext] = None,
     ) -> Tuple[Dict[str, Any], bytes]:
+        """One round trip.  ``parent`` is the span the call belongs to,
+        for a caller on another thread; by default this thread's own."""
         msg = dict(header or {})
         msg["op"] = op
         _count_call(op)
@@ -820,7 +823,7 @@ class AsyncRpcClient:
             # Stack-free: concurrent callers pipeline on one loop
             # thread, so the TLS stack cannot hold per-call spans.
             span = tracer.start_span(
-                "rpc.client", parent=tracer.current_context(), op=op, peer=self._peer
+                "rpc.client", parent=parent or tracer.current_context(), op=op, peer=self._peer
             )
             msg[TRACE_KEY] = span.context.to_wire()
         try:
@@ -899,6 +902,10 @@ class AsyncRpcClient:
                     # Kill the connection under the call so the real
                     # send/recv path fails organically (same as sync client).
                     conn.writer.transport.abort()
+                if conn is not self._conn:
+                    # Its reader ended during the await: nothing would
+                    # ever fail a future queued on it.
+                    raise ConnectionError(f"connection to {self._peer} closed")
             fut = loop.create_future()
             deadline = (loop.time() + self._timeout) if self._timeout else 0.0
             conn.pending.append((fut, deadline))
@@ -911,7 +918,11 @@ class AsyncRpcClient:
                     self._timeout, self._watchdog_fire, conn
                 )
             conn.outq.push_frame(self._scratch, msg, payload, corrupter)
-            await conn.writer.drain()
+            try:
+                await conn.writer.drain()
+            except BaseException:
+                fut.cancel()  # the caller handles this error; nothing awaits fut
+                raise
         reply, data = await fut
         if not reply.get("ok", False):
             kind = reply.get("error", "remote-error")
@@ -958,7 +969,10 @@ class AsyncRpcClient:
         """Single reader per connection: match FIFO replies to futures.
 
         On any connection error every in-flight call fails with it; the
-        per-call retry loops decide what to do from there.
+        per-call retry loops decide what to do from there.  The dead
+        connection is detached too, so a call made while nothing was in
+        flight redials instead of writing into it and waiting out the
+        watchdog.
         """
         exc: Optional[BaseException] = None
         try:
@@ -972,6 +986,8 @@ class AsyncRpcClient:
         except asyncio.CancelledError:  # teardown cancelled us mid-read
             exc = None
         finally:
+            if conn is self._conn:
+                self._teardown()  # also cancels this task, which is ending anyway
             failure = exc if exc is not None else ConnectionError(
                 f"connection to {self._peer} closed"
             )

@@ -7,7 +7,7 @@ the reproduction's fidelity to the design.
 """
 
 import inspect
-
+import re
 
 from repro.core.multiplexer import FileMultiplexer, GridContext
 from repro.gns.records import IOMode
@@ -292,7 +292,8 @@ class TestOneStreamPath:
         source = inspect.getsource(gbc)
         assert source.count("read_window_ex(") == 2  # the definition and one call
         assert "read_window_ex(" in inspect.getsource(gbc._ReadAheadWindow._transfer)
-        assert source.count("RpcClient(") == 3  # client pool, peer pools, the window
+        sync_pools = re.findall(r"(?<!Async)RpcClient\(", source)
+        assert len(sync_pools) == 3  # client pool, peer pools, the window
         assert "RpcClient(" in inspect.getsource(gbc._ReadAheadWindow.__init__)
         registering = [
             name
@@ -305,6 +306,26 @@ class TestOneStreamPath:
             assert not hasattr(gbc.BufferReader, gone), gone
         for gone in ("next_boundary", "note_eof"):
             assert not hasattr(gbc._ReadAheadWindow, gone), gone
+
+    def test_writes_have_one_send_site(self):
+        """Every write batch leaves through ``GridBufferClient.send_write``,
+        on the client's one pipelined connection, and the writer reaches
+        it from one place: the batcher's flush, which fills the window."""
+        from repro.gridbuffer import client as gbc
+
+        def users(cls, needle):
+            return [
+                name
+                for name, fn in vars(cls).items()
+                if inspect.isfunction(fn) and needle in inspect.getsource(fn)
+            ]
+
+        assert users(gbc.GridBufferClient, "OP_WRITE") == ["send_write"]
+        assert inspect.getsource(gbc).count("AsyncRpcClient(") == 1
+        assert "AsyncRpcClient(" in inspect.getsource(gbc.GridBufferClient.send_write)
+        assert users(gbc.BufferWriter, "self._client.") == ["_push_runs", "_fail_stream", "close"]
+        assert users(gbc.BufferWriter, "send_write(") == ["_push_runs"]
+        assert not hasattr(gbc._ReadAheadWindow, "_target_depth")
 
     def test_fm_opens_readers_through_one_helper(self):
         """``open`` and a live remap must not configure readers apart:

@@ -1,17 +1,30 @@
-"""Grid Buffer double-buffered read-ahead, write coalescing, and the
-transfer monitor feeding the access policy."""
+"""Grid Buffer read-ahead, write coalescing, the writer's window of
+batches in flight, and the transfer monitor feeding the access policy."""
 
+import random
 import threading
+import time
+from concurrent.futures import Future
 
 import pytest
 
+from repro import faults, obs
 from repro.core.multiplexer import FileMultiplexer, GridContext
 from repro.core.policy import AccessPolicy, observed_estimate
 from repro.core.trace import TransferMonitor
-from repro.gns.records import GnsRecord, IOMode
-from repro.gridbuffer.client import GridBufferClient
+from repro.faults import FaultRule
+from repro.gns.client import LocalGnsClient
+from repro.gns.records import BufferEndpoint, GnsRecord, IOMode
+from repro.gns.server import NameService
+from repro.gridbuffer.client import BufferWriter, GridBufferClient
+from repro.gridbuffer.protocol import OP_WRITE, OP_WRITE_MULTI
+from repro.gridbuffer.server import GridBufferServer
+from repro.transport.inmem import HostRegistry
+
+from ._seed import SEED
 
 PAYLOAD = bytes(i % 256 for i in range(100_000))
+KIB = 1024
 
 
 @pytest.fixture()
@@ -105,6 +118,249 @@ class TestWriterCoalescing:
         w.close()
         assert r.read(100) == b"-late"
         r.close()
+
+
+@pytest.fixture()
+def slow_server(tmp_path):
+    """Builds Grid Buffer servers with injected one-way latency; stops them."""
+    servers = []
+
+    def make(latency):
+        servers.append(
+            GridBufferServer(cache_dir=tmp_path / f"gb-{len(servers)}", simulated_latency=latency)
+        )
+        return servers[-1].start()
+
+    yield make
+    for server in servers:
+        server.stop()
+
+
+def _count_writes_in_flight(server):
+    """Track the server's concurrent write requests, from arrival through
+    the simulated link delay to the reply (all on the one engine loop)."""
+    rpc = server._rpc
+    run_one = rpc._run_one
+    count = {"now": 0, "peak": 0}
+
+    async def counting(op, *args):
+        if op not in (OP_WRITE, OP_WRITE_MULTI):
+            return await run_one(op, *args)
+        count["now"] += 1
+        count["peak"] = max(count["peak"], count["now"])
+        try:
+            return await run_one(op, *args)
+        finally:
+            count["now"] -= 1
+
+    rpc._run_one = counting
+    return count
+
+
+def _drain(reader):
+    out = bytearray()
+    while chunk := reader.read(64 * KIB):
+        out += chunk
+    return bytes(out)
+
+
+class _ScriptedReplies:
+    """Client stand-in whose write batches resolve at once to scripted
+    stall verdicts (clean after the script runs out)."""
+
+    def __init__(self, verdicts):
+        self.verdicts = list(verdicts)
+
+    def send_write(self, name, runs, timeout=None):
+        fut = Future()
+        fut.set_result(self.verdicts.pop(0) if self.verdicts else None)
+        return fut
+
+    def close_writer(self, name):
+        return 0
+
+
+class TestWriterWindow:
+    def test_depth_slow_starts_to_four_and_halves_on_stalls(self):
+        replies = _ScriptedReplies([None] * 8 + ["slow_reader"] * 4)
+        w = BufferWriter(replies, "s", coalesce_bytes=1, flush_after=0)
+        depths = []
+        for _ in range(18):
+            w.write(b"x")  # one byte, one batch
+            depths.append(w._depth)
+        w.close()
+        # Doubles after each window of clean replies, up to 4; the 13th
+        # write reaps the four stalled batches, each halving (floor 1);
+        # then clean replies grow it back.
+        assert depths == [1, 2, 2, 2, 4, 4, 4, 4, 4, 4, 4, 4, 1, 2, 2, 2, 4, 4]
+
+    @pytest.mark.faults
+    def test_a_batch_lost_past_the_retries_fails_the_writer_and_the_stream(self, buffer_server):
+        client = GridBufferClient(*buffer_server.address)
+        try:
+            w = client.open_writer("lost", coalesce_bytes=4 * KIB, flush_after=0)
+            # Batch 2 dies on its first attempt and on all three retries.
+            with faults.injected(
+                FaultRule(layer="rpc.client", op=OP_WRITE, action="close", nth=2, times=4),
+                seed=SEED,
+            ):
+                w.write(PAYLOAD[: 4 * KIB])
+                w.write(PAYLOAD[4 * KIB : 8 * KIB])
+                with pytest.raises(OSError):
+                    w.flush()
+            with pytest.raises(OSError):
+                w.write(PAYLOAD[8 * KIB : 12 * KIB])  # the failure sticks
+            with pytest.raises(OSError):
+                w.close()
+            assert buffer_server.service._stream("lost").failed  # not ended with a hole
+        finally:
+            client.close()
+
+    def test_batches_overlap_on_a_slow_link_and_flush_drains_them(self, slow_server):
+        server = slow_server(0.05)
+        writes = _count_writes_in_flight(server)
+        client = GridBufferClient(*server.address)
+        try:
+            w = client.open_writer("win", coalesce_bytes=16 * KIB)
+            for off in range(0, len(PAYLOAD), 16 * KIB):
+                w.write(PAYLOAD[off : off + 16 * KIB])
+            w.flush()
+            assert client.high_water("win") == len(PAYLOAD)  # all landed, none in flight
+            assert writes["peak"] >= 2
+            w.close()
+            r = client.open_reader("win")
+            assert _drain(r) == PAYLOAD
+            r.close()
+        finally:
+            client.close()
+
+    @pytest.mark.faults
+    def test_connection_killed_under_three_batches_in_flight(self, slow_server):
+        """The 7th ``gb.write_multi`` closes the connection while batches
+        4-6 wait for replies (slow start: 1, 2, then 4 deep).  All four
+        resend, in whatever order their backoffs give, and land once."""
+        server = slow_server(0.03)
+        writes = _count_writes_in_flight(server)
+        client = GridBufferClient(*server.address)
+        payload = random.Random(SEED).randbytes(16 * 16 * KIB)
+        retries = obs.value("rpc_retries_total", {"op": OP_WRITE_MULTI}) or 0.0
+        try:
+            w = client.open_writer("killed", cache=True, coalesce_bytes=16 * KIB, flush_after=0)
+            with faults.injected(
+                FaultRule(layer="rpc.client", op=OP_WRITE_MULTI, action="close", nth=7),
+                seed=SEED,
+            ):
+                for off in range(0, len(payload), 16 * KIB):
+                    # Back half first: each batch is two runs, one gb.write_multi.
+                    w.seek(off + 8 * KIB)
+                    w.write(payload[off + 8 * KIB : off + 16 * KIB])
+                    w.seek(off)
+                    w.write(payload[off : off + 8 * KIB])
+                w.close()
+            assert writes["peak"] >= 3
+            assert (obs.value("rpc_retries_total", {"op": OP_WRITE_MULTI}) or 0.0) >= retries + 4
+            assert client.stats("killed")["bytes_written"] == len(payload)
+            r = client.open_reader("killed")
+            assert _drain(r) == payload
+            r.close()
+        finally:
+            client.close()
+
+
+class TestReaderDepth:
+    def test_window_deepens_on_a_slow_link_with_a_probe_sample(self, slow_server):
+        """Link estimates do not size the depth: on a 5 ms link each fetch
+        measures about chunk / RTT, which as a bandwidth-delay product
+        would hold the window at one fetch for good."""
+        server = slow_server(0.005)
+        host, port = server.address
+        chunk = 16 * KIB
+        monitor = TransferMonitor()
+        monitor.record(host, "probe", 16, 0.010)  # 5 ms one way
+        monitor.record(host, "read_multi", 1 << 20, 2.0)  # keeps the chunk tier at 16 KiB
+        writer_client = GridBufferClient(host, port)
+        reader_client = GridBufferClient(host, port, monitor=monitor, peer=host)
+        w = writer_client.open_writer("deep", coalesce_bytes=chunk)
+        r = None
+        try:
+            w.write(PAYLOAD[: 4 * chunk])
+            w.flush()
+            r = reader_client.open_reader("deep", read_ahead_bytes=chunk, read_ahead_depth=4)
+            for i in range(4):
+                assert r.read(chunk) == PAYLOAD[i * chunk : (i + 1) * chunk]
+            stream = server.service._stream("deep")
+            deadline = time.monotonic() + 5.0
+            while len(stream.async_readers) < 4:  # parked ahead on unwritten bytes
+                assert time.monotonic() < deadline, "the window stayed shallow"
+                time.sleep(0.01)
+        finally:
+            w.close()
+            if r is not None:
+                r.close()
+            reader_client.close()
+            writer_client.close()
+
+
+class TestLatencySensitivity:
+    LATENCY = 0.005  # one way
+    CALL = 64 * KIB
+
+    def test_buffer_stream_through_two_fms_beats_one_batch_per_round_trip(
+        self, slow_server, tmp_path
+    ):
+        """At 5 ms a 2 MiB BUFFER stream between two FMs must move more
+        than 1.5 x 64 KiB per round trip, which a writer waiting for
+        each batch's reply cannot.  Best of three runs, for a busy box."""
+        server = slow_server(self.LATENCY)
+        ns = NameService(locate_buffer_server=lambda _m: server.address)
+        hosts = HostRegistry(tmp_path / "hosts")
+        fms = []
+        for machine in ("a", "b"):
+            hosts.add_host(machine)
+            fms.append(
+                FileMultiplexer(
+                    GridContext(
+                        machine=machine,
+                        gns=LocalGnsClient(ns),
+                        hosts=hosts,
+                        buffer_locator=lambda _m: server.address,
+                        scratch_dir=tmp_path / "scratch" / machine,
+                    )
+                )
+            )
+        payload = random.Random(SEED).randbytes(2 << 20)
+        bound = 1.5 * self.CALL / (2 * self.LATENCY)
+        best = 0.0
+        try:
+            for k in range(3):
+                path = f"/job/stream-{k}.dat"
+                ns.add(
+                    GnsRecord(
+                        machine="*", path=path, mode=IOMode.BUFFER,
+                        buffer=BufferEndpoint(stream=f"stream-{k}"),
+                    )
+                )
+                t0 = time.perf_counter()
+                writer = threading.Thread(target=self._write, args=(fms[0], path, payload))
+                writer.start()
+                r = fms[1].open(path, "r")
+                got = _drain(r)
+                r.close()
+                elapsed = time.perf_counter() - t0
+                writer.join(timeout=30)
+                assert got == payload
+                best = max(best, len(payload) / elapsed)
+                if best > bound:
+                    break
+        finally:
+            for fm in fms:
+                fm.close()
+        assert best > bound, f"{best / 2**20:.1f} MiB/s, bound {bound / 2**20:.1f} MiB/s"
+
+    def _write(self, fm, path, payload):
+        with fm.open(path, "w") as f:
+            for off in range(0, len(payload), self.CALL):
+                f.write(payload[off : off + self.CALL])
 
 
 class TestTransferMonitor:

@@ -113,6 +113,20 @@ class TestWriteDedupe:
         assert svc.stats("s").bytes_written == 4
         assert replay_written == 0 or replay_written == 4  # reply, not re-apply
 
+    def test_batch_landing_after_a_later_one_is_stored_and_replays_are_not(self):
+        """Dedupe is exact, not a high-water mark: batch 1 arriving after
+        batch 2 (a pipelined writer's retry) must still land."""
+        svc = GridBufferService()
+        svc.create_stream("s", n_readers=1)
+        svc.register_reader("s", "r")
+        run(svc.write_async("s", 3, b"def", token="tok", seq=2))
+        run(svc.write_multi_async("s", [(0, b"a"), (1, b"bc")], token="tok", seq=1))
+        run(svc.write_async("s", 3, b"def", token="tok", seq=2))  # replays of either
+        run(svc.write_multi_async("s", [(0, b"a"), (1, b"bc")], token="tok", seq=1))
+        assert svc.stats("s").bytes_written == 6
+        svc.close_writer("s")
+        assert run(svc.read_async("s", "r", 0, 64, timeout=1.0)) == b"abcdef"
+
     def test_retried_write_through_injected_close_lands_once(self, buffer_server):
         host, port = buffer_server.address
         client = GridBufferClient(host, port)

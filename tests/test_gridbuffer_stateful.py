@@ -4,10 +4,11 @@ The reference model is trivial: a growing byte string.  The real
 service — hash table, delete-on-read, cache file, EOF bookkeeping —
 must behave exactly like reading that byte string, under any
 interleaving of sequential writes, in-order reads, backwards re-reads
-and the close."""
+and the close, and under write batches delivered in any order with
+replays."""
 
 import pytest
-from hypothesis import settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
@@ -92,3 +93,30 @@ class GridBufferModel(RuleBasedStateMachine):
 TestGridBufferModel = GridBufferModel.TestCase
 TestGridBufferModel = pytest.mark.slow(TestGridBufferModel)
 TestGridBufferModel.settings = settings(max_examples=40, stateful_step_count=30, deadline=None)
+
+
+@pytest.mark.slow
+@settings(max_examples=60, deadline=None)
+@given(sizes=st.lists(st.integers(min_value=1, max_value=64), min_size=1, max_size=12), data=st.data())
+def test_shuffled_batches_with_replays_apply_exactly_once(sizes, data):
+    """A pipelined writer's batches arrive in any order, and a retry
+    resends any of them: the table must hold the payload, counted once."""
+    payload = bytes(i % 251 for i in range(sum(sizes)))
+    batches, offset = [], 0
+    for seq, size in enumerate(sizes, start=1):
+        cut = offset + size // 2  # a batch of two runs rides gb.write_multi
+        runs = [(offset, payload[offset:cut]), (cut, payload[cut : offset + size])]
+        batches.append((seq, [(o, b) for o, b in runs if b]))
+        offset += size
+    replays = data.draw(st.lists(st.sampled_from(batches), max_size=len(batches)))
+    deliveries = data.draw(st.permutations(batches + replays))
+    svc = GridBufferService(default_capacity=None)
+    svc.create_stream("s")
+    svc.register_reader("s", "r")
+    for seq, runs in deliveries:
+        run(svc.write_multi_async("s", runs, token="w", seq=seq))
+    stats = svc.stats("s")
+    assert stats.bytes_written == stats.bytes_in_table == len(payload)
+    svc.close_writer("s")
+    assert run(svc.read_async("s", "r", 0, len(payload), timeout=1)) == payload
+    svc.drop_stream("s")

@@ -719,3 +719,25 @@ class TestAsyncRpcClient:
         with _make_server() as server:
             results = asyncio.run(go(server.address))
         assert results == [f"m{i}" for i in range(64)]
+
+    def test_call_after_the_server_dropped_an_idle_connection_redials(self):
+        """The reader of a connection the server dropped detaches it, so the
+        next call dials afresh instead of writing into the dead socket and
+        waiting out the whole call timeout."""
+
+        async def go(server):
+            client = AsyncRpcClient(*server.address, timeout=5.0)
+            try:
+                assert (await client.call("echo", {"msg": "warm"}))[0]["echo"] == "warm"
+                server.disconnect_all()
+                await asyncio.sleep(0.1)  # the client's reader sees the hang-up
+                t0 = time.monotonic()
+                reply, _ = await client.call("echo", {"msg": "again"})
+                return reply["echo"], time.monotonic() - t0
+            finally:
+                await client.close()
+
+        with _make_server() as server:
+            echoed, elapsed = asyncio.run(go(server))
+        assert echoed == "again"
+        assert elapsed < 1.0
