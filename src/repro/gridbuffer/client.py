@@ -6,11 +6,10 @@ Two layers:
   one per (process, server) pair.  Control calls share a *pooled*
   :class:`~repro.transport.tcp.RpcClient`, so concurrent calls fly in
   parallel instead of serialising behind one connection lock; writes
-  pipeline on one :class:`~repro.transport.aio.AsyncRpcClient`
-  connection.  The op set is fixed by the wire version, so the
-  vectored ops (``gb.write_multi``, ``gb.read_multi``,
-  ``gb.consume_multi``) are always available; an ``unknown-op`` reply
-  is an error like any other and propagates.
+  pipeline on a :class:`_WriteChannel` per open writer.  The op set is
+  fixed by the wire version, so the vectored ops (``gb.write_multi``,
+  ``gb.read_multi``, ``gb.consume_multi``) are always available; an
+  ``unknown-op`` reply is an error like any other and propagates.
 * :class:`BufferWriter` / :class:`BufferReader` — file-like adapters
   the FM's Grid Buffer Client uses.  There is one stream path: the
   writer always coalesces writes into batched vectored RPCs behind a
@@ -519,17 +518,13 @@ class GridBufferClient:
         self._addr = (host, port)
         self._timeout = timeout
         self._rpc = RpcClient(host, port, timeout=timeout, max_connections=max_connections)
-        self._wrpc: Optional[AsyncRpcClient] = None  # writes; see send_write
         self.monitor = monitor
         self.peer = peer or host
-        # Dedupe identity for write replay: every write batch carries
-        # (token, seq); the service skips a (token, seq) it has already
-        # applied, which is what makes gb.write/gb.write_multi safe to
-        # retry after a lost *reply*.  Seqs count per stream, so each
-        # stream's applied set stays one interval plus in-flight gaps.
-        self._writer_token = uuid.uuid4().hex[:12]
-        self._seq_lock = threading.Lock()
-        self._next_seq: Dict[str, int] = {}
+        # Drained write channels for the next writer, which keeps a dial
+        # (~0.3 ms on loopback) off a new stream's first batch; None once
+        # closed.
+        self._idle_channels: Optional[List[_WriteChannel]] = []
+        self._channels_lock = threading.Lock()
         # Small per-peer RpcClient cache for cooperative-cache fetches;
         # peers answer from RAM, so these run on a short timeout.
         self._peer_rpcs: Dict[str, RpcClient] = {}
@@ -589,7 +584,7 @@ class GridBufferClient:
         self, name: str, offset: int, data: bytes, timeout: Optional[float] = None
     ) -> Optional[str]:
         """Store one block; returns the server's stall reason, if any."""
-        return self.send_write(name, [(offset, data)], timeout).result()
+        return self.write_multi(name, [(offset, data)], timeout)
 
     def write_multi(
         self,
@@ -601,54 +596,28 @@ class GridBufferClient:
 
         Returns the backpressure verdict from the reply header —
         ``"buffer_full"``/``"slow_reader"`` when the server had to stall
-        this batch, ``None`` when it landed cleanly — so the caller's
-        coalescer can adapt its batch limit.
+        this batch, ``None`` when it landed cleanly.
         """
-        return self.send_write(name, runs, timeout).result()
+        channel = self._take_channel()
+        try:
+            return channel.send(name, runs, timeout).result()
+        finally:
+            self._give_channel(channel)
 
-    def send_write(
-        self,
-        name: str,
-        runs: Sequence[Tuple[int, bytes]],
-        timeout: Optional[float] = None,
-    ) -> "Future[Optional[str]]":
-        """Send one write batch; the future resolves to its stall verdict.
+    def _take_channel(self) -> "_WriteChannel":
+        with self._channels_lock:
+            if self._idle_channels:
+                return self._idle_channels.pop()
+        return _WriteChannel(self)
 
-        Every write leaves the client here: a lone run as ``gb.write``,
-        several as ``gb.write_multi``, pipelined on one connection on
-        the engine loop, so a caller keeps futures in flight, not
-        threads.  The (token, seq) pair makes the retry on connection
-        failure safe, even when the replay lands after later batches.
-        """
-        with self._seq_lock:
-            seq = self._next_seq[name] = self._next_seq.get(name, 0) + 1
-            if self._wrpc is None:
-                self._wrpc = AsyncRpcClient(*self._addr, timeout=self._timeout)
-            wrpc = self._wrpc
-        header: Dict[str, Any] = {
-            "name": name, "timeout": timeout, "token": self._writer_token, "seq": seq
-        }
-        if len(runs) == 1:
-            op, (header["offset"], payload) = OP_WRITE, runs[0]
-        else:
-            op = OP_WRITE_MULTI
-            header["offsets"] = [offset for offset, _ in runs]
-            header["sizes"] = [len(data) for _, data in runs]
-            payload = b"".join(data for _, data in runs)
-        return get_engine().submit(self._send(wrpc, op, header, payload, obs.current_context()))
-
-    async def _send(
-        self,
-        wrpc: AsyncRpcClient,
-        op: str,
-        header: Dict[str, Any],
-        payload: bytes,
-        ctx: Optional[obs.SpanContext],
-    ) -> Optional[str]:
-        t0 = time.perf_counter()
-        reply, _ = await wrpc.call(op, header, payload, retryable=True, parent=ctx)
-        self._record(op.partition(".")[2], len(payload), time.perf_counter() - t0)
-        return reply.get("stall")
+    def _give_channel(self, channel: "_WriteChannel", drained: bool = True) -> None:
+        """Park a drained channel for the next writer; close any other,
+        whose late replies would queue ahead of the next writer's."""
+        with self._channels_lock:
+            if drained and self._idle_channels is not None:
+                self._idle_channels.append(channel)
+                return
+        channel.close()
 
     def read_window_ex(
         self,
@@ -901,10 +870,10 @@ class GridBufferClient:
 
     def close(self) -> None:
         self._rpc.close()
-        with self._seq_lock:
-            wrpc, self._wrpc = self._wrpc, None
-        if wrpc is not None:
-            get_engine().submit(wrpc.close()).result(timeout=5.0)
+        with self._channels_lock:
+            idle, self._idle_channels = self._idle_channels or [], None
+        for channel in idle:
+            channel.close()
         with self._peer_rpcs_lock:
             peer_rpcs = list(self._peer_rpcs.values())
             self._peer_rpcs.clear()
@@ -992,6 +961,54 @@ class _RunBatcher:
         self.flushes += 1
 
 
+class _WriteChannel:
+    """A write connection: every write batch leaves through :meth:`send`.
+
+    Batches pipeline on one :class:`~repro.transport.aio.AsyncRpcClient`
+    on the engine loop, so a writer keeps futures in flight, not threads.
+    Replies come back in request order, so a channel serves one writer at
+    a time: a batch parked on a full stream holds every later reply.  Its
+    (token, seq) pair makes a retried batch a no-op even when it lands
+    after later ones.  Not thread-safe; its holder's lock serialises it.
+    """
+
+    def __init__(self, client: GridBufferClient) -> None:
+        self._client = client
+        self._rpc = AsyncRpcClient(*client.address, timeout=client._timeout)
+        self._token = uuid.uuid4().hex[:12]
+        self._seq = 0
+
+    def send(
+        self, name: str, runs: Sequence[Tuple[int, bytes]], timeout: Optional[float] = None
+    ) -> "Future[Optional[str]]":
+        """Send one batch (a lone run as ``gb.write``, several as
+        ``gb.write_multi``); the future resolves to its stall verdict."""
+        self._seq += 1
+        header: Dict[str, Any] = {
+            "name": name, "timeout": timeout, "token": self._token, "seq": self._seq
+        }
+        if len(runs) == 1:
+            op, (header["offset"], payload) = OP_WRITE, runs[0]
+        else:
+            op = OP_WRITE_MULTI
+            header["offsets"] = [offset for offset, _ in runs]
+            header["sizes"] = [len(data) for _, data in runs]
+            payload = b"".join(data for _, data in runs)
+        return get_engine().submit(self._send(op, header, payload, obs.current_context()))
+
+    async def _send(
+        self, op: str, header: Dict[str, Any], payload: bytes, ctx: Optional[obs.SpanContext]
+    ) -> Optional[str]:
+        t0 = time.perf_counter()
+        reply, _ = await self._rpc.call(op, header, payload, retryable=True, parent=ctx)
+        self._client._record(op.partition(".")[2], len(payload), time.perf_counter() - t0)
+        return reply.get("stall")
+
+    def close(self) -> None:
+        """Close the connection; a batch still in flight fails."""
+        get_engine().submit(self._rpc.close()).result(timeout=5.0)
+
+
 class BufferWriter(io.RawIOBase):
     """File-like writer feeding a Grid Buffer stream.
 
@@ -1004,14 +1021,16 @@ class BufferWriter(io.RawIOBase):
     tightly pipelined streams tight.  ``flush_after=0`` disables the
     deadline (flush only on size/flush/close).
 
-    Up to ``_WRITE_WINDOW`` batches are in flight at once, so a slow
-    link carries several batches per round trip.  The depth starts at
-    1, doubles after each window of clean replies and halves on a stall
-    reply.  :meth:`flush` and :meth:`close` drain the window; the
-    deadline thread only adds to it.  A batch that fails beyond the
-    transport's retries fails the writer: the next :meth:`write`,
-    :meth:`flush` or :meth:`close` raises it, and :meth:`close` then
-    marks the stream failed rather than end it with a hole.
+    Up to ``_WRITE_WINDOW`` batches are in flight at once, on the
+    writer's own :class:`_WriteChannel`, so a slow link carries several
+    batches per round trip.  The depth starts at 1 and doubles after
+    each window of clean replies; a stall reply only shrinks the next
+    batches (:meth:`_RunBatcher.adapt`).  :meth:`flush` and
+    :meth:`close` drain the window; the deadline thread only adds to
+    it.  A batch that fails beyond the transport's retries fails the
+    writer: the next :meth:`write`, :meth:`flush` or :meth:`close`
+    raises it, and :meth:`close` then marks the stream failed rather
+    than end it with a hole.
     """
 
     def __init__(
@@ -1033,6 +1052,7 @@ class BufferWriter(io.RawIOBase):
         self._m_write_rpcs = _WRITE_RPCS.labels(stream=name)
         self._m_deadline_flushes = _DEADLINE_FLUSHES.labels(stream=name)
         self._coalescer = _RunBatcher(self._push_runs, coalesce_bytes)
+        self._channel = client._take_channel()
         # The window: replies not yet reaped, oldest first, and its
         # slow-start state.  Guarded by _lock like everything else.
         self._inflight: Deque[Future] = deque()
@@ -1057,7 +1077,7 @@ class BufferWriter(io.RawIOBase):
         while len(self._inflight) >= self._depth:
             self._reap()
         if self._error is None:  # a failed writer sends no more; its next call raises
-            self._inflight.append(self._client.send_write(self.name, runs, timeout=self._timeout))
+            self._inflight.append(self._channel.send(self.name, runs, timeout=self._timeout))
             self._m_write_rpcs.inc()
 
     def _reap(self) -> None:
@@ -1068,9 +1088,7 @@ class BufferWriter(io.RawIOBase):
             self._error = self._error or exc
             return
         self._coalescer.adapt(stall)
-        if stall is not None:
-            self._depth, self._clean = max(1, self._depth // 2), 0
-        else:
+        if stall is None:
             self._clean += 1
             if self._clean >= self._depth:
                 self._depth, self._clean = min(_WRITE_WINDOW, self._depth * 2), 0
@@ -1173,8 +1191,9 @@ class BufferWriter(io.RawIOBase):
             join_me = self._deadline_thread
             self._deadline_thread = None
             self._coalescer.discard()
-            self._inflight.clear()  # their replies no longer matter
             self._flush_cv.notify_all()
+            # Batches in flight stay unread: their replies no longer matter.
+            self._client._give_channel(self._channel, drained=not self._inflight)
         self._fail_stream(reason)
         if join_me is not None:
             join_me.join(timeout=2.0)
@@ -1198,14 +1217,16 @@ class BufferWriter(io.RawIOBase):
                 join_me = self._deadline_thread
                 self._deadline_thread = None
                 self._flush_cv.notify_all()
-                self._coalescer.flush()
                 try:
+                    self._coalescer.flush()
                     self._drain()
                 except Exception as exc:
                     # A lost batch leaves a hole: EOF would truncate the
                     # stream or fail on the gap, so fail it for readers.
                     self._fail_stream(f"writer failed: {exc}")
                     raise
+                finally:
+                    self._client._give_channel(self._channel, drained=not self._inflight)
                 self._client.close_writer(self.name)
         if join_me is not None:
             join_me.join(timeout=2.0)

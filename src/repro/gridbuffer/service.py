@@ -181,9 +181,9 @@ class _Stream:
         self.consumed: Dict[str, IntervalSet] = {}
         #: Write-batch sequences applied per writer token, exactly: a
         #: replayed batch (client retried after a lost reply) is deduped
-        #: here even when it lands after later batches.  Seqs count up
-        #: per stream, so the set is one interval plus at most the
-        #: writer's in-flight window of gaps.
+        #: here even when it lands after later batches.  A stream's writer
+        #: counts its seqs up under its own token, so the set is one
+        #: interval plus at most the writer's in-flight window of gaps.
         self.applied_seq: Dict[str, IntervalSet] = {}
         self.eof_total: Optional[int] = None
         self.failed: Optional[str] = None

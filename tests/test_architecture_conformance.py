@@ -308,9 +308,10 @@ class TestOneStreamPath:
             assert not hasattr(gbc._ReadAheadWindow, gone), gone
 
     def test_writes_have_one_send_site(self):
-        """Every write batch leaves through ``GridBufferClient.send_write``,
-        on the client's one pipelined connection, and the writer reaches
-        it from one place: the batcher's flush, which fills the window."""
+        """Every write batch leaves through ``_WriteChannel.send``, on the
+        channel's one pipelined connection.  A writer holds a channel of
+        its own and reaches it from one place: the batcher's flush, which
+        fills the window."""
         from repro.gridbuffer import client as gbc
 
         def users(cls, needle):
@@ -320,11 +321,14 @@ class TestOneStreamPath:
                 if inspect.isfunction(fn) and needle in inspect.getsource(fn)
             ]
 
-        assert users(gbc.GridBufferClient, "OP_WRITE") == ["send_write"]
+        assert users(gbc.GridBufferClient, "OP_WRITE") == []
+        assert users(gbc._WriteChannel, "OP_WRITE") == ["send"]
         assert inspect.getsource(gbc).count("AsyncRpcClient(") == 1
-        assert "AsyncRpcClient(" in inspect.getsource(gbc.GridBufferClient.send_write)
-        assert users(gbc.BufferWriter, "self._client.") == ["_push_runs", "_fail_stream", "close"]
-        assert users(gbc.BufferWriter, "send_write(") == ["_push_runs"]
+        assert "AsyncRpcClient(" in inspect.getsource(gbc._WriteChannel.__init__)
+        assert users(gbc.GridBufferClient, "_WriteChannel(") == ["_take_channel"]
+        assert users(gbc.BufferWriter, "_take_channel(") == ["__init__"]
+        assert users(gbc.BufferWriter, ".send(") == ["_push_runs"]
+        assert users(gbc.BufferWriter, "self._client.") == ["abort", "_fail_stream", "close"]
         assert not hasattr(gbc._ReadAheadWindow, "_target_depth")
 
     def test_fm_opens_readers_through_one_helper(self):

@@ -165,13 +165,19 @@ def _drain(reader):
 
 
 class _ScriptedReplies:
-    """Client stand-in whose write batches resolve at once to scripted
-    stall verdicts (clean after the script runs out)."""
+    """Client and write channel stand-in: write batches resolve at once
+    to scripted stall verdicts (clean after the script runs out)."""
 
     def __init__(self, verdicts):
         self.verdicts = list(verdicts)
 
-    def send_write(self, name, runs, timeout=None):
+    def _take_channel(self):
+        return self
+
+    def _give_channel(self, channel, drained=True):
+        pass
+
+    def send(self, name, runs, timeout=None):
         fut = Future()
         fut.set_result(self.verdicts.pop(0) if self.verdicts else None)
         return fut
@@ -181,18 +187,18 @@ class _ScriptedReplies:
 
 
 class TestWriterWindow:
-    def test_depth_slow_starts_to_four_and_halves_on_stalls(self):
-        replies = _ScriptedReplies([None] * 8 + ["slow_reader"] * 4)
+    def test_depth_slow_starts_to_four_and_stalls_do_not_grow_it(self):
+        replies = _ScriptedReplies([None, "slow_reader", None, None, "buffer_full", None])
         w = BufferWriter(replies, "s", coalesce_bytes=1, flush_after=0)
         depths = []
-        for _ in range(18):
+        for _ in range(9):
             w.write(b"x")  # one byte, one batch
             depths.append(w._depth)
         w.close()
-        # Doubles after each window of clean replies, up to 4; the 13th
-        # write reaps the four stalled batches, each halving (floor 1);
-        # then clean replies grow it back.
-        assert depths == [1, 2, 2, 2, 4, 4, 4, 4, 4, 4, 4, 4, 1, 2, 2, 2, 4, 4]
+        # Doubles after each window of clean replies, up to 4.  A stall
+        # reply neither shrinks the depth nor counts toward a window, so
+        # with batch 2 stalled the second doubling waits for batch 4.
+        assert depths == [1, 2, 2, 2, 2, 4, 4, 4, 4]
 
     @pytest.mark.faults
     def test_a_batch_lost_past_the_retries_fails_the_writer_and_the_stream(self, buffer_server):
@@ -233,6 +239,61 @@ class TestWriterWindow:
             r.close()
         finally:
             client.close()
+
+    def test_a_stream_parked_on_capacity_does_not_hold_another_streams_writes(
+        self, buffer_server, client
+    ):
+        """Two capacity-bounded streams written through one client.  A's
+        reader starts only after B's reader reaches EOF, so A's writer
+        sits parked on ``buffer_full`` meanwhile.  B's replies must not
+        queue behind that parked batch."""
+        cap = 32 * KIB
+
+        def produce(name):
+            w = client.open_writer(name, capacity_bytes=cap, coalesce_bytes=8 * KIB)
+            for off in range(0, len(PAYLOAD), 8 * KIB):
+                w.write(PAYLOAD[off : off + 8 * KIB])
+            w.close()
+
+        a = threading.Thread(target=produce, args=("cap-a",), daemon=True)
+        a.start()
+        deadline = time.monotonic() + 5.0
+        while not (
+            buffer_server.service.exists("cap-a")
+            and buffer_server.service._stream("cap-a").async_writers
+        ):
+            assert time.monotonic() < deadline, "stream A never filled"
+            time.sleep(0.01)
+        b = threading.Thread(target=produce, args=("cap-b",), daemon=True)
+        b.start()
+        rb = client.open_reader("cap-b", read_timeout=10.0)
+        assert _drain(rb) == PAYLOAD
+        rb.close()
+        b.join(timeout=10.0)
+        ra = client.open_reader("cap-a", read_timeout=10.0)
+        assert _drain(ra) == PAYLOAD
+        ra.close()
+        a.join(timeout=10.0)
+        assert not a.is_alive() and not b.is_alive()
+
+    def test_only_a_drained_channel_serves_the_next_writer(self, buffer_server, client):
+        first = client.open_writer("reuse-a")
+        first.write(PAYLOAD)
+        first.close()
+        channel = first._channel
+        w = client.open_writer("reuse-b", capacity_bytes=8 * KIB, coalesce_bytes=8 * KIB)
+        assert w._channel is channel
+        w.write(PAYLOAD[: 8 * KIB])
+        w.write(PAYLOAD[8 * KIB : 16 * KIB])  # parks on buffer_full
+        stream = buffer_server.service._stream("reuse-b")
+        deadline = time.monotonic() + 5.0
+        while not stream.async_writers:
+            assert time.monotonic() < deadline, "the second batch never parked"
+            time.sleep(0.01)
+        w.abort()  # its parked batch would queue ahead of the next writer's replies
+        nxt = client.open_writer("reuse-c")
+        assert nxt._channel is not channel
+        nxt.close()
 
     @pytest.mark.faults
     def test_connection_killed_under_three_batches_in_flight(self, slow_server):
@@ -305,13 +366,14 @@ class TestLatencySensitivity:
     LATENCY = 0.005  # one way
     CALL = 64 * KIB
 
-    def test_buffer_stream_through_two_fms_beats_one_batch_per_round_trip(
-        self, slow_server, tmp_path
-    ):
-        """At 5 ms a 2 MiB BUFFER stream between two FMs must move more
-        than 1.5 x 64 KiB per round trip, which a writer waiting for
-        each batch's reply cannot.  Best of three runs, for a busy box."""
+    def test_buffer_stream_through_two_fms_overlaps_its_round_trips(self, slow_server, tmp_path):
+        """At 5 ms a 2 MiB BUFFER stream between two FMs keeps several
+        write batches on the link at once, where a writer waiting for
+        each batch's reply moves one 64 KiB batch per round trip.  The
+        check counts batches at the server, not MiB/s, so a busy box
+        cannot fail it; the goodput itself is the benchmark's."""
         server = slow_server(self.LATENCY)
+        writes = _count_writes_in_flight(server)
         ns = NameService(locate_buffer_server=lambda _m: server.address)
         hosts = HostRegistry(tmp_path / "hosts")
         fms = []
@@ -329,33 +391,24 @@ class TestLatencySensitivity:
                 )
             )
         payload = random.Random(SEED).randbytes(2 << 20)
-        bound = 1.5 * self.CALL / (2 * self.LATENCY)
-        best = 0.0
+        path = "/job/stream.dat"
+        ns.add(
+            GnsRecord(
+                machine="*", path=path, mode=IOMode.BUFFER, buffer=BufferEndpoint(stream="stream")
+            )
+        )
         try:
-            for k in range(3):
-                path = f"/job/stream-{k}.dat"
-                ns.add(
-                    GnsRecord(
-                        machine="*", path=path, mode=IOMode.BUFFER,
-                        buffer=BufferEndpoint(stream=f"stream-{k}"),
-                    )
-                )
-                t0 = time.perf_counter()
-                writer = threading.Thread(target=self._write, args=(fms[0], path, payload))
-                writer.start()
-                r = fms[1].open(path, "r")
-                got = _drain(r)
-                r.close()
-                elapsed = time.perf_counter() - t0
-                writer.join(timeout=30)
-                assert got == payload
-                best = max(best, len(payload) / elapsed)
-                if best > bound:
-                    break
+            writer = threading.Thread(target=self._write, args=(fms[0], path, payload))
+            writer.start()
+            r = fms[1].open(path, "r")
+            got = _drain(r)
+            r.close()
+            writer.join(timeout=30)
         finally:
             for fm in fms:
                 fm.close()
-        assert best > bound, f"{best / 2**20:.1f} MiB/s, bound {bound / 2**20:.1f} MiB/s"
+        assert got == payload
+        assert writes["peak"] >= 2
 
     def _write(self, fm, path, payload):
         with fm.open(path, "w") as f:
