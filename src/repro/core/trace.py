@@ -120,7 +120,7 @@ class TransferMonitor:
     SMALL_BYTES = 4096
     #: Ops that are whole-file transfers, never latency probes.
     BULK_OPS = frozenset({"fetch", "store"})
-    #: Peers tracked at once (a stream advertises at most 64 cache holders).
+    #: Peers tracked at once.
     MAX_PEERS = 64
 
     def __init__(self, max_samples: int = 1024):

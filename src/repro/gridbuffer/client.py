@@ -46,7 +46,7 @@ from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
 from .. import faults, ioutil, obs
 from ..ioutil import ReadIntoFromRead
-from ..transport.aio import AsyncRpcClient, AsyncRpcServer, get_engine
+from ..transport.aio import AsyncRpcClient, get_engine
 from ..transport.tcp import PoolTimeout, RpcClient, RpcError
 from .protocol import (
     DEFAULT_COALESCE_BYTES,
@@ -58,7 +58,6 @@ from .protocol import (
     OP_DROP,
     OP_EXISTS,
     OP_HIGH_WATER,
-    OP_PEER_READ,
     OP_READ_MULTI,
     OP_REGISTER_READER,
     OP_RESUME,
@@ -112,29 +111,6 @@ _WRITER_ABORTS = obs.counter(
     "Streams marked failed by a writer-side abort",
     labelnames=("stream",),
 )
-_PEER_HITS = obs.counter(
-    "peer_cache_hits_total",
-    "Read-ahead fetches served by a cooperative-cache peer",
-    labelnames=("stream",),
-)
-_PEER_FETCH_BYTES = obs.counter(
-    "peer_fetch_bytes_total",
-    "Bytes fetched from cooperative-cache peers instead of the origin",
-    labelnames=("stream",),
-)
-_PEER_DEMOTIONS = obs.counter(
-    "peer_demotions_total",
-    "Peers demoted by a fetcher (error/timeout/checksum/miss)",
-    labelnames=("reason",),
-)
-
-#: Pending holder advertisements flush once newly cached bytes cross
-#: this threshold (evictions flush on the next piggyback regardless).
-_ADV_FLUSH_BYTES = 256 * 1024
-
-#: Peers answer from RAM or error immediately, so peer fetches run on a
-#: short timeout — a dead peer should demote fast, not stall the window.
-_PEER_TIMEOUT = 5.0
 
 #: A window socket outlives the reader's server-side read deadline by
 #: this much; past it a silent connection counts as dead.  The transport
@@ -142,21 +118,6 @@ _PEER_TIMEOUT = 5.0
 #: ``1 + retries`` socket timeouts plus backoff, and fails a read after
 #: twice that.
 _DEADLINE_MARGIN = 5.0
-
-#: Hint fan-out requested from the origin per read.
-_HINT_K = 3
-
-#: Misses (peer lacked a hinted range) tolerated before demotion;
-#: errors, timeouts and checksum mismatches demote immediately.
-_MISS_STRIKES = 3
-
-#: Peer fetches span this many window chunks per request.  Peers serve
-#: from RAM, so the per-request cost (framing, crc, loop dispatch) —
-#: not bandwidth — bounds a popular holder; bigger spans amortise it.
-_PEER_SPAN_CHUNKS = 4
-
-#: "Drop everything" range end used to withdraw a holder registration.
-_DROP_ALL_END = 1 << 62
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +146,7 @@ class _SharedStreamCache:
         # re-verify against it, so a run that rots in memory (or is
         # poisoned by the chaos injector) is discarded — the reader
         # falls through to the origin — instead of being handed to a
-        # local sibling or a remote peer.
+        # co-located sibling.
         self._crcs: Dict[int, int] = {}
         self._index: List[int] = []
         self._max_len = 0
@@ -205,13 +166,6 @@ class _SharedStreamCache:
         self._acks: Dict[str, List[List[int]]] = {}
         self._ack_bytes = 0
         self.ack_flushes = 0
-        # Pending holder advertisement: ranges newly cached / LRU-evicted
-        # since the last flush, piggybacked onto consume acks so the
-        # origin's holder map tracks what this process can actually
-        # serve to peers.
-        self._pending_holds: List[List[int]] = []
-        self._pending_drops: List[List[int]] = []
-        self._pending_hold_bytes = 0
 
     def ack(
         self, reader_id: str, start: int, end: int, flush_bytes: int
@@ -246,23 +200,15 @@ class _SharedStreamCache:
         with self._lock:
             self.eof_total = total if self.eof_total is None else min(self.eof_total, total)
 
-    def put(self, offset: int, data: bytes, advertise: bool = True) -> None:
-        """Cache a run; ``advertise=False`` keeps it out of the holder map.
-
-        Peer-fetched runs are cached (local siblings benefit) but never
-        advertised: only origin-fetched bytes make a process a holder.
-        Otherwise holders beget holders and fetches relay through
-        chains of peers — each hop re-pays serve+verify cost — instead
-        of going one hop to a process that actually read from the
-        origin.
-        """
+    def put(self, offset: int, data: bytes) -> None:
+        """Cache a run fetched from the server."""
         if not data:
             return
         data = bytes(data)
         # Checksum *before* the poison hook: a "corrupt" rule on
         # gb.cache flips a bit in the stored copy while the recorded
         # crc stays honest — exactly the shape of real memory rot, and
-        # what the serve-time verify in get()/peek_range() must catch.
+        # what the serve-time verify in get() must catch.
         crc = ioutil.crc32(data)
         injector = faults.ACTIVE
         if injector is not None:
@@ -277,9 +223,6 @@ class _SharedStreamCache:
             insort(self._index, offset)
             self._max_len = max(self._max_len, len(data))
             self._bytes += len(data)
-            if advertise:
-                self._note_range_locked(self._pending_holds, offset, offset + len(data))
-                self._pending_hold_bytes += len(data)
             while self._bytes > self._capacity and len(self._entries) > 1:
                 self._remove_locked(next(iter(self._entries)))  # the LRU run
 
@@ -291,15 +234,12 @@ class _SharedStreamCache:
             runs.append([start, end])
 
     def _remove_locked(self, off: int) -> None:
-        """Drop the run at ``off`` and queue it as a holder-map *drop*, so
-        the origin stops hinting peers at bytes we no longer serve."""
         data = self._entries.pop(off)
         self._crcs.pop(off, None)
         self._bytes -= len(data)
         i = bisect_left(self._index, off)
         if i < len(self._index) and self._index[i] == off:
             del self._index[i]
-        self._note_range_locked(self._pending_drops, off, off + len(data))
 
     def _covering_locked(self, pos: int) -> Optional[int]:
         """Position in ``_index`` of the run covering ``pos``, or None."""
@@ -327,69 +267,6 @@ class _SharedStreamCache:
             "gb.cache_discard", stream=self.name, offset=off, length=len(data)
         )
         return False
-
-    def take_adv(
-        self, force: bool = False, threshold: int = _ADV_FLUSH_BYTES
-    ) -> Optional[Tuple[List[List[int]], List[List[int]]]]:
-        """Drain the pending (holds, drops) advertisement, or None.
-
-        Without ``force``, holds accumulate until ``threshold`` bytes —
-        advertisement is lazy — but any pending *drop* flushes eagerly:
-        a stale "peer holds X" hint costs every hinted reader a miss.
-        """
-        with self._lock:
-            if not self._pending_holds and not self._pending_drops:
-                return None
-            if (
-                not force
-                and not self._pending_drops
-                and self._pending_hold_bytes < threshold
-            ):
-                return None
-            holds, drops = self._pending_holds, self._pending_drops
-            self._pending_holds, self._pending_drops = [], []
-            self._pending_hold_bytes = 0
-            return holds, drops
-
-    def peek_range(self, pos: int, length: int) -> Optional[bytes]:
-        """Cached bytes at ``pos`` (at most ``length``) for a peer read.
-
-        Unlike :meth:`get` this does not promote the run in LRU order or
-        count a local hit — remote demand should not be able to pin a
-        run that local readers have moved past.  Contiguous runs are
-        stitched up to ``length``: serving one big peer read instead of
-        N small ones is what keeps a popular holder's event loop from
-        saturating on per-request overhead.
-        """
-        if length <= 0:
-            return None
-        with self._lock:
-            start = self._covering_locked(pos)
-            if start is None:
-                return None
-            off = self._index[start]
-            data = self._entries[off]
-            if not self._verify_locked(off, data):
-                return None
-            parts = [data[pos - off : pos - off + length]]
-            got = len(parts[0])
-            end = off + len(data)
-            for j in range(start + 1, len(self._index)):
-                if got >= length:
-                    break
-                noff = self._index[j]
-                if noff != end:
-                    break
-                ndata = self._entries[noff]
-                if not self._verify_locked(noff, ndata):
-                    # Serve the verified prefix; the peer re-requests
-                    # the rest (discard shrank _index, so stop here).
-                    break
-                take = min(length - got, len(ndata))
-                parts.append(ndata[:take])
-                got += take
-                end = noff + len(ndata)
-            return parts[0] if len(parts) == 1 else b"".join(parts)
 
     def get(self, pos: int) -> Optional[bytes]:
         """Bytes from ``pos`` to the end of a covering run, or None."""
@@ -441,57 +318,6 @@ def _shared_cache_release(addr: Tuple[str, int], stream: str, gen: int = 0) -> b
         return False
 
 
-class _PeerCacheServer:
-    """Process-wide ``gb.peer_read`` endpoint over the shared caches.
-
-    Started lazily by the first peer-enabled reader and never stopped
-    (an idle server is one parked accept socket on the process-wide
-    event loop — no threads).  The handler is registered ``inline``: a
-    peer read is a lock + bisect + slice, never blocking, so it runs on
-    the loop directly.  The async engine's ``rpc.server`` fault hook
-    fires for it like any other op, which is what lets chaos rules
-    target ``op=gb.peer_read`` with drop/close/delay.
-    """
-
-    _instance: Optional["_PeerCacheServer"] = None
-    _instance_lock = threading.Lock()
-
-    def __init__(self) -> None:
-        self._rpc = AsyncRpcServer("127.0.0.1", 0)
-        self._rpc.register(OP_PEER_READ, self._op_peer_read, inline=True)
-        self._rpc.start()
-        host, port = self._rpc.address
-        self.addr = f"{host}:{port}"
-
-    @classmethod
-    def get(cls) -> "_PeerCacheServer":
-        with cls._instance_lock:
-            if cls._instance is None:
-                cls._instance = cls()
-            return cls._instance
-
-    @staticmethod
-    def _op_peer_read(header: Dict[str, Any], _payload: bytes):
-        origin = str(header.get("origin", ""))
-        name = str(header.get("name", ""))
-        gen = int(header.get("gen") or 0)
-        offset = int(header.get("offset", 0))
-        length = int(header.get("length", 0))
-        host, _, port_s = origin.rpartition(":")
-        try:
-            key = (host, int(port_s), name, gen)
-        except ValueError:
-            raise RpcError("bad-request", f"malformed origin {origin!r}") from None
-        with _SHARED_CACHES_LOCK:
-            cache = _SHARED_CACHES.get(key)
-        data = cache.peek_range(offset, length) if cache is not None else None
-        if not data:
-            # Not an error worth retrying elsewhere in the transport:
-            # the fetcher treats a miss as a hint gone stale.
-            raise RpcError("peer-miss", f"{name}@{offset} not cached here")
-        return {"crc": ioutil.crc32(data)}, data
-
-
 # ---------------------------------------------------------------------------
 # RPC mirror
 # ---------------------------------------------------------------------------
@@ -525,10 +351,6 @@ class GridBufferClient:
         # closed.
         self._idle_channels: Optional[List[_WriteChannel]] = []
         self._channels_lock = threading.Lock()
-        # Small per-peer RpcClient cache for cooperative-cache fetches;
-        # peers answer from RAM, so these run on a short timeout.
-        self._peer_rpcs: Dict[str, RpcClient] = {}
-        self._peer_rpcs_lock = threading.Lock()
 
     @property
     def address(self) -> Tuple[str, int]:
@@ -558,27 +380,12 @@ class GridBufferClient:
 
     def register_reader(self, name: str, reader_id: str) -> int:
         """Attach a reader; returns the stream generation."""
-        return self.register_reader_ex(name, reader_id)[0]
+        return self.register_reader_ex(name, reader_id)
 
-    def register_reader_ex(
-        self,
-        name: str,
-        reader_id: str,
-        peer_hints: Optional[Tuple[str, int]] = None,
-    ) -> Tuple[int, Optional[Dict[str, Any]]]:
-        """:meth:`register_reader` plus an initial ``cached_at`` hint.
-
-        With ``peer_hints=(own_peer_addr, k)`` the origin also returns
-        holders of the stream's opening range, so a reader joining a
-        warm broadcast never touches the origin data path at all.
-        """
-        header: Dict[str, Any] = {"name": name, "reader_id": reader_id}
-        if peer_hints is not None:
-            header["peer"] = peer_hints[0]
-            header["peer_hints"] = int(peer_hints[1])
-        reply, _ = self._rpc.call(OP_REGISTER_READER, header)
-        hint = reply.get("cached_at")
-        return int(reply["gen"]), (hint if isinstance(hint, dict) else None)
+    def register_reader_ex(self, name: str, reader_id: str) -> int:
+        """The ``gb.register_reader`` round trip behind :meth:`register_reader`."""
+        reply, _ = self._rpc.call(OP_REGISTER_READER, {"name": name, "reader_id": reader_id})
+        return int(reply["gen"])
 
     def write(
         self, name: str, offset: int, data: bytes, timeout: Optional[float] = None
@@ -628,19 +435,13 @@ class GridBufferClient:
         min_bytes: int = 1,
         timeout: Optional[float] = None,
         rpc: Optional[RpcClient] = None,
-        peer_hints: Optional[Tuple[str, int]] = None,
-    ) -> Tuple[bytes, Optional[int], Optional[Dict[str, Any]]]:
-        """Windowed read: ``(data, stream_total_if_known, cached_at_hint)``.
+    ) -> Tuple[bytes, Optional[int]]:
+        """Windowed read: ``(data, stream_total_if_known)``.
 
         One reply carries as many contiguous bytes as the server has
         available at ``offset`` up to ``budget``, blocking only while
         fewer than ``min_bytes`` are.  ``total`` is the stream length
         once the writer closed, which is how readers learn EOF.
-        ``peer_hints=(own_peer_addr, k)`` asks the origin for up to
-        ``k`` peers holding the requested-next ranges (excluding
-        ourselves).  The returned hint is ``{"peers": [...], "start":
-        int, "end": int}``, or None when it was not asked for or no
-        peer holds the range.
         """
         header: Dict[str, Any] = {
             "name": name,
@@ -650,125 +451,35 @@ class GridBufferClient:
             "min_bytes": min_bytes,
             "timeout": timeout,
         }
-        if peer_hints is not None:
-            header["peer"] = peer_hints[0]
-            header["peer_hints"] = int(peer_hints[1])
         t0 = time.perf_counter()
         reply, data = (rpc or self._rpc).call(OP_READ_MULTI, header)
         self._record("read_multi", len(data), time.perf_counter() - t0)
         total = reply.get("total")
-        hint = reply.get("cached_at")
-        return (
-            data,
-            (int(total) if total is not None else None),
-            hint if isinstance(hint, dict) else None,
-        )
-
-    def peer_read(
-        self,
-        peer: str,
-        name: str,
-        gen: int,
-        offset: int,
-        length: int,
-    ) -> bytes:
-        """Fetch a cached run from a peer's shared block cache.
-
-        Verifies the reply's crc32 and length before trusting it; any
-        mismatch raises so the caller demotes the peer and re-requests
-        from the origin — peers accelerate, they never gate correctness.
-        Round trips are recorded against the *peer's* address in the
-        TransferMonitor, which is what lets the window rank peers by
-        observed bandwidth.
-        """
-        rpc = self._peer_rpc(peer)
-        t0 = time.perf_counter()
-        reply, data = rpc.call(
-            OP_PEER_READ,
-            {
-                "origin": f"{self._addr[0]}:{self._addr[1]}",
-                "name": name,
-                "gen": int(gen),
-                "offset": int(offset),
-                "length": int(length),
-            },
-        )
-        elapsed = time.perf_counter() - t0
-        if not data or len(data) > length:
-            raise RpcError(
-                "peer-bad-length", f"peer {peer} sent {len(data)} bytes for {length}"
-            )
-        if ioutil.crc32(data) != int(reply.get("crc", -1)):
-            raise RpcError("peer-bad-crc", f"checksum mismatch from peer {peer}")
-        if self.monitor is not None:
-            self.monitor.record(peer, "peer_read", len(data), elapsed)
-        return data
-
-    def _peer_rpc(self, peer: str) -> RpcClient:
-        with self._peer_rpcs_lock:
-            rpc = self._peer_rpcs.get(peer)
-            if rpc is None:
-                host, _, port_s = peer.rpartition(":")
-                rpc = RpcClient(
-                    host,
-                    int(port_s),
-                    timeout=min(self._timeout, _PEER_TIMEOUT),
-                    max_connections=2,
-                )
-                self._peer_rpcs[peer] = rpc
-            return rpc
+        return data, (int(total) if total is not None else None)
 
     def consume_multi(
-        self,
-        name: str,
-        entries: Sequence[Tuple[str, Sequence[Sequence[int]]]],
-        adv: Optional[Dict[str, Any]] = None,
+        self, name: str, entries: Sequence[Tuple[str, Sequence[Sequence[int]]]]
     ) -> None:
         """Acknowledge ranges served from a shared cache, several readers a frame.
 
         ``entries`` is a list of ``(reader_id, ranges)`` pairs — the
-        shared-cache ack aggregator's flush unit.  ``adv`` piggybacks a
-        cooperative-cache holder advertisement (``peer``/``gen``/
-        ``holds``/``drops`` keys) on the same frame.
+        shared-cache ack aggregator's flush unit.
         """
-        self.consume_multi_ex(name, entries, adv=adv)
+        self.consume_multi_ex(name, entries)
 
     def consume_multi_ex(
-        self,
-        name: str,
-        entries: Sequence[Tuple[str, Sequence[Sequence[int]]]],
-        adv: Optional[Dict[str, Any]] = None,
-        peer_hints: Optional[Tuple[str, int]] = None,
-        hint_from: Optional[int] = None,
-    ) -> Optional[Dict[str, Any]]:
-        """:meth:`consume_multi`, returning the server's ``cached_at`` hint.
-
-        A fully peer-served reader never issues an origin read, so the
-        ack channel is the only round trip on which its holder map can
-        refresh — ``peer_hints=(own_peer_addr, k)`` asks for an updated
-        hint on the reply.  ``hint_from`` carries the reader's true
-        read frontier: acked ranges trail it, and a hint computed at
-        the acked frontier points at peers that may not hold the
-        leading edge yet.
-        """
-        if not entries and not adv:
-            return None
+        self, name: str, entries: Sequence[Tuple[str, Sequence[Sequence[int]]]]
+    ) -> None:
+        """The ``gb.consume_multi`` round trip behind :meth:`consume_multi`."""
+        if not entries:
+            return
         header: Dict[str, Any] = {
             "name": name,
             "entries": [
                 [rid, [[int(s), int(e)] for s, e in ranges]] for rid, ranges in entries
             ],
         }
-        if adv:
-            header.update(adv)
-        if peer_hints is not None:
-            header["peer"] = peer_hints[0]
-            header["peer_hints"] = int(peer_hints[1])
-            if hint_from is not None:
-                header["hint_from"] = int(hint_from)
-        reply, _ = self._rpc.call(OP_CONSUME_MULTI, header)
-        hint = reply.get("cached_at")
-        return hint if isinstance(hint, dict) else None
+        self._rpc.call(OP_CONSUME_MULTI, header)
 
     def close_writer(self, name: str) -> int:
         reply, _ = self._rpc.call(OP_CLOSE_WRITER, {"name": name})
@@ -828,20 +539,12 @@ class GridBufferClient:
         read_ahead_bytes: int = DEFAULT_READ_BUDGET,
         read_ahead_depth: int = 4,
         shared_cache: bool = False,
-        peer_cache: bool = False,
     ) -> "BufferReader":
         """Attach a reader, waiting for the stream to exist.
 
         A reader may open before the writer has created the stream (the
         paper's FM blocks the legacy OPEN until matched); poll until the
         stream appears or ``open_timeout`` elapses.
-
-        ``peer_cache=True`` joins the cluster-wide cooperative cache:
-        the reader advertises its shared block cache to the origin,
-        serves ``gb.peer_read`` for other readers, and redirects its
-        own fetches to hinted peers when the origin says one holds the
-        bytes.  Implies ``shared_cache`` (the shared cache *is* the
-        peer-served store).
         """
         rid = reader_id or f"reader-{uuid.uuid4().hex[:8]}"
         deadline = time.monotonic() + open_timeout
@@ -849,12 +552,6 @@ class GridBufferClient:
             if time.monotonic() > deadline:
                 raise TimeoutError(f"stream {name!r} never appeared")
             time.sleep(_OPEN_POLL_INTERVAL)
-        peer_addr = _PeerCacheServer.get().addr if peer_cache else None
-        gen, hint = self.register_reader_ex(
-            name,
-            rid,
-            peer_hints=(peer_addr, _HINT_K) if peer_addr is not None else None,
-        )
         return BufferReader(
             self,
             name,
@@ -862,10 +559,8 @@ class GridBufferClient:
             read_timeout=read_timeout,
             read_ahead_bytes=read_ahead_bytes,
             read_ahead_depth=read_ahead_depth,
-            shared_cache=shared_cache or peer_cache,
-            peer_cache=peer_cache,
-            gen=gen,
-            initial_hint=hint,
+            shared_cache=shared_cache,
+            gen=self.register_reader_ex(name, rid),
         )
 
     def close(self) -> None:
@@ -874,11 +569,6 @@ class GridBufferClient:
             idle, self._idle_channels = self._idle_channels or [], None
         for channel in idle:
             channel.close()
-        with self._peer_rpcs_lock:
-            peer_rpcs = list(self._peer_rpcs.values())
-            self._peer_rpcs.clear()
-        for rpc in peer_rpcs:
-            rpc.close()
 
     def __enter__(self) -> "GridBufferClient":
         return self
@@ -1284,9 +974,7 @@ class _ReadAheadWindow:
         chunk_bytes: int,
         max_depth: int,
         shared: Optional[_SharedStreamCache] = None,
-        peer_addr: Optional[str] = None,
         gen: int = 0,
-        initial_hint: Optional[Dict[str, Any]] = None,
     ):
         self._client = client
         self._name = name
@@ -1295,22 +983,9 @@ class _ReadAheadWindow:
         self._chunk = max(1, chunk_bytes)
         self._max_depth = max(1, max_depth)
         self._shared = shared
-        # Cooperative cache state: our own peer address (None = peer
-        # fetch disabled), the stream generation peer reads are keyed
-        # by, and the origin's latest ``cached_at`` hint.  Demotions are
-        # per-window permanent — a peer that lied once is not retried.
-        self._peer_addr = peer_addr
+        # The stream generation fetched bytes belong to: a fetch that
+        # lands after rebind() to a new incarnation is dropped.
         self._gen = int(gen)
-        self._hint_peers: List[str] = []
-        self._hint_start = 0
-        self._hint_end = 0
-        self._demoted: set = set()
-        self._misses: Dict[str, int] = {}
-        self._peer_rr = 0
-        self._frontier = 0
-        self.peer_hits = 0
-        self._m_peer_hits = _PEER_HITS.labels(stream=name)
-        self._m_peer_bytes = _PEER_FETCH_BYTES.labels(stream=name)
         self._rpc = RpcClient(
             *client.address,
             timeout=client._timeout if timeout is None else timeout + _DEADLINE_MARGIN,
@@ -1318,10 +993,10 @@ class _ReadAheadWindow:
         )
         self._cv = threading.Condition()
         self._queue: List[int] = []                  # wanted offsets, ascending
-        # In-flight requests: offset -> expected span.  Origin fetches
-        # span one chunk; peer fetches may span several, and tracking
-        # the width keeps schedule() from double-requesting bytes a
-        # wide peer fetch is already carrying.
+        # In-flight requests: offset -> expected span.  Prefetches span
+        # one chunk; a head fetch spans the caller's read size, and
+        # tracking the width keeps schedule() from double-requesting
+        # bytes it is already carrying.
         self._inflight: Dict[int, int] = {}
         self._results: Dict[int, bytes] = {}
         self._errors: Dict[int, BaseException] = {}
@@ -1334,8 +1009,6 @@ class _ReadAheadWindow:
         # whatever span opened the reader (the task, usually) — capture
         # the constructing thread's context for re-attachment.
         self._trace_ctx = obs.current_context()
-        if initial_hint is not None:
-            self._store_hint(initial_hint)
         self._threads = [
             threading.Thread(target=self._run, name=f"gb-window:{name}#{i}", daemon=True)
             for i in range(self._max_depth)
@@ -1375,7 +1048,6 @@ class _ReadAheadWindow:
         with self._cv:
             if self._stopped:
                 return
-            self._frontier = frontier
             if not (self._queue or self._inflight or self._results or self._errors):
                 # Idle gap: safe to re-tier the chunk grid — nothing
                 # outstanding can straddle the old/new boundaries.
@@ -1469,14 +1141,12 @@ class _ReadAheadWindow:
 
     def rebind(self, shared: Optional[_SharedStreamCache], gen: int) -> None:
         """Recovery found a new stream incarnation: swap cache and
-        generation, drop results, EOF and hints from the dead one."""
+        generation, drop results and EOF from the dead one."""
         with self._cv:
             self._shared = shared
             self._gen = int(gen)
             self._results.clear()
             self._eof_at = None
-            self._hint_peers = []
-            self._hint_start = self._hint_end = 0
 
     def close(self) -> None:
         with self._cv:
@@ -1506,15 +1176,9 @@ class _ReadAheadWindow:
                 if self._stopped:
                     return
                 offset = self._queue[0]
-                span = self._chunk
-                if self._peer_addr and self._hint_start <= offset < self._hint_end:
-                    # Peer fetches batch several chunks: peers serve
-                    # from RAM, so per-request overhead — not link
-                    # bandwidth — is what bounds a popular holder.
-                    span = min(self._chunk * _PEER_SPAN_CHUNKS, self._hint_end - offset)
                 # Claimed as it leaves the queue, so take() always sees
                 # the span; queued offsets it covers are absorbed.
-                span = self._claim_locked(offset, span)
+                span = self._claim_locked(offset, self._chunk)
                 epoch, gen = self._epoch, self._gen
             try:
                 data = self._transfer(offset, span)
@@ -1534,7 +1198,10 @@ class _ReadAheadWindow:
                 continue
             with self._cv:
                 self._inflight.pop(offset, None)
-                if gen == self._gen and not self._stopped:  # even across a reset()
+                # An empty reply only marks EOF, which _transfer noted.
+                # Landed, it would count as outstanding work until the
+                # consumer passed it: after a seek back, never.
+                if data and gen == self._gen and not self._stopped:  # even across a reset()
                     self._results[offset] = data
                 self._cv.notify_all()
 
@@ -1569,39 +1236,16 @@ class _ReadAheadWindow:
     def _transfer(self, offset: int, span: int) -> bytes:
         """The bytes at ``[offset, offset + span)``: every byte a reader reads.
 
-        Hinted peers, then the origin; keeps the reply's hint and EOF,
-        puts the bytes in the shared cache and acks them.  The caller
+        One ``gb.read_multi`` to the reader's buffer server; keeps the
+        reply's EOF and puts the bytes in the shared cache.  The caller
         claims the span and lands the bytes.
         """
         shared, gen = self._shared, self._gen
-        total: Optional[int] = None
-        data = self._fetch_from_peer(offset, span) if self._peer_addr else None
-        from_peer = data is not None
-        if data is None:
-            data, total, hint = self._client.read_window_ex(
-                self._name,
-                self._reader_id,
-                offset,
-                span,
-                timeout=self._timeout,
-                rpc=self._rpc,
-                peer_hints=((self._peer_addr, _HINT_K) if self._peer_addr else None),
-            )
-            if hint is not None:
-                self._store_hint(hint)
-        if shared is not None and data:
-            if from_peer:
-                # Peer-served bytes never touched the origin, so ack
-                # them explicitly — delete-on-read GC and per-reader
-                # lag gauges must stay exact either way.
-                entries = shared.ack(
-                    self._reader_id, offset, offset + len(data), BufferReader.ACK_FLUSH_BYTES
-                )
-                if entries:
-                    self.send_acks(entries, offset + len(data))
-            shared.put(offset, data, advertise=not from_peer)
-            self.send_acks([], self._frontier)
-        if total is not None and shared is not None:
+        data, total = self._client.read_window_ex(
+            self._name, self._reader_id, offset, span, timeout=self._timeout, rpc=self._rpc
+        )
+        if shared is not None:
+            shared.put(offset, data)
             shared.note_eof(total)
         with self._cv:
             if gen == self._gen:
@@ -1610,139 +1254,6 @@ class _ReadAheadWindow:
                 elif not data:
                     self._note_eof_locked(offset)
         return data
-
-    # -- cooperative-cache peer fetch --------------------------------------
-    def _fetch_from_peer(self, offset: int, length: int) -> Optional[bytes]:
-        """Try hinted peers for ``offset``; None sends us to the origin.
-
-        Every failure mode folds into "skip this peer and fall back":
-        a miss (stale hint) is a strike, demoting after
-        ``_MISS_STRIKES``; errors, timeouts and checksum/length
-        mismatches demote immediately.  Correctness never depends on a
-        peer answering — the origin always can.
-        """
-        for peer in self._peer_candidates(offset):
-            try:
-                data = self._client.peer_read(peer, self._name, self._gen, offset, length)
-            except RpcError as exc:
-                if exc.kind == "peer-miss":
-                    self._strike(peer)
-                elif exc.kind in ("peer-bad-crc", "peer-bad-length"):
-                    ioutil.count_integrity_error("gb.peer", "demote")
-                    self._demote(peer, "checksum")
-                else:
-                    self._demote(peer, "error")
-            except TimeoutError:
-                self._demote(peer, "timeout")
-            except OSError:
-                self._demote(peer, "error")
-            else:
-                if data:
-                    self.peer_hits += 1
-                    self._m_peer_hits.inc()
-                    self._m_peer_bytes.inc(len(data))
-                    return data
-                self._strike(peer)
-        return None
-
-    def _peer_candidates(self, offset: int) -> List[str]:
-        """Hinted peers expected to hold ``offset``, best first.
-
-        Range-gated by the hint's span, demotion-filtered, then sorted
-        by observed bandwidth with *unknown* peers first — an untried
-        peer gets explored before we settle on a known-good one.  The
-        start position rotates fetch to fetch: on a broadcast every
-        hinted holder has the bytes, and rotating spreads concurrent
-        fetchers across holders instead of herding them all at the
-        single best-measured peer.  Failures still walk the remaining
-        candidates in score order.
-        """
-        with self._cv:
-            if not (self._hint_start <= offset < self._hint_end):
-                return []
-            peers = [
-                p
-                for p in self._hint_peers
-                if p not in self._demoted and p != self._peer_addr
-            ]
-            self._peer_rr += 1
-            rot = self._peer_rr
-        monitor = self._client.monitor
-        if monitor is not None and len(peers) > 1:
-            peers.sort(key=lambda p: -(monitor.bandwidth(p) or float("inf")))
-        if len(peers) > 1:
-            rot %= len(peers)
-            peers = peers[rot:] + peers[:rot]
-        return peers
-
-    def _store_hint(self, hint: Dict[str, Any]) -> None:
-        peers = hint.get("peers")
-        if not isinstance(peers, (list, tuple)):
-            return
-        total = hint.get("total")
-        with self._cv:
-            self._hint_peers = [str(p) for p in peers]
-            self._hint_start = int(hint.get("start", 0))
-            self._hint_end = int(hint.get("end", 0))
-            if total is not None:
-                # The origin told us the stream total along with the
-                # hint — a fully peer-served reader learns EOF without
-                # ever probing the origin for an empty read.
-                self._note_eof_locked(int(total))
-        if total is not None and self._shared is not None:
-            self._shared.note_eof(int(total))
-
-    def _demote(self, peer: str, reason: str) -> None:
-        with self._cv:
-            if peer in self._demoted:
-                return
-            self._demoted.add(peer)
-            self._misses.pop(peer, None)
-        _PEER_DEMOTIONS.labels(reason=reason).inc()
-        obs.event("gb.peer_demoted", stream=self._name, peer=peer, reason=reason)
-
-    def _strike(self, peer: str) -> None:
-        with self._cv:
-            strikes = self._misses.get(peer, 0) + 1
-            self._misses[peer] = strikes
-            if strikes < _MISS_STRIKES:
-                return
-        self._demote(peer, "miss")
-
-    def send_acks(
-        self,
-        entries: Sequence[Tuple[str, Sequence[Sequence[int]]]],
-        hint_from: int,
-        force_adv: bool = False,
-    ) -> None:
-        """Send one ``gb.consume_multi`` frame; the reply refreshes the hint.
-
-        Carries ``entries`` plus, for a peer-enabled reader, whatever
-        holder advertisement is due (all of it with ``force_adv``).
-        Best-effort: a lost ack delays GC and is retried on the next
-        flush, a lost advertisement only costs hints — neither corrupts.
-        """
-        adv = peer_hints = None
-        if self._peer_addr is not None and self._shared is not None:
-            peer_hints = (self._peer_addr, _HINT_K)
-            pending = self._shared.take_adv(force=force_adv)
-            if pending is not None:
-                adv = {
-                    "peer": self._peer_addr,
-                    "gen": self._gen,
-                    "holds": pending[0],
-                    "drops": pending[1],
-                }
-        if not entries and adv is None:
-            return
-        try:
-            hint = self._client.consume_multi_ex(
-                self._name, entries, adv=adv, peer_hints=peer_hints, hint_from=hint_from
-            )
-        except (OSError, RpcError):  # fault-ok: acks retry next flush; a lost adv only costs hints
-            return
-        if hint is not None:
-            self._store_hint(hint)
 
 
 class BufferReader(ReadIntoFromRead, io.RawIOBase):
@@ -1773,9 +1284,7 @@ class BufferReader(ReadIntoFromRead, io.RawIOBase):
         read_ahead_bytes: int = DEFAULT_READ_BUDGET,
         read_ahead_depth: int = 4,
         shared_cache: bool = False,
-        peer_cache: bool = False,
         gen: int = 0,
-        initial_hint: Optional[Dict[str, Any]] = None,
     ):
         super().__init__()
         self._client = client
@@ -1789,14 +1298,9 @@ class BufferReader(ReadIntoFromRead, io.RawIOBase):
         self._m_ra_hits = _READAHEAD_HITS.labels(stream=name)
         self._m_shared_hits = _SHARED_HITS.labels(stream=name)
         self._gen = int(gen)
-        self._peer_addr: Optional[str] = None
         self._shared: Optional[_SharedStreamCache] = None
         if shared_cache:
             self._shared = _shared_cache_acquire(client.address, name, self._gen)
-        if peer_cache and self._shared is not None:
-            # Joining the cooperative cache: start (or reuse) this
-            # process's peer endpoint and expose the shared cache on it.
-            self._peer_addr = _PeerCacheServer.get().addr
         self._ra = _ReadAheadWindow(
             client,
             name,
@@ -1805,18 +1309,11 @@ class BufferReader(ReadIntoFromRead, io.RawIOBase):
             read_ahead_bytes,
             read_ahead_depth,
             shared=self._shared,
-            peer_addr=self._peer_addr,
             gen=self._gen,
-            initial_hint=initial_hint if self._peer_addr is not None else None,
         )
 
     def readable(self) -> bool:
         return True
-
-    @property
-    def peer_hits(self) -> int:
-        """Read-ahead fetches served by cooperative-cache peers."""
-        return self._ra.peer_hits
 
     # -- shared-cache ack batching -----------------------------------------
     def _ack(self, start: int, end: int) -> None:
@@ -1832,19 +1329,15 @@ class BufferReader(ReadIntoFromRead, io.RawIOBase):
             return
         entries = self._shared.ack(self.reader_id, start, end, self.ACK_FLUSH_BYTES)
         if entries:
-            # The frame is going out anyway — piggyback whatever holder
-            # advertisement has accumulated, due or not.
-            self._ra.send_acks(entries, self._pos, force_adv=True)
+            self._send_acks(entries)
 
-    def flush_advertisements(self, force: bool = True) -> None:
-        """Send pending holder advertisements to the origin now.
-
-        Normally advertisements ride lazily on consume traffic; a
-        holder that has finished reading (and so stops generating
-        traffic) calls this to make its final cached ranges visible to
-        peers immediately.
-        """
-        self._ra.send_acks([], self._pos, force_adv=force)
+    def _send_acks(self, entries: Sequence[Tuple[str, Sequence[Sequence[int]]]]) -> None:
+        """One ``gb.consume_multi`` frame, best-effort: the transport
+        already retried it, and a lost ack only delays GC."""
+        try:
+            self._client.consume_multi_ex(self.name, entries)
+        except (OSError, RpcError):  # fault-ok: a lost ack delays GC, never corrupts
+            pass
 
     # -- read path ---------------------------------------------------------
     def _recover(self, exc: BaseException) -> None:
@@ -1878,8 +1371,8 @@ class BufferReader(ReadIntoFromRead, io.RawIOBase):
         if gen and gen != self._gen:
             # The stream was re-created while we were away: everything
             # buffered or cached belongs to a dead incarnation.  Swap to
-            # the new generation's shared cache so neither we nor any
-            # peer ever serves the old bytes.
+            # the new generation's shared cache so no co-located reader
+            # ever serves the old bytes.
             self._ra_buf = b""
             self._at_eof = False
             if self._shared is not None:
@@ -1999,23 +1492,7 @@ class BufferReader(ReadIntoFromRead, io.RawIOBase):
         if self._shared is not None:
             entries = self._shared.drain_acks()
             if entries:
-                self._ra.send_acks(entries, self._pos, force_adv=True)
-            last = _shared_cache_release(self._client.address, self.name, self._gen)
-            if last and self._peer_addr is not None:
-                # Last co-located reader gone: the cache is dropped, so
-                # withdraw the holder registration before peers chase it.
-                try:
-                    self._client.consume_multi(
-                        self.name,
-                        [],
-                        adv={
-                            "peer": self._peer_addr,
-                            "gen": self._gen,
-                            "holds": [],
-                            "drops": [[0, _DROP_ALL_END]],
-                        },
-                    )
-                except (OSError, RpcError):  # fault-ok: stale-gen hints miss harmlessly
-                    pass
+                self._send_acks(entries)
+            _shared_cache_release(self._client.address, self.name, self._gen)
             self._shared = None
         super().close()

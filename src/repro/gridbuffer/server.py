@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from ..transport.tcp import RpcError, RpcServer
 from .cache import BufferCache
@@ -64,28 +64,14 @@ class GridBufferServer:
         port: int = 0,
         default_capacity: Optional[int] = DEFAULT_CAPACITY,
         simulated_latency: float = 0.0,
-        max_inflight: Optional[int] = None,
-        inflight_ops: Optional[Sequence[str]] = None,
     ):
         self.service = GridBufferService(default_capacity=default_capacity)
         self.cache_dir = Path(cache_dir) if cache_dir else None
         self._simulated_latency = simulated_latency
-        self._max_inflight = max_inflight
-        self._inflight_ops = inflight_ops
         self._rpc = self._new_rpc(host, port)
 
     def _new_rpc(self, host: str, port: int) -> RpcServer:
-        # max_inflight caps server-wide handler concurrency — with
-        # simulated_latency it models an origin link whose service time
-        # grows with offered load, which is what the cooperative-cache
-        # benchmark constrains.
-        rpc = RpcServer(
-            host,
-            port,
-            simulated_latency=self._simulated_latency,
-            max_inflight=self._max_inflight,
-            inflight_ops=self._inflight_ops,
-        )
+        rpc = RpcServer(host, port, simulated_latency=self._simulated_latency)
         # Service-level detail for the ops plane's _obs.health op.
         rpc.health_info = self.health_info
         # gb.create and gb.drop run on a worker thread: they touch the
@@ -176,57 +162,8 @@ class GridBufferServer:
     def _op_register_reader(self, header: Dict[str, Any], _payload: bytes):
         with _rpc_errors():
             gen = self.service.register_reader(header["name"], header["reader_id"])
-        # Clients key their shared block cache on the generation.  A
-        # peer-cache client also asks for hints here, so a late joiner of
-        # a warm broadcast starts fetching from peers with its very
-        # first read.
-        reply: Dict[str, Any] = {"gen": gen}
-        reply.update(self._peer_hints(header, header["name"], 0))
-        return reply, b""
-
-    # -- cooperative cache helpers ------------------------------------------
-    #: How far past the served bytes a read reply's ``cached_at`` hint
-    #: looks for holders.  Generous on purpose: a fetcher range-gates on
-    #: the hinted span and its demote-on-miss path bounds stale hints.
-    HINT_WINDOW = 4 * 1024 * 1024
-
-    def _peer_hints(self, header: Dict[str, Any], name: str, nxt: int) -> Dict[str, Any]:
-        """``cached_at`` hint for the range starting at ``nxt``, or ``{}``.
-
-        Only computed when the request opted in via ``peer_hints`` (the
-        hint fan-out K); readers outside the cooperative cache never
-        pay for it.  The hint carries the stream total when the writer
-        has closed, so a fully peer-served reader learns EOF without an
-        origin read.
-        """
-        k = header.get("peer_hints")
-        if not k:
-            return {}
-        end = nxt + self.HINT_WINDOW
-        total = self.service.total_bytes(name)
-        if total is not None:
-            end = min(end, total)
-        peers = self.service.holders_for(
-            name, nxt, end, k=int(k), exclude=header.get("peer")
-        )
-        if not peers:
-            return {}
-        hint: Dict[str, Any] = {"peers": peers, "start": nxt, "end": end}
-        if total is not None:
-            hint["total"] = total
-        return {"cached_at": hint}
-
-    def _note_holder(self, header: Dict[str, Any], name: str) -> None:
-        """Apply a holder advertisement piggybacked on a consume ack."""
-        peer = header.get("peer")
-        if peer:
-            self.service.note_holder(
-                name,
-                str(peer),
-                holds=header.get("holds"),
-                drops=header.get("drops"),
-                gen=header.get("gen"),
-            )
+        # Clients key their shared block cache on the generation.
+        return {"gen": gen}, b""
 
     async def _op_write(self, header: Dict[str, Any], payload: bytes):
         with _rpc_errors():
@@ -281,10 +218,7 @@ class GridBufferServer:
                 timeout=header.get("timeout"),
                 min_bytes=int(header.get("min_bytes", 1)),
             )
-        total = self.service.total_bytes(name)
-        reply: Dict[str, Any] = {"eof": len(data) == 0, "total": total}
-        reply.update(self._peer_hints(header, name, offset + len(data)))
-        return reply, data
+        return {"eof": len(data) == 0, "total": self.service.total_bytes(name)}, data
 
     def _op_consume_multi(self, header: Dict[str, Any], _payload: bytes):
         entries = [
@@ -293,13 +227,7 @@ class GridBufferServer:
         ]
         with _rpc_errors():
             self.service.mark_consumed_multi(header["name"], entries)
-        self._note_holder(header, header["name"])
-        # Ack replies refresh ``cached_at`` too: a fully peer-served
-        # reader issues no origin reads at all, so the ack channel is
-        # the only wire on which its holder map can stay current.
-        nxt = max((end for _, rs in entries for _, end in rs), default=0)
-        nxt = max(nxt, int(header.get("hint_from") or 0))
-        return self._peer_hints(header, header["name"], nxt), b""
+        return {}, b""
 
     def _op_close_writer(self, header: Dict[str, Any], _payload: bytes):
         with _rpc_errors():

@@ -35,8 +35,8 @@ def crc32(data: Union[bytes, bytearray, memoryview]) -> int:
     """zlib crc32 masked to an unsigned 32-bit value.
 
     The single definition behind every checksum in the tree: the binary
-    wire trailer, ``gb.peer_read`` replies, and shared-cache block
-    verification all compare values produced here.
+    wire trailer and shared-cache block verification both compare
+    values produced here.
     """
     return zlib.crc32(data) & 0xFFFFFFFF
 

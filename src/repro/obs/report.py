@@ -289,23 +289,17 @@ def render_counters(snapshot: Optional[Dict[str, Any]], limit: int = 40) -> str:
 #: Category priority for the makespan sweep: when intervals overlap,
 #: the most specific explanation wins — time a gb op spent inside the
 #: buffer service is buffer-wait even though an rpc.client span (and a
-#: task span) covers the same instant.  ``peer`` (cooperative-cache
-#: peer fetches, op gb.peer_read on either side of the wire) outranks
-#: buffer-wait: those bytes came from a peer's RAM, not the origin.
-#: ``remap`` (a live GNS-driven stream migration pausing a reader
-#: while it reopens on a new binding) outranks everything: the RPCs it
-#: issues are the migration's cost, not ordinary transport.
-_CATEGORY_PRIORITY = ("remap", "peer", "buffer-wait", "transport", "queue-wait", "compute")
+#: task span) covers the same instant.  ``remap`` (a live GNS-driven
+#: stream migration pausing a reader while it reopens on a new binding)
+#: outranks everything: the RPCs it issues are the migration's cost,
+#: not ordinary transport.
+_CATEGORY_PRIORITY = ("remap", "buffer-wait", "transport", "queue-wait", "compute")
 
 
 def _categorise(span: Dict[str, Any]) -> Optional[str]:
     name = span.get("name")
     if name == "remap":
         return "remap"
-    if name in ("rpc.server", "rpc.client"):
-        op = str((span.get("attrs") or {}).get("op", ""))
-        if op == "gb.peer_read":
-            return "peer"
     if name == "rpc.server":
         op = str((span.get("attrs") or {}).get("op", ""))
         return "buffer-wait" if op.startswith("gb.") else "transport"
@@ -428,7 +422,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--width", type=int, default=60, help="timeline bar width")
     parser.add_argument(
         "--critical-path", action="store_true",
-        help="attribute the makespan to peer/buffer-wait/transport/queue-wait/compute",
+        help="attribute the makespan to remap/buffer-wait/transport/queue-wait/compute",
     )
     args = parser.parse_args(argv)
     for path in args.trace:

@@ -40,7 +40,7 @@ import socket
 import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable, Deque, Dict, Iterable, Optional, Set, Tuple
+from typing import Any, Callable, Deque, Dict, Optional, Set, Tuple
 
 from .. import faults, ioutil, obs
 from ..obs import ops as obs_ops
@@ -52,6 +52,7 @@ from .common import (
     _SERVER_REQUESTS,
     DEFAULT_RPC_TIMEOUT,
     IDEMPOTENT_OPS,
+    ClientClosedError,
     RetryPolicy,
     RpcError,
     count_client_failure,
@@ -377,21 +378,9 @@ class AsyncRpcServer:
         host: str = "127.0.0.1",
         port: int = 0,
         simulated_latency: float = 0.0,
-        max_inflight: Optional[int] = None,
-        inflight_ops: Optional[Iterable[str]] = None,
     ):
         self._handlers: Dict[str, Tuple[str, Handler]] = {}
         self.simulated_latency = max(0.0, simulated_latency)
-        # Optional server-wide concurrency cap: with N requests already
-        # executing, the N+1th parks on the semaphore.  Benchmarks use
-        # it (with simulated_latency) to model a *constrained* origin
-        # link whose service time scales with total offered load —
-        # per-request latency alone cannot, because requests sleep
-        # concurrently.  ``inflight_ops`` narrows the cap to the listed
-        # ops (the bulk-transfer data plane); control messages then
-        # still pay the latency but never occupy a transfer slot.
-        self._sem = asyncio.Semaphore(max_inflight) if max_inflight else None
-        self._inflight_ops = frozenset(inflight_ops) if inflight_ops is not None else None
         self._engine = get_engine()
         obs_ops.install(self)
         self._writers: Set[asyncio.StreamWriter] = set()
@@ -492,22 +481,6 @@ class AsyncRpcServer:
         corrupter=None,
     ) -> Tuple[Dict[str, Any], bytes, Any]:
         """Execute one handler and package its reply for the reply pump."""
-        if self._sem is not None and (
-            self._inflight_ops is None or op in self._inflight_ops
-        ):
-            async with self._sem:
-                return await self._run_one_admitted(op, entry, header, payload, rctx, corrupter)
-        return await self._run_one_admitted(op, entry, header, payload, rctx, corrupter)
-
-    async def _run_one_admitted(
-        self,
-        op: str,
-        entry: Optional[Tuple[str, Callable]],
-        header: Dict[str, Any],
-        payload: bytes,
-        rctx: Optional[obs.SpanContext] = None,
-        corrupter=None,
-    ) -> Tuple[Dict[str, Any], bytes, Any]:
         if self.simulated_latency:
             await asyncio.sleep(2.0 * self.simulated_latency)
         tracer = obs.get_tracer()
@@ -674,7 +647,6 @@ class AsyncRpcServer:
                 if (
                     not order
                     and not self.simulated_latency
-                    and self._sem is None
                     and entry is not None
                     and entry[0] == "inline"
                 ):
@@ -847,13 +819,15 @@ class AsyncRpcClient:
             retryable = op in IDEMPOTENT_OPS
         attempts = 1 + (self._retry.retries if retryable else 0)
         attempt = 0
-        if self._closed:
-            raise ConnectionError(f"client to {self._peer} is closed")
         while True:
             attempt += 1
             try:
                 return await self._dispatch(op, msg, payload)
             except (OSError, FrameError, asyncio.TimeoutError) as exc:
+                if self._closed:
+                    # close() failed the call: not a transport fault to
+                    # count, and no retry can succeed.
+                    raise ClientClosedError(f"client to {self._peer} is closed") from exc
                 self._teardown()
                 if not count_client_failure(op, exc):
                     raise
@@ -877,7 +851,7 @@ class AsyncRpcClient:
         """
         async with self._lock:
             if self._closed:
-                raise ConnectionError(f"client to {self._peer} is closed")
+                raise ClientClosedError(f"client to {self._peer} is closed")
             loop = asyncio.get_running_loop()
             if self._conn is None:
                 if self._timeout:

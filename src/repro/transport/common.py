@@ -89,8 +89,6 @@ IDEMPOTENT_OPS: FrozenSet[str] = frozenset(
         "gb.abort",
         "gb.resume",
         "gb.high_water",
-        # Cooperative cache peer reads are pure cache lookups.
-        "gb.peer_read",
         # GNS
         "gns.resolve",
         "gns.list",

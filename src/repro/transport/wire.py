@@ -190,9 +190,7 @@ OPS: Tuple[str, ...] = (
     # GNS
     "gns.resolve", "gns.add", "gns.remove", "gns.list",
     "gns.announce", "gns.pin",
-    # Cooperative block cache (PR 8): served by reader processes, not
-    # the origin service.
-    "gb.peer_read",
+    "gb.peer_read",  # retired; slot kept so ids never shift
     # GNS control plane (PR 10): atomic multi-record transactions and
     # long-poll change subscriptions.
     "gns.txn", "gns.watch",
@@ -211,17 +209,15 @@ KEYS: Tuple[str, ...] = (
     "size", "bytes", "machine", "record", "records", "payload_len",
     "_wire",  # retired (the old capability probe); slot kept so ids never shift
     TRACE_KEY,
-    # Cooperative block cache (PR 8).  ``gen`` is the stream generation,
-    # ``peer`` a holder's "host:port" peer-server address, ``holds``/
-    # ``drops`` advertised/evicted ranges piggybacked on consume acks,
-    # ``peer_hints`` the hint fan-out K requested by a reader,
-    # ``cached_at`` the server's holder hint in read replies, ``origin``
-    # the origin server a peer-read is scoped to, ``crc`` the peer
-    # reply's payload checksum, ``hint_from`` the reader's true read
-    # frontier (hints on the ack channel would otherwise be computed at
-    # the acked frontier, which trails it).
-    "gen", "peer", "holds", "drops", "peer_hints", "cached_at",
-    "origin", "crc", "hint_from",
+    "gen",  # the stream generation a reader registered under
+    "peer",  # retired; slot kept so ids never shift
+    "holds",  # retired; slot kept so ids never shift
+    "drops",  # retired; slot kept so ids never shift
+    "peer_hints",  # retired; slot kept so ids never shift
+    "cached_at",  # retired; slot kept so ids never shift
+    "origin",  # retired; slot kept so ids never shift
+    "crc",  # retired; slot kept so ids never shift
+    "hint_from",  # retired; slot kept so ids never shift
     # GNS control plane (PR 10).  ``ns`` scopes an op to a namespace,
     # ``auth`` carries its bearer token, ``revision``/``from_revision``
     # frame the change log, ``events`` is a watch reply's change batch,

@@ -181,7 +181,7 @@ class TestOneStreamPath:
         from repro.core.buffer_client import GridBufferClientPool
         from repro.gridbuffer.client import BufferReader, GridBufferClient
 
-        sizing = {"read_ahead_bytes", "read_ahead_depth", "shared_cache", "peer_cache"}
+        sizing = {"read_ahead_bytes", "read_ahead_depth", "shared_cache"}
         expected = {
             GridBufferClient.open_reader: {"name", "reader_id", "read_timeout", "open_timeout"}
             | sizing,
@@ -190,7 +190,7 @@ class TestOneStreamPath:
                 "write_timeout", "coalesce_bytes", "flush_after",
             },
             BufferReader.__init__: {
-                "client", "name", "reader_id", "read_timeout", "gen", "initial_hint",
+                "client", "name", "reader_id", "read_timeout", "gen",
             }
             | sizing,
             GridBufferClientPool.open_reader: {
@@ -200,6 +200,12 @@ class TestOneStreamPath:
         }
         for fn, names in expected.items():
             assert set(inspect.signature(fn).parameters) - {"self"} == names, fn.__qualname__
+        # The server takes no concurrency cap either: every reader pulls
+        # from its buffer server, and nothing models a capped origin.
+        from repro.gridbuffer.server import GridBufferServer
+
+        server_params = set(inspect.signature(GridBufferServer.__init__).parameters)
+        assert not server_params & {"max_inflight", "inflight_ops"}
 
     def test_grid_context_has_one_buffer_tuning_field(self):
         import dataclasses
@@ -293,7 +299,7 @@ class TestOneStreamPath:
         assert source.count("read_window_ex(") == 2  # the definition and one call
         assert "read_window_ex(" in inspect.getsource(gbc._ReadAheadWindow._transfer)
         sync_pools = re.findall(r"(?<!Async)RpcClient\(", source)
-        assert len(sync_pools) == 3  # client pool, peer pools, the window
+        assert len(sync_pools) == 2  # the client pool and the window
         assert "RpcClient(" in inspect.getsource(gbc._ReadAheadWindow.__init__)
         registering = [
             name

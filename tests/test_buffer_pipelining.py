@@ -20,6 +20,7 @@ from repro.gridbuffer.client import BufferWriter, GridBufferClient
 from repro.gridbuffer.protocol import OP_WRITE, OP_WRITE_MULTI
 from repro.gridbuffer.server import GridBufferServer
 from repro.transport.inmem import HostRegistry
+from repro.transport.tcp import ClientClosedError
 
 from ._seed import SEED
 
@@ -89,6 +90,41 @@ class TestBufferReadAhead:
         r.seek(10_000)
         assert r.read(500) == PAYLOAD[10_000:10_500]
         r.close()
+
+    def test_prefetches_answered_with_eof_after_a_seek_back_leave_the_window_open(
+        self, client
+    ):
+        """Prefetches parked past the writer's frontier come back empty
+        once it closes.  If they landed after a seek back to 0, the
+        window counted them as work ahead and never prefetched again:
+        every read of the re-read was a serial head fetch."""
+        size = 16 * 4096
+        w = client.open_writer("ra-eof-seek", cache=True)
+        w.write(PAYLOAD[:size])
+        w.flush()
+        r = client.open_reader("ra-eof-seek", read_ahead_bytes=4096, read_ahead_depth=4)
+        got = bytearray()
+        while len(got) < size:
+            got += r.read(4096)
+        deadline = time.monotonic() + 5.0
+        while len(r._ra._inflight) < 2:  # prefetches parked past the frontier
+            assert time.monotonic() < deadline, "no prefetch parked past the frontier"
+            time.sleep(0.01)
+        r.seek(0)
+        w.close()  # the parked prefetches now return EOF, after the seek
+        while r._ra._inflight:
+            assert time.monotonic() < deadline, "the parked prefetches never returned"
+            time.sleep(0.01)
+        hits = r.readahead_hits
+        again = bytearray()
+        while True:
+            chunk = r.read(4096)
+            if not chunk:
+                break
+            again += chunk
+        r.close()
+        assert bytes(got) == bytes(again) == PAYLOAD[:size]
+        assert r.readahead_hits - hits >= 8, "the re-read never used the window"
 
 
 class TestWriterCoalescing:
@@ -294,6 +330,27 @@ class TestWriterWindow:
         nxt = client.open_writer("reuse-c")
         assert nxt._channel is not channel
         nxt.close()
+
+    def test_abort_fails_a_parked_batch_at_once_without_retries(self, buffer_server, client):
+        """``abort()`` closes a channel with a batch in flight: the batch
+        fails as ``ClientClosedError`` at once, and nothing retries it."""
+        w = client.open_writer("abort-parked", capacity_bytes=8 * KIB, coalesce_bytes=8 * KIB)
+        w.write(PAYLOAD[: 8 * KIB])
+        w.write(PAYLOAD[8 * KIB : 16 * KIB])  # parks on buffer_full
+        stream = buffer_server.service._stream("abort-parked")
+        deadline = time.monotonic() + 5.0
+        while not stream.async_writers:
+            assert time.monotonic() < deadline, "the second batch never parked"
+            time.sleep(0.01)
+        parked = w._inflight[-1]
+        failed_at = []
+        parked.add_done_callback(lambda _: failed_at.append(time.monotonic()))
+        retries = obs.value("rpc_retries_total", {"op": OP_WRITE}) or 0
+        t0 = time.monotonic()
+        w.abort()
+        assert isinstance(parked.exception(timeout=5.0), ClientClosedError)
+        assert failed_at[0] - t0 < 0.1
+        assert (obs.value("rpc_retries_total", {"op": OP_WRITE}) or 0) == retries
 
     @pytest.mark.faults
     def test_connection_killed_under_three_batches_in_flight(self, slow_server):

@@ -3,9 +3,10 @@ and thousands-of-readers concurrency without per-reader server threads.
 
 Complements ``test_gridbuffer_fastpath.py`` (PR 3 vectored path) with
 the async-engine additions: ``gb.consume_multi`` + the shared-cache ack
-aggregator, service-level ``mark_consumed_multi`` semantics, bandwidth-
-tiered read-ahead chunk sizing, and the headline scaling property — a
-parked reader costs a future, not a thread.
+aggregator, the shared cache's generation-keyed registry, the
+service's block-granular reader lag, bandwidth-tiered read-ahead chunk
+sizing, and the headline scaling property — a parked reader costs a
+future, not a thread.
 """
 
 import asyncio
@@ -15,7 +16,13 @@ import time
 
 import pytest
 
-from repro.gridbuffer.client import GridBufferClient, _ReadAheadWindow
+from repro import obs
+from repro.gridbuffer.client import (
+    GridBufferClient,
+    _ReadAheadWindow,
+    _shared_cache_acquire,
+    _shared_cache_release,
+)
 from repro.gridbuffer.protocol import OP_READ_MULTI
 from repro.gridbuffer.service import GridBufferError
 from repro.transport.aio import AsyncRpcClient, get_engine
@@ -111,6 +118,53 @@ class TestSharedAckAggregator:
         entries = shared.drain_acks()
         assert entries == [("r", [[0, 200], [300, 400]])]
         r.close()
+
+
+class TestGenerationKeyedCache:
+    """The shared cache registry key includes the stream generation."""
+
+    ADDR = ("127.0.0.1", 1)  # never dialled: registry-only tests
+
+    def test_generations_get_distinct_caches(self):
+        a = _shared_cache_acquire(self.ADDR, "gen-key", 0)
+        b = _shared_cache_acquire(self.ADDR, "gen-key", 1)
+        try:
+            assert a is not b
+            assert (a.gen, b.gen) == (0, 1)
+            assert _shared_cache_acquire(self.ADDR, "gen-key", 1) is b
+        finally:
+            _shared_cache_release(self.ADDR, "gen-key", 0)
+            _shared_cache_release(self.ADDR, "gen-key", 1)
+            assert _shared_cache_release(self.ADDR, "gen-key", 1) is True
+
+    def test_recreated_stream_never_serves_stale_bytes(self):
+        """Bytes cached under generation N are invisible to N+1."""
+        old = _shared_cache_acquire(self.ADDR, "gen-stale", 0)
+        try:
+            old.put(0, b"stale" * 100)
+            fresh = _shared_cache_acquire(self.ADDR, "gen-stale", 1)
+            try:
+                assert fresh.get(0) is None
+                assert old.get(0) == b"stale" * 100
+            finally:
+                _shared_cache_release(self.ADDR, "gen-stale", 1)
+        finally:
+            _shared_cache_release(self.ADDR, "gen-stale", 0)
+
+
+class TestReaderLagBlocks:
+    """Block-granular lag gauge per reader, published by the service."""
+
+    def test_gauge_tracks_consume_frontier(self, client):
+        client.create_stream("lag", n_readers=1)
+        client.register_reader("lag", "r")
+        for i in range(3):
+            client.write("lag", i * 4096, b"l" * 4096)
+        labels = {"stream": "lag", "reader": "r"}
+        client.consume_multi("lag", [("r", [(0, 4096)])])
+        assert obs.value("buffer_reader_lag_blocks", labels) == 2
+        client.consume_multi("lag", [("r", [(4096, 12288)])])
+        assert obs.value("buffer_reader_lag_blocks", labels) == 0
 
 
 class _FakeMonitor:

@@ -46,7 +46,7 @@ class TestVectoredOps:
         for off in range(0, 12288, 4096):
             client.write("rw", off, PAYLOAD[off : off + 4096])
         client.close_writer("rw")
-        data, total, _ = client.read_window_ex("rw", "r", 0, 1 << 20)
+        data, total = client.read_window_ex("rw", "r", 0, 1 << 20)
         assert data == PAYLOAD[:12288]  # one reply, three blocks
         assert total == 12288
 
@@ -61,7 +61,7 @@ class TestVectoredOps:
 
         t = threading.Thread(target=late_writer)
         t.start()
-        data, _, _ = client.read_window_ex("mb", "r", 0, 4096, min_bytes=150)
+        data, _ = client.read_window_ex("mb", "r", 0, 4096, min_bytes=150)
         t.join()
         assert len(data) >= 150  # blocked past the first write
 

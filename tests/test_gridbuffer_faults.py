@@ -119,7 +119,7 @@ class TestFaultsOverTcp:
         client.write("net", 1000, b"b" * 1000)
         client.close_writer("net")
         assert client.high_water("net") == 2000
-        data, _, _ = client.read_window_ex("net", "r", 0, 2000, timeout=5)
+        data, _ = client.read_window_ex("net", "r", 0, 2000, timeout=5)
         assert data == b"a" * 1000 + b"b" * 1000
         client.close()
 

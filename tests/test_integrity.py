@@ -13,8 +13,7 @@ Covers the PR 9 machinery bottom-up:
   malformed ``REPRO_FAULTS`` rules, and ``fire_async`` keeping delay
   rules off the shared event loop,
 - shared-cache poison: a bit-flipped cached run is discarded at serve
-  time (local hit and peer ``peek_range`` alike) and the reader falls
-  through to the origin,
+  time and the reader falls through to the origin,
 - copy-in self-heal: a post-wire corrupted fetch fails the whole-file
   checksum and is re-fetched,
 - and the acceptance run: all six IO modes byte-identical under seeded
@@ -316,30 +315,6 @@ class TestSharedCachePoison:
         assert cache.get(0) is None  # reader falls through to the origin
         assert _integrity("gb.cache", "discard") > before
         assert cache.get(0) is None  # entry is gone, not re-served
-
-    def test_poisoned_run_is_a_peer_miss(self):
-        cache, _ = self._poisoned_cache()
-        before = _integrity("gb.cache", "discard")
-        assert cache.peek_range(0, 4096) is None
-        assert _integrity("gb.cache", "discard") > before
-
-    def test_discard_queues_holder_drop(self):
-        cache, data = self._poisoned_cache()
-        cache.take_adv(force=True)  # drain the put-time hold
-        assert cache.get(0) is None
-        adv = cache.take_adv(force=True)
-        assert adv is not None
-        _, drops = adv
-        assert [0, len(data)] in drops  # origin stops hinting peers at it
-
-    def test_stitched_peek_stops_at_poisoned_run(self):
-        cache = _SharedStreamCache(name="s")
-        cache.put(0, b"a" * 1024)
-        rule = FaultRule(layer="gb.cache", op="put", action="corrupt", nth=1)
-        with faults.injected(rule, seed=SEED):
-            cache.put(1024, b"b" * 1024)
-        got = cache.peek_range(0, 2048)
-        assert got == b"a" * 1024  # verified prefix only
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from repro import faults, obs
 from repro.faults import FaultRule
 from repro.transport.aio import AsyncRpcClient
 from repro.transport.tcp import (
+    ClientClosedError,
     FrameError,
     RetryPolicy,
     RpcClient,
@@ -48,6 +49,12 @@ from ._frames import frame_bytes, legacy_json_frame
 def _make_server(host: str = "127.0.0.1", port: int = 0):
     server = RpcServer(host, port)
     server.register("echo", lambda header, payload: ({"echo": header.get("msg")}, payload))
+
+    async def park(header, payload):
+        await asyncio.sleep(float(header.get("seconds", 5.0)))
+        return {}, b""
+
+    server.register_async("park", park)
 
     def boom(header, payload):
         raise ValueError("deliberate")
@@ -740,4 +747,56 @@ class TestAsyncRpcClient:
         with _make_server() as server:
             echoed, elapsed = asyncio.run(go(server))
         assert echoed == "again"
+        assert elapsed < 1.0
+
+    def test_close_fails_an_inflight_call_at_once_without_retrying(self):
+        """``close()`` under a parked call ends it as ``ClientClosedError``
+        straight away: no retry against a closed client, none counted."""
+
+        async def go(addr):
+            client = AsyncRpcClient(*addr, timeout=5.0)
+            call = asyncio.ensure_future(
+                client.call("park", {"seconds": 2.0}, retryable=True)
+            )
+            await asyncio.sleep(0.1)  # the request is parked server-side
+            t0 = time.monotonic()
+            await client.close()
+            with pytest.raises(ClientClosedError):
+                await call
+            return time.monotonic() - t0
+
+        retries = obs.value("rpc_retries_total", {"op": "park"}) or 0
+        with _make_server() as server:
+            try:
+                elapsed = asyncio.run(go(server.address))
+            finally:
+                server.disconnect_all()
+        assert elapsed < 0.1
+        assert (obs.value("rpc_retries_total", {"op": "park"}) or 0) == retries
+
+    def test_call_timeout_fails_the_call_and_the_next_call_redials(self):
+        """The connection watchdog is the client's only call timeout: a
+        reply overdue past ``timeout`` fails the call (after its retries)
+        and tears the connection down; the next call dials afresh."""
+
+        async def go(addr):
+            client = AsyncRpcClient(*addr, timeout=0.3)
+            try:
+                t0 = time.monotonic()
+                with pytest.raises(TimeoutError):
+                    await client.call("park", {"seconds": 5.0}, retryable=True)
+                timed_out = time.monotonic() - t0
+                t0 = time.monotonic()
+                reply, _ = await client.call("echo", {"msg": "after"})
+                return timed_out, reply["echo"], time.monotonic() - t0
+            finally:
+                await client.close()
+
+        with _make_server() as server:
+            try:
+                timed_out, echoed, elapsed = asyncio.run(go(server.address))
+            finally:
+                server.disconnect_all()
+        assert 0.3 <= timed_out < 4.0  # well short of the 5 s park
+        assert echoed == "after"
         assert elapsed < 1.0
