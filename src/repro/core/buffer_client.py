@@ -79,19 +79,17 @@ class GridBufferClientPool:
         read_ahead_depth: int = 4,
     ) -> BufferReader:
         client = self.client_for(*server)
-        # The stream may not exist yet if the reader opens first: create
-        # it with the endpoint's declared config (create is idempotent).
-        client.create_stream(
-            endpoint.stream,
-            n_readers=endpoint.n_readers,
-            capacity_bytes=endpoint.capacity_bytes,
-            cache=endpoint.cache,
-        )
         rid = reader_id or f"{self.machine}:{endpoint.stream}"
+        # The reader may open before the writer: its register carries
+        # the endpoint's config, so the server creates the stream if it
+        # is absent (create is idempotent).
         return client.open_reader(
             endpoint.stream,
             reader_id=rid,
             read_timeout=read_timeout,
+            n_readers=endpoint.n_readers,
+            capacity_bytes=endpoint.capacity_bytes,
+            cache=endpoint.cache,
             read_ahead_depth=read_ahead_depth,
             # Dedup fetches only when the stream actually broadcasts.
             shared_cache=endpoint.n_readers > 1,

@@ -69,9 +69,6 @@ from .protocol import (
 __all__ = ["GridBufferClient", "BufferWriter", "BufferReader"]
 
 
-#: Poll cadence (seconds) while a reader waits for its stream to be created.
-_OPEN_POLL_INTERVAL = 0.01
-
 #: Default upper bound (seconds) on how long coalesced writer bytes may
 #: stay local before the deadline thread pushes them.
 _FLUSH_DEADLINE = 0.02
@@ -382,9 +379,23 @@ class GridBufferClient:
         """Attach a reader; returns the stream generation."""
         return self.register_reader_ex(name, reader_id)
 
-    def register_reader_ex(self, name: str, reader_id: str) -> int:
-        """The ``gb.register_reader`` round trip behind :meth:`register_reader`."""
-        reply, _ = self._rpc.call(OP_REGISTER_READER, {"name": name, "reader_id": reader_id})
+    def register_reader_ex(
+        self,
+        name: str,
+        reader_id: str,
+        n_readers: Optional[int] = None,
+        capacity_bytes: Optional[int] = None,
+        cache: bool = False,
+    ) -> int:
+        """The ``gb.register_reader`` round trip behind :meth:`register_reader`.
+
+        With ``n_readers`` the frame also carries the stream's config,
+        and the server creates the stream first if it is absent.
+        """
+        header: Dict[str, Any] = {"name": name, "reader_id": reader_id}
+        if n_readers is not None:
+            header.update(n_readers=n_readers, capacity_bytes=capacity_bytes, cache=cache)
+        reply, _ = self._rpc.call(OP_REGISTER_READER, header)
         return int(reply["gen"])
 
     def write(
@@ -535,23 +546,25 @@ class GridBufferClient:
         name: str,
         reader_id: Optional[str] = None,
         read_timeout: Optional[float] = None,
-        open_timeout: float = 10.0,
+        n_readers: Optional[int] = None,
+        capacity_bytes: Optional[int] = None,
+        cache: bool = False,
         read_ahead_bytes: int = DEFAULT_READ_BUDGET,
         read_ahead_depth: int = 4,
         shared_cache: bool = False,
     ) -> "BufferReader":
-        """Attach a reader, waiting for the stream to exist.
+        """Attach a reader in one round trip.
 
-        A reader may open before the writer has created the stream (the
-        paper's FM blocks the legacy OPEN until matched); poll until the
-        stream appears or ``open_timeout`` elapses.
+        A reader may open before the writer (the paper's FM blocks the
+        legacy OPEN until matched).  Given the stream's config
+        (``n_readers`` and, like :meth:`open_writer`, ``capacity_bytes``
+        and ``cache``), the register creates the stream if it is absent;
+        without it, the stream must already exist.
         """
         rid = reader_id or f"reader-{uuid.uuid4().hex[:8]}"
-        deadline = time.monotonic() + open_timeout
-        while not self.stream_exists(name):
-            if time.monotonic() > deadline:
-                raise TimeoutError(f"stream {name!r} never appeared")
-            time.sleep(_OPEN_POLL_INTERVAL)
+        gen = self.register_reader_ex(
+            name, rid, n_readers=n_readers, capacity_bytes=capacity_bytes, cache=cache
+        )
         return BufferReader(
             self,
             name,
@@ -560,7 +573,7 @@ class GridBufferClient:
             read_ahead_bytes=read_ahead_bytes,
             read_ahead_depth=read_ahead_depth,
             shared_cache=shared_cache,
-            gen=self.register_reader_ex(name, rid),
+            gen=gen,
         )
 
     def close(self) -> None:

@@ -43,6 +43,13 @@ DEFAULT_READ_BUDGET = DEFAULT_BLOCK_SIZE * 16
 DEFAULT_COALESCE_BYTES = 64 * 1024
 
 OP_CREATE = "gb.create"
+
+#: Attach a reader.  Header: ``name``, ``reader_id``.  A reader's open
+#: also carries the stream's config — ``n_readers``, ``capacity_bytes``
+#: and ``cache``, the ``gb.create`` keys — and the server creates the
+#: stream first if it is absent, so the open is one round trip.  A
+#: register without ``n_readers`` (a recovering reader's) never
+#: creates.  Reply: ``{"gen": int}``, the stream's generation.
 OP_REGISTER_READER = "gb.register_reader"
 OP_WRITE = "gb.write"
 OP_CLOSE_WRITER = "gb.close_writer"

@@ -11,9 +11,12 @@ and there is no per-op fallback on either side.
 
 from __future__ import annotations
 
+import asyncio
 from contextlib import contextmanager
+from functools import partial
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple
+from urllib.parse import quote
 
 from ..transport.tcp import RpcError, RpcServer
 from .cache import BufferCache
@@ -84,11 +87,13 @@ class GridBufferServer:
         rpc.register_async(OP_WRITE, self._op_write)
         rpc.register_async(OP_WRITE_MULTI, self._op_write_multi)
         rpc.register_async(OP_READ_MULTI, self._op_read_multi)
+        # A reader's open may create its stream: only a cached one
+        # touches disk, so only that case leaves the loop.
+        rpc.register_async(OP_REGISTER_READER, self._op_register_reader)
         # Everything left never blocks (lock-protected dict/interval
         # work, no waiting, no file IO) — run it inline on the loop and
         # skip the two thread hops of the executor path.
         for op, fn in (
-            (OP_REGISTER_READER, self._op_register_reader),
             (OP_CONSUME_MULTI, self._op_consume_multi),
             (OP_CLOSE_WRITER, self._op_close_writer),
             (OP_STATS, self._op_stats),
@@ -142,14 +147,16 @@ class GridBufferServer:
         self.stop()
 
     # -- handlers -----------------------------------------------------------
-    def _op_create(self, header: Dict[str, Any], _payload: bytes):
+    def _create(self, header: Dict[str, Any]) -> None:
+        """Create the stream ``header`` configures, unless it exists."""
         name = header["name"]
         cache = None
         if header.get("cache", False):
             if self.cache_dir is None:
                 raise RpcError("no-cache-dir", "server started without cache_dir")
-            safe = name.replace("/", "_").replace(":", "_")
-            cache = BufferCache(self.cache_dir / f"{safe}.cache")
+            # Quoted, so no two stream names share a file.
+            path = self.cache_dir / f"{quote(name, safe='')}.cache"
+            cache = partial(BufferCache, path)
         with _rpc_errors():
             self.service.create_stream(
                 name,
@@ -157,11 +164,22 @@ class GridBufferServer:
                 capacity_bytes=header.get("capacity_bytes"),
                 cache=cache,
             )
+
+    def _op_create(self, header: Dict[str, Any], _payload: bytes):
+        self._create(header)
         return {}, b""
 
-    def _op_register_reader(self, header: Dict[str, Any], _payload: bytes):
+    async def _op_register_reader(self, header: Dict[str, Any], _payload: bytes):
+        name = header["name"]
+        # An open carries the stream's config and creates it if absent;
+        # a recovering reader's register carries none and never does.
+        if "n_readers" in header:
+            if header.get("cache", False) and not self.service.exists(name):
+                await asyncio.get_running_loop().run_in_executor(None, self._create, header)
+            else:
+                self._create(header)
         with _rpc_errors():
-            gen = self.service.register_reader(header["name"], header["reader_id"])
+            gen = self.service.register_reader(name, header["reader_id"])
         # Clients key their shared block cache on the generation.
         return {"gen": gen}, b""
 

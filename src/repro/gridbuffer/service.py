@@ -37,7 +37,7 @@ import threading
 import zlib
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .. import faults, obs
 from .cache import BufferCache, IntervalSet
@@ -336,9 +336,14 @@ class GridBufferService:
         name: str,
         n_readers: int = 1,
         capacity_bytes: Optional[int] = None,
-        cache: Optional[BufferCache] = None,
+        cache: Optional[Callable[[], BufferCache]] = None,
     ) -> None:
-        """Declare a stream before use.  Idempotent for identical config."""
+        """Declare a stream before use.  Idempotent for identical config.
+
+        ``cache`` makes the stream's cache file.  It is called under the
+        registry lock, and only when this call creates the stream, so a
+        repeated create never truncates a live stream's file.
+        """
         if n_readers < 1:
             raise ValueError("n_readers must be >= 1")
         lock, streams = self._shard(name)
@@ -349,10 +354,11 @@ class GridBufferService:
                     raise GridBufferError(f"stream {name!r} already exists with different config")
                 return
             cap = capacity_bytes if capacity_bytes is not None else self.default_capacity
+            made = cache() if cache is not None else None
             with self._gen_lock:
                 gen = self._generations.get(name, 0) + 1
                 self._generations[name] = gen
-            streams[name] = _Stream(name, n_readers, cap, cache, gen=gen)
+            streams[name] = _Stream(name, n_readers, cap, made, gen=gen)
             logger.debug(
                 "stream %s created (readers=%d capacity=%s cache=%s gen=%d)",
                 name, n_readers, cap, cache is not None, gen,

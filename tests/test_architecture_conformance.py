@@ -183,7 +183,9 @@ class TestOneStreamPath:
 
         sizing = {"read_ahead_bytes", "read_ahead_depth", "shared_cache"}
         expected = {
-            GridBufferClient.open_reader: {"name", "reader_id", "read_timeout", "open_timeout"}
+            GridBufferClient.open_reader: {
+                "name", "reader_id", "read_timeout", "n_readers", "capacity_bytes", "cache",
+            }
             | sizing,
             GridBufferClient.open_writer: {
                 "name", "n_readers", "capacity_bytes", "cache",

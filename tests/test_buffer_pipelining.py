@@ -61,7 +61,8 @@ class TestBufferReadAhead:
 
         t = threading.Thread(target=produce)
         t.start()
-        r = client.open_reader("ra-live", read_ahead_bytes=4096)
+        # The writer may not have created the stream yet: pass its config.
+        r = client.open_reader("ra-live", n_readers=1, read_ahead_bytes=4096)
         out = bytearray()
         while True:
             chunk = r.read(4096)
@@ -302,7 +303,7 @@ class TestWriterWindow:
             time.sleep(0.01)
         b = threading.Thread(target=produce, args=("cap-b",), daemon=True)
         b.start()
-        rb = client.open_reader("cap-b", read_timeout=10.0)
+        rb = client.open_reader("cap-b", read_timeout=10.0, n_readers=1, capacity_bytes=cap)
         assert _drain(rb) == PAYLOAD
         rb.close()
         b.join(timeout=10.0)

@@ -25,7 +25,7 @@ from repro.gridbuffer.client import GridBufferClient
 from repro.gridbuffer.server import GridBufferServer
 from repro.gridbuffer.service import GridBufferService
 from repro.transport.gridftp import GridFtpClient, GridFtpServer, TransferError
-from repro.transport.tcp import IDEMPOTENT_OPS, PoolTimeout, RetryPolicy
+from repro.transport.tcp import IDEMPOTENT_OPS, PoolTimeout, RetryPolicy, RpcError
 from repro.transport.inmem import HostRegistry
 
 from ._run import run
@@ -185,6 +185,41 @@ class TestReaderResume:
         assert resumes_after > resumes_before
         writer_client.close()
         reader_client.close()
+
+    def test_recovery_never_resurrects_a_dropped_stream(self, buffer_server):
+        """A reader's open creates its stream; its recovery only
+        re-registers, so a stream dropped under it stays dropped."""
+        from repro.core.buffer_client import GridBufferClientPool
+
+        pool = GridBufferClientPool("m")
+        endpoint = BufferEndpoint(stream="dropped", cache=True)
+        payload = bytes(random.Random(SEED + 3).randbytes(32 * 1024))
+        try:
+            with pool.open_writer(endpoint, buffer_server.address) as w:
+                w.write(payload)
+            r = pool.open_reader(endpoint, buffer_server.address, read_timeout=5)
+            assert r.read(4096) == payload[:4096]
+            admin = GridBufferClient(*buffer_server.address)
+            admin.drop_stream("dropped")
+            admin.close()
+            buffer_server.restart()
+            r.seek(0)  # an idle window: the next read is the head fetch
+            resumes = _counter("buffer_reader_resumes_total", {"stream": "dropped"})
+            # Kill the head fetch past the transport's retries, so the
+            # reader's own recovery runs and re-registers.
+            with faults.injected(
+                FaultRule(
+                    layer="rpc.client", op="gb.read_multi", action="close", nth=1, times=4
+                ),
+                seed=SEED,
+            ):
+                with pytest.raises(RpcError, match="unknown stream"):
+                    r.read(4096)
+            assert _counter("buffer_reader_resumes_total", {"stream": "dropped"}) > resumes
+            assert not buffer_server.service.exists("dropped")
+            r.close()
+        finally:
+            pool.close()
 
     CHUNK = 16 * 1024
 

@@ -33,7 +33,7 @@ class TestBufferCacheLifecycle:
 
         cache = BufferCache(tmp_path / "c.cache")
         svc = GridBufferService()
-        svc.create_stream("s", cache=cache)
+        svc.create_stream("s", cache=lambda: cache)
         svc.register_reader("s", "r")
         run(svc.write_async("s", 0, b"payload"))
         svc.drop_stream("s")

@@ -5,7 +5,7 @@ Covers the Grid Buffer fast path end to end over real TCP: vectored
 op surfacing as ``unknown-op``, multi-reader broadcast under
 interleaved seeks and re-reads (asserting delete-on-read GC and the
 per-reader lag gauges stay exact), writer flush-deadline visibility,
-reader shutdown hygiene, and the per-call open-poll env knob.
+reader shutdown hygiene, and a reader's one-round-trip open.
 """
 
 import hashlib
@@ -273,12 +273,34 @@ class TestHeadFetchNeverStarves:
         assert not stalled.is_alive() and outcome
 
 
-class TestOpenWaitsForStream:
-    def test_open_reader_polls_then_times_out(self, client, monkeypatch):
-        import repro.gridbuffer.client as mod
+class TestOpenCreatesStream:
+    def test_open_reader_creates_the_stream_in_one_rpc(self, buffer_server, client):
+        """A reader that opens before any writer creates the stream with
+        the config it passes, inside its one ``gb.register_reader``: no
+        ``gb.create``, no ``gb.exists`` poll.  The config is the
+        stream's, so a second reader of a one-reader stream is refused
+        at open."""
+        ops = ("gb.create", "gb.exists", "gb.register_reader")
 
-        seen = []
-        monkeypatch.setattr(mod.time, "sleep", lambda s: seen.append(s))
-        with pytest.raises(TimeoutError):
-            client.open_reader("never-created", open_timeout=0.05)
-        assert seen and set(seen) == {mod._OPEN_POLL_INTERVAL}
+        def calls():
+            return {op: obs.value("rpc_client_calls_total", {"op": op}) or 0 for op in ops}
+
+        before = calls()
+        r = client.open_reader(
+            "never-created", reader_id="a", n_readers=1, capacity_bytes=4096, cache=True
+        )
+        try:
+            after = calls()
+            assert {op: after[op] - before[op] for op in ops} == {
+                "gb.create": 0, "gb.exists": 0, "gb.register_reader": 1,
+            }
+            st = buffer_server.service._stream("never-created")
+            assert (st.n_readers, st.capacity, st.cache is not None) == (1, 4096, True)
+            with pytest.raises(RpcError, match="already has 1 readers"):
+                client.open_reader("never-created", reader_id="b", n_readers=1, cache=True)
+        finally:
+            r.close()
+        # Without the config the register only attaches: nothing is created.
+        with pytest.raises(RpcError, match="unknown stream"):
+            client.open_reader("still-absent")
+        assert not buffer_server.service.exists("still-absent")

@@ -22,7 +22,7 @@ def svc():
 
 
 def setup_stream(svc, name="s", cache=None):
-    svc.create_stream(name, cache=cache)
+    svc.create_stream(name, cache=None if cache is None else (lambda: cache))
     svc.register_reader(name, "r")
 
 

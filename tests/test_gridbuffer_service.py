@@ -35,7 +35,8 @@ def wait_until(predicate, timeout=5.0):
 
 
 def make_stream(svc, name="s", n_readers=1, readers=("r1",), cache=None, capacity=None):
-    svc.create_stream(name, n_readers=n_readers, capacity_bytes=capacity, cache=cache)
+    factory = None if cache is None else (lambda: cache)
+    svc.create_stream(name, n_readers=n_readers, capacity_bytes=capacity, cache=factory)
     for r in readers:
         svc.register_reader(name, r)
 

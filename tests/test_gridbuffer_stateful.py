@@ -27,7 +27,7 @@ class GridBufferModel(RuleBasedStateMachine):
         self.svc = GridBufferService(default_capacity=None)
         cache_path = Path(tempfile.mkdtemp(prefix="gb-stateful-")) / "s.cache"
         self.cache = BufferCache(cache_path)
-        self.svc.create_stream("s", cache=self.cache)
+        self.svc.create_stream("s", cache=lambda: self.cache)
         self.svc.register_reader("s", "r")
         self.model = bytearray()   # everything written so far
         self.read_pos = 0          # the sequential reader's position

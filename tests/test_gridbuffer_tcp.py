@@ -4,6 +4,8 @@ import threading
 
 import pytest
 
+from repro.core.buffer_client import GridBufferClientPool
+from repro.gns.records import BufferEndpoint
 from repro.gridbuffer.client import GridBufferClient
 from repro.transport.tcp import RpcError
 
@@ -61,7 +63,9 @@ class TestFileLikeAdapters:
 
         def consume():
             reader_client = GridBufferClient(*buffer_server.address)
-            r = reader_client.open_reader("wire", read_timeout=10)
+            # Either thread may open first: the reader's open carries the
+            # stream's config and creates it if absent.
+            r = reader_client.open_reader("wire", read_timeout=10, n_readers=1, cache=True)
             received["data"] = r.read()
             r.close()
             reader_client.close()
@@ -128,3 +132,45 @@ class TestFileLikeAdapters:
         assert buffered.readline() == b"line one\n"
         assert buffered.readline() == b"line two\n"
         buffered.close()
+
+
+class TestCacheFiles:
+    """A cached stream owns its cache file: the FM's pool opens it, and a
+    late reader re-reads what the writer left there."""
+
+    def _reread(self, pool, address, endpoint, size):
+        r = pool.open_reader(endpoint, address, read_timeout=5)
+        try:
+            first = r.read(size)
+            r.seek(0)  # the table dropped the bytes on read: this hits the cache file
+            return first, r.read(size)
+        finally:
+            r.close()
+
+    def test_late_reader_open_keeps_the_cache_file(self, buffer_server):
+        """The reader's open is a second create of a live cached stream;
+        it must not truncate the file the writer filled."""
+        pool = GridBufferClientPool("m")
+        endpoint = BufferEndpoint(stream="late", cache=True)
+        payload = bytes(range(256)) * 16  # 4 KiB
+        try:
+            with pool.open_writer(endpoint, buffer_server.address) as w:
+                w.write(payload)
+            assert self._reread(pool, buffer_server.address, endpoint, 4096) == (payload, payload)
+            assert buffer_server.service._stream("late").cache.path.stat().st_size == 4096
+        finally:
+            pool.close()
+
+    def test_names_differing_in_slash_and_underscore_use_two_files(self, buffer_server):
+        pool = GridBufferClientPool("m")
+        address = buffer_server.address
+        streams = {"job/a": b"A" * 8, "job_a": b"B" * 8}
+        try:
+            for name, data in streams.items():
+                with pool.open_writer(BufferEndpoint(stream=name, cache=True), address) as w:
+                    w.write(data)
+            for name, data in streams.items():
+                got = self._reread(pool, address, BufferEndpoint(stream=name, cache=True), 8)
+                assert got == (data, data), name
+        finally:
+            pool.close()

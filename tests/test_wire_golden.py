@@ -61,6 +61,13 @@ FRAMES = {
         },
         bytes(range(256)),
     ),
+    "gb.register_reader.request": (
+        {
+            "op": "gb.register_reader", "name": "stream-1", "reader_id": "compute:stream-1",
+            "n_readers": 2, "capacity_bytes": None, "cache": True,
+        },
+        b"",
+    ),
     "gns.resolve.request": (
         {"op": "gns.resolve", "machine": "m1", "path": "/job/in.dat", "ns": "tenant", "auth": "s3cret"},
         b"",
