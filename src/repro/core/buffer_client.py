@@ -76,7 +76,6 @@ class GridBufferClientPool:
         server: Tuple[str, int],
         reader_id: Optional[str] = None,
         read_timeout: Optional[float] = None,
-        read_ahead_depth: int = 4,
     ) -> BufferReader:
         client = self.client_for(*server)
         rid = reader_id or f"{self.machine}:{endpoint.stream}"
@@ -90,7 +89,6 @@ class GridBufferClientPool:
             n_readers=endpoint.n_readers,
             capacity_bytes=endpoint.capacity_bytes,
             cache=endpoint.cache,
-            read_ahead_depth=read_ahead_depth,
             # Dedup fetches only when the stream actually broadcasts.
             shared_cache=endpoint.n_readers > 1,
         )

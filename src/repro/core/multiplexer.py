@@ -154,11 +154,6 @@ class GridContext:
     prefetch: bool = True
     #: Parallel TCP streams for bulk copies (fetch and store).
     parallel_streams: int = 1
-    #: Maximum windowed read RPCs kept in flight per buffered reader —
-    #: the one Grid Buffer tuning value an FM carries.  Everything else
-    #: about how a stream moves (batch size, flush deadline, block
-    #: sharing on broadcast) is fixed by the client or the GNS record.
-    buffer_readahead_depth: int = 4
     #: Subscribe to GNS changes and live-migrate open read streams
     #: between IO modes mid-run (COPY↔BUFFER and friends) when their
     #: records are edited.  Off by default: resolve-at-open only.
@@ -611,7 +606,6 @@ class FileMultiplexer:
                     endpoint,
                     self._locate_buffer(endpoint, "reader"),
                     read_timeout=self.ctx.io_timeout,
-                    read_ahead_depth=self.ctx.buffer_readahead_depth,
                 )
             else:
                 inner = self._buffer_pool.open_writer(

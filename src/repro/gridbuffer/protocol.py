@@ -14,7 +14,6 @@ __all__ = [
     "DEFAULT_BLOCK_SIZE",
     "DEFAULT_CAPACITY",
     "DEFAULT_READ_BUDGET",
-    "DEFAULT_COALESCE_BYTES",
     "OP_CREATE",
     "OP_REGISTER_READER",
     "OP_WRITE",
@@ -38,9 +37,6 @@ DEFAULT_CAPACITY = 32 * 1024 * 1024
 
 #: Default byte budget for a windowed (vectored) read.
 DEFAULT_READ_BUDGET = DEFAULT_BLOCK_SIZE * 16
-
-#: Default writer batch size: bytes coalesced into one write frame.
-DEFAULT_COALESCE_BYTES = 64 * 1024
 
 OP_CREATE = "gb.create"
 

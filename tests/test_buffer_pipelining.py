@@ -16,7 +16,7 @@ from repro.faults import FaultRule
 from repro.gns.client import LocalGnsClient
 from repro.gns.records import BufferEndpoint, GnsRecord, IOMode
 from repro.gns.server import NameService
-from repro.gridbuffer.client import BufferWriter, GridBufferClient
+from repro.gridbuffer.client import BufferWriter, GridBufferClient, _WindowRule
 from repro.gridbuffer.protocol import OP_WRITE, OP_WRITE_MULTI
 from repro.gridbuffer.server import GridBufferServer
 from repro.transport.inmem import HostRegistry
@@ -224,18 +224,26 @@ class _ScriptedReplies:
 
 
 class TestWriterWindow:
-    def test_depth_slow_starts_to_four_and_stalls_do_not_grow_it(self):
+    def test_depth_is_the_window_rules_and_capacity_caps_it(self):
+        """The writer keeps as many batches in flight as its window rule
+        says — at least the rule's floor, stall verdicts or not — and
+        never more bytes than the stream's capacity."""
+
+        def peak_in_flight(w):
+            peak = 0
+            for _ in range(9):
+                w.write(b"x")  # one byte, one batch
+                peak = max(peak, len(w._inflight))
+            w.close()
+            return peak
+
         replies = _ScriptedReplies([None, "slow_reader", None, None, "buffer_full", None])
         w = BufferWriter(replies, "s", coalesce_bytes=1, flush_after=0)
-        depths = []
-        for _ in range(9):
-            w.write(b"x")  # one byte, one batch
-            depths.append(w._depth)
-        w.close()
-        # Doubles after each window of clean replies, up to 4.  A stall
-        # reply neither shrinks the depth nor counts toward a window, so
-        # with batch 2 stalled the second doubling waits for batch 4.
-        assert depths == [1, 2, 2, 2, 2, 4, 4, 4, 4]
+        assert peak_in_flight(w) == w._rule.depth >= _WindowRule.MIN_DEPTH
+        capped = BufferWriter(
+            _ScriptedReplies([]), "c", coalesce_bytes=1, flush_after=0, capacity_bytes=2
+        )
+        assert peak_in_flight(capped) == capped._rule.depth == 2
 
     @pytest.mark.faults
     def test_a_batch_lost_past_the_retries_fails_the_writer_and_the_stream(self, buffer_server):
@@ -355,9 +363,10 @@ class TestWriterWindow:
 
     @pytest.mark.faults
     def test_connection_killed_under_three_batches_in_flight(self, slow_server):
-        """The 7th ``gb.write_multi`` closes the connection while batches
-        4-6 wait for replies (slow start: 1, 2, then 4 deep).  All four
-        resend, in whatever order their backoffs give, and land once."""
+        """The 5th ``gb.write_multi`` closes the connection while batches
+        2-4 wait for replies (the first reply opens the window to four).
+        All four resend, in whatever order their backoffs give, and land
+        once."""
         server = slow_server(0.03)
         writes = _count_writes_in_flight(server)
         client = GridBufferClient(*server.address)
@@ -366,7 +375,7 @@ class TestWriterWindow:
         try:
             w = client.open_writer("killed", cache=True, coalesce_bytes=16 * KIB, flush_after=0)
             with faults.injected(
-                FaultRule(layer="rpc.client", op=OP_WRITE_MULTI, action="close", nth=7),
+                FaultRule(layer="rpc.client", op=OP_WRITE_MULTI, action="close", nth=5),
                 seed=SEED,
             ):
                 for off in range(0, len(payload), 16 * KIB):

@@ -306,10 +306,12 @@ class TestReaderResume:
 
         try:
             # The four parked fetches were sent before arming, so the next
-            # gb.read_multi on the wire is the window's fresh fetch at 128K:
-            # all four of its attempts (1 + 3 transport retries) die.
+            # gb.read_multi on the wire is the window's fresh fetch at 128K.
+            # Its connection dies under it, and with it the fetches parked
+            # on the same connection: every attempt of every one of them
+            # (1 + 3 transport retries) dies until the rule is disarmed.
             with faults.injected(
-                FaultRule(layer="rpc.client", op="gb.read_multi", action="close", nth=1, times=4),
+                FaultRule(layer="rpc.client", op="gb.read_multi", action="close", nth=1, times=0),
                 seed=SEED,
             ):
                 w.write(payload[4 * chunk : 5 * chunk])  # releases the 64K fetch

@@ -4,7 +4,7 @@ and thousands-of-readers concurrency without per-reader server threads.
 Complements ``test_gridbuffer_fastpath.py`` (PR 3 vectored path) with
 the async-engine additions: ``gb.consume_multi`` + the shared-cache ack
 aggregator, the shared cache's generation-keyed registry, the
-service's block-granular reader lag, bandwidth-tiered read-ahead chunk
+service's block-granular reader lag, rate-tiered read-ahead chunk
 sizing, and the headline scaling property — a parked reader costs a
 future, not a thread.
 """
@@ -17,9 +17,11 @@ import time
 import pytest
 
 from repro import obs
+from repro.gridbuffer import client as gbc
 from repro.gridbuffer.client import (
     GridBufferClient,
     _ReadAheadWindow,
+    _WindowRule,
     _shared_cache_acquire,
     _shared_cache_release,
 )
@@ -167,19 +169,20 @@ class TestReaderLagBlocks:
         assert obs.value("buffer_reader_lag_blocks", labels) == 0
 
 
-class _FakeMonitor:
-    def __init__(self, bandwidth, latency=0.001):
-        self._bw = bandwidth
-        self._lat = latency
+def _feed(rule, clock, rate, rtt, replies=8):
+    """Script ``replies`` one-at-a-time round trips delivering ``rate``."""
+    for _ in range(replies):
+        token = rule.sent()
+        clock[0] += rtt
+        rule.delivered(token, int(rate * rtt))
 
-    def bandwidth(self, peer):
-        return self._bw
 
-    def latency(self, peer):
-        return self._lat
-
-    def record(self, peer, op, nbytes, seconds):
-        pass
+@pytest.fixture()
+def clock(monkeypatch):
+    """The window rule's clock, advanced by hand."""
+    now = [100.0]
+    monkeypatch.setattr(gbc, "_clock", lambda: now[0])
+    return now
 
 
 class TestAdaptiveChunk:
@@ -188,47 +191,45 @@ class TestAdaptiveChunk:
         [
             (512 * 1024, 16 * 1024),        # < 1 MB/s
             (4 << 20, 64 * 1024),           # < 8 MB/s
-            (32 << 20, 256 * 1024),         # < 64 MB/s
+            (32 << 20, 128 * 1024),         # < 64 MB/s
             (500 << 20, 1024 * 1024),       # above the top tier
         ],
     )
-    def test_chunk_follows_bandwidth_tier(self, client, bandwidth, expected):
-        client.create_stream("tier", n_readers=1)
-        client.register_reader("tier", "r")
-        client.monitor = _FakeMonitor(bandwidth)
-        window = _ReadAheadWindow(client, "tier", "r", None, 64 * 1024, 1)
-        try:
-            assert window._target_chunk() == expected
-            window.schedule(0)  # idle window: re-tiers before queueing
-            assert window._chunk == expected
-        finally:
-            window.close()
+    def test_chunk_follows_bandwidth_tier(self, clock, bandwidth, expected):
+        """The span follows the window's delivery rate; at a 100 us round
+        trip no rate here needs more than the floor's depth."""
+        rule = _WindowRule(gbc._WindowRule.TOP_SPAN)
+        _feed(rule, clock, bandwidth, 100e-6)
+        assert rule.rate == pytest.approx(bandwidth, rel=0.01)
+        assert (rule.span, rule.depth) == (expected, _WindowRule.MIN_DEPTH)
 
-    def test_no_monitor_keeps_configured_chunk(self, client):
+    def test_no_samples_keeps_the_start_chunk(self, client):
         client.create_stream("fix", n_readers=1)
         client.register_reader("fix", "r")
-        window = _ReadAheadWindow(client, "fix", "r", None, 64 * 1024, 1)
+        window = _ReadAheadWindow(client, "fix", "r", None, 1 << 20)
+        capped = _ReadAheadWindow(client, "fix", "r", None, 4096)
         try:
-            assert window._target_chunk() == 64 * 1024
+            assert (window._rule.span, window._rule.depth) == (_WindowRule.START_SPAN, 1)
+            assert capped._rule.span == 4096
         finally:
             window.close()
+            capped.close()
 
-    def test_no_retier_while_requests_outstanding(self, client):
-        """An in-flight span must never be re-gridded underneath."""
+    def test_retier_with_requests_outstanding_leaves_no_gap(self, client, clock):
+        """A span that changes size under outstanding requests must not
+        leave a hole in the window: the next fetch starts where the
+        last one in flight ends."""
         client.create_stream("busy", n_readers=1)
         client.register_reader("busy", "r")
-        client.monitor = _FakeMonitor(500 << 20)
-        window = _ReadAheadWindow(client, "busy", "r", None, 64 * 1024, 1)
+        window = _ReadAheadWindow(client, "busy", "r", None, 1 << 20)
         try:
-            with window._cv:
-                window._inflight[0] = 64 * 1024  # simulate an outstanding request
+            window.schedule(0)  # one 64 KiB fetch, parked on unwritten bytes
+            assert dict(window._inflight) == {0: 64 * 1024}
+            _feed(window._rule, clock, 500 << 20, 100e-6)  # now a 1 MiB tier
             window.schedule(0)
-            assert window._chunk == 64 * 1024  # unchanged while busy
-            with window._cv:
-                window._inflight.clear()
-                window._queue.clear()
-            window.schedule(1 << 40)  # idle again (past EOF region is fine)
-            assert window._chunk == 1024 * 1024
+            spans = sorted(window._inflight.items())
+            assert spans[1] == (64 * 1024, 1 << 20)
+            assert all(o + n == nxt for (o, n), (nxt, _) in zip(spans, spans[1:]))
         finally:
             window.close()
 

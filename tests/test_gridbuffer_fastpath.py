@@ -199,24 +199,33 @@ class TestWriterFlushDeadline:
 
 
 class TestReaderShutdown:
-    def test_close_joins_window_threads_mid_rpc(self, client):
-        """close() must unblock in-flight window RPCs and join workers."""
+    def test_close_fails_parked_fetches_and_leaves_no_task_or_connection(self, client):
+        """close() must fail window fetches parked server-side at once and
+        leave no fetch task and no connection behind."""
+        chunk = 16 * 1024
         client.create_stream("shut")
-        client.write("shut", 0, b"a" * 4096)  # writer stays open
-        r = client.open_reader("shut", read_ahead_depth=4)
-        assert r.read(4096) == b"a" * 4096
+        client.write("shut", 0, b"a" * 4 * chunk)  # writer stays open
+        r = client.open_reader("shut", read_ahead_bytes=chunk, read_ahead_depth=4)
+        for _ in range(4):
+            assert r.read(chunk) == b"a" * chunk
         # The window is now blocked server-side waiting for bytes that
         # will never arrive (writer never closes).
-        time.sleep(0.1)
         window = r._ra
-        workers = list(window._threads)
+        deadline = time.monotonic() + 5.0
+        while len(window._inflight) < 4:
+            assert time.monotonic() < deadline, "the window never parked its fetches"
+            time.sleep(0.01)
+        tasks = list(window._tasks)
+        conns = list(window._load)
         t0 = time.perf_counter()
         r.close()
         elapsed = time.perf_counter() - t0
         assert elapsed < 3.0, f"close() hung {elapsed:.1f}s on blocked read-ahead"
-        assert all(not t.is_alive() for t in workers), "window thread leaked"
-        # The window's pool is the reader's only one, and it is released.
-        assert not window._rpc._idle and not window._rpc._inflight
+        assert tasks and all(t.done() for t in tasks), "a window fetch outlived close()"
+        assert not window._tasks and not window._load and window._conn is None
+        assert conns and all(c._closed and c._conn is None for c in conns)
+        # The head fetch's one-socket pool is released too.
+        assert not window._head._idle and not window._head._inflight
 
     def test_repeated_open_close_leaks_no_threads(self, client):
         client.create_stream("leak", n_readers=5)
