@@ -720,6 +720,14 @@ class AsyncRpcServer:
                 pass
 
 
+def _fail_pending(conn: "_Conn", exc: BaseException) -> None:
+    """Fail every call still waiting for a reply on ``conn``."""
+    while conn.pending:
+        fut, _deadline = conn.pending.popleft()
+        if not fut.done():
+            fut.set_exception(exc)
+
+
 class _Conn:
     """One client connection generation: stream pair + in-flight queue.
 
@@ -960,15 +968,9 @@ class AsyncRpcClient:
         except asyncio.CancelledError:  # teardown cancelled us mid-read
             exc = None
         finally:
+            _fail_pending(conn, exc or ConnectionError(f"connection to {self._peer} closed"))
             if conn is self._conn:
                 self._teardown()  # also cancels this task, which is ending anyway
-            failure = exc if exc is not None else ConnectionError(
-                f"connection to {self._peer} closed"
-            )
-            while conn.pending:
-                fut, _deadline = conn.pending.popleft()
-                if not fut.done():
-                    fut.set_exception(failure)
 
     def _teardown(self) -> None:
         conn, self._conn = self._conn, None
@@ -982,6 +984,9 @@ class AsyncRpcClient:
                 conn.writer.close()
             except Exception:  # noqa: BLE001  # fault-ok: best-effort close
                 pass
+            # A reader task cancelled before its first step never runs
+            # its ``finally``: fail its calls here, or they wait forever.
+            _fail_pending(conn, ConnectionError(f"connection to {self._peer} closed"))
 
     async def close(self) -> None:
         async with self._lock:

@@ -774,6 +774,23 @@ class TestAsyncRpcClient:
         assert elapsed < 0.1
         assert (obs.value("rpc_retries_total", {"op": "park"}) or 0) == retries
 
+    def test_close_before_the_reader_task_runs_fails_queued_calls(self):
+        """A connection's reader task that ``close()`` cancels before its
+        first step never runs its cleanup: a call queued on the
+        connection must fail all the same, not wait forever."""
+
+        async def go(addr):
+            client = AsyncRpcClient(*addr, timeout=5.0)
+            await client._connect()  # the reader task is created, not yet run
+            reply = asyncio.get_running_loop().create_future()
+            client._conn.pending.append((reply, 0.0))  # as a sent call queues it
+            await client.close()
+            return reply
+
+        with _make_server() as server:
+            reply = asyncio.run(go(server.address))
+        assert reply.done() and isinstance(reply.exception(), ConnectionError)
+
     def test_call_timeout_fails_the_call_and_the_next_call_redials(self):
         """The connection watchdog is the client's only call timeout: a
         reply overdue past ``timeout`` fails the call (after its retries)
