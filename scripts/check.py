@@ -12,7 +12,7 @@ third-party dependency:
   ``__all__``);
 * no file may contain tab indentation or trailing whitespace.
 
-Three repo-specific rules run in BOTH paths (ruff cannot express them):
+Four repo-specific rules run in BOTH paths (ruff cannot express them):
 
 * in ``src/repro/transport/`` and ``src/repro/gridbuffer/`` an
   ``except`` handler for the OSError family must never swallow
@@ -32,6 +32,10 @@ Three repo-specific rules run in BOTH paths (ruff cannot express them):
   label, the loop watchdog).  Configuration that changes how bytes move
   lives in the GNS record or a constructor argument, never in the
   environment.
+* ``threading.Thread(`` may appear under ``src/`` only in the modules
+  listed in ``THREAD_OWNERS`` (the engine loop, striped bulk copies,
+  the GNS watch, workflow stages).  No open file owns a thread: a
+  per-file pipeline runs as futures and timers on the engine loop.
 
 Exit status is non-zero on any finding, so ``python scripts/check.py``
 works as a pre-commit / CI step independent of pytest.
@@ -65,6 +69,14 @@ ENV_READERS = (
     "src/repro/faults/__init__.py",
     "src/repro/obs/spans.py",
     "src/repro/transport/aio.py",
+)
+
+#: The only modules under src/ allowed to start a thread.
+THREAD_OWNERS = (
+    "src/repro/core/multiplexer.py",
+    "src/repro/transport/aio.py",
+    "src/repro/transport/gridftp.py",
+    "src/repro/workflow/runner.py",
 )
 
 
@@ -263,6 +275,30 @@ def check_env_reads(path: Path, text: str, tree: ast.Module) -> list[str]:
     return problems
 
 
+def check_thread_owners(path: Path, text: str, tree: ast.Module) -> list[str]:
+    """Forbid ``threading.Thread(`` in src/ outside ``THREAD_OWNERS``."""
+    rel = str(path.relative_to(REPO)).replace("\\", "/")
+    if not rel.startswith("src/") or rel in THREAD_OWNERS:
+        return []
+    problems: list[str] = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        fn = node.func
+        if (
+            isinstance(fn, ast.Attribute)
+            and fn.attr == "Thread"
+            and isinstance(fn.value, ast.Name)
+            and fn.value.id == "threading"
+        ):
+            problems.append(
+                f"{rel}:{node.lineno}: thread started in src/ — run per-file work as "
+                "futures or timers on the engine loop (or extend THREAD_OWNERS in "
+                "scripts/check.py)"
+            )
+    return problems
+
+
 def run_swallow_lint() -> int:
     problems: list[str] = []
     for path in python_files():
@@ -274,6 +310,7 @@ def run_swallow_lint() -> int:
         problems.extend(check_swallowed_oserrors(path, text, tree))
         problems.extend(check_wall_clock(path, text, tree))
         problems.extend(check_env_reads(path, text, tree))
+        problems.extend(check_thread_owners(path, text, tree))
     for problem in problems:
         print(problem)
     return 1 if problems else 0

@@ -150,7 +150,8 @@ class GridContext:
     remap_every: int = 64
     #: Verify the SHA-256 of every copy-in against the remote server.
     verify_copies: bool = False
-    #: Pipeline sequential proxy reads through a background prefetcher.
+    #: Pipeline sequential proxy reads: up to 8 blocks in flight per
+    #: proxy file, as futures on the engine loop over one connection.
     prefetch: bool = True
     #: Parallel TCP streams for bulk copies (fetch and store).
     parallel_streams: int = 1

@@ -9,8 +9,8 @@ Section 3.1 describes the two remote strategies the FM can choose:
 * **proxy** — "the FM can access the file on the remote machine using a
   proxy file server" (our GridFTP-like block server).  Implemented by
   :class:`RemoteProxyFile`, a file-like object that fetches blocks on
-  demand, pipelines sequential reads through a background prefetcher,
-  and coalesces small sequential writes into block-sized RPCs.
+  demand, pipelines sequential reads through a prefetcher on the engine
+  loop, and coalesces small sequential writes into block-sized RPCs.
 """
 
 from __future__ import annotations
@@ -28,12 +28,10 @@ from .remote_io import BlockCache, BlockPrefetcher, WriteCoalescer
 
 __all__ = ["RemoteProxyFile", "CopyInOutFile", "RemoteFileClient"]
 
-#: Prefetch window bounds: start at MIN once sequential access is
-#: detected, double on every pipeline hit up to MAX.
+#: Prefetch window bounds, in blocks in flight: start at MIN once
+#: sequential access is detected, double on every pipeline hit up to MAX.
 MIN_PREFETCH_WINDOW = 2
-MAX_PREFETCH_WINDOW = 16
-#: RPC connections (— concurrent in-flight blocks) per prefetcher.
-DEFAULT_PREFETCH_STREAMS = 4
+MAX_PREFETCH_WINDOW = 8
 
 
 class RemoteProxyFile(ReadIntoFromRead, io.RawIOBase):
@@ -43,11 +41,12 @@ class RemoteProxyFile(ReadIntoFromRead, io.RawIOBase):
     :class:`~repro.core.remote_io.BlockCache`.  Once two consecutive
     blocks have been read (sequential access detected) a
     :class:`~repro.core.remote_io.BlockPrefetcher` keeps an adaptive
-    window of upcoming blocks in flight on ``prefetch_streams``
-    dedicated RPC connections, so a sequential legacy read loop never
-    stalls on a round trip.  Writes
-    are coalesced write-behind into block-sized ``put_block`` RPCs,
-    flushed on seek/flush/close (and before any overlapping read).
+    window of upcoming blocks in flight (2 to ``MAX_PREFETCH_WINDOW``)
+    as futures on the engine loop, pipelined on one connection of its
+    own, so a sequential legacy read loop never stalls on a round trip
+    and the handle costs no thread.  Writes are coalesced write-behind
+    into block-sized ``put_block`` RPCs, flushed on seek/flush/close
+    (and before any overlapping read).
 
     Observable counters: ``rpc_reads`` (demand RPCs this handle
     issued), ``prefetch_hits`` (reads served by the pipeline) and
@@ -63,8 +62,6 @@ class RemoteProxyFile(ReadIntoFromRead, io.RawIOBase):
         cache_blocks: int = 8,
         cache: Optional[BlockCache] = None,
         prefetch: bool = True,
-        max_prefetch_window: int = MAX_PREFETCH_WINDOW,
-        prefetch_streams: int = DEFAULT_PREFETCH_STREAMS,
     ):
         super().__init__()
         if block_size < 1:
@@ -81,9 +78,6 @@ class RemoteProxyFile(ReadIntoFromRead, io.RawIOBase):
         # -- pipeline state --
         self._prefetch_enabled = prefetch
         self._prefetcher: Optional[BlockPrefetcher] = None
-        self._prefetch_channels: list = []
-        self._prefetch_streams = max(1, prefetch_streams)
-        self._max_window = max(MIN_PREFETCH_WINDOW, max_prefetch_window)
         self._window = MIN_PREFETCH_WINDOW
         self._last_block: Optional[int] = None
         self._streak = 0
@@ -128,11 +122,9 @@ class RemoteProxyFile(ReadIntoFromRead, io.RawIOBase):
             raise ValueError("negative seek position")
         if new_pos // self._block_size != self._pos // self._block_size:
             # Jumping out of the current block breaks the sequential
-            # run: shrink the window and drop queued read-ahead.
+            # run: shrink the window.
             self._streak = 0
             self._window = MIN_PREFETCH_WINDOW
-            if self._prefetcher is not None:
-                self._prefetcher.cancel_queued()
         self._pos = new_pos
         return self._pos
 
@@ -142,22 +134,8 @@ class RemoteProxyFile(ReadIntoFromRead, io.RawIOBase):
     # -- pipeline ----------------------------------------------------------
     def _ensure_prefetcher(self) -> BlockPrefetcher:
         if self._prefetcher is None:
-
-            def bind(channel):
-                def fetch(block_no: int) -> bytes:
-                    return self._client.read_block_via(
-                        channel, self._path, block_no * self._block_size, self._block_size
-                    )
-
-                return fetch
-
-            fetches = []
-            for _ in range(self._prefetch_streams):
-                channel = self._client.open_channel()
-                self._prefetch_channels.append(channel)
-                fetches.append(bind(channel))
             self._prefetcher = BlockPrefetcher(
-                self._path, fetches, self._cache, name=f"fm-prefetch:{self._path}"
+                self._path, self._client, self._block_size, self._cache
             )
         return self._prefetcher
 
@@ -171,7 +149,7 @@ class RemoteProxyFile(ReadIntoFromRead, io.RawIOBase):
         if not self._prefetch_enabled or self._streak < 2:
             return
         if served_by_pipeline:
-            self._window = min(self._window * 2, self._max_window)
+            self._window = min(self._window * 2, MAX_PREFETCH_WINDOW)
         prefetcher = self._ensure_prefetcher()
         try:
             nblocks = -(-self._size() // self._block_size)
@@ -272,9 +250,6 @@ class RemoteProxyFile(ReadIntoFromRead, io.RawIOBase):
             if self._prefetcher is not None:
                 self._prefetcher.close()
                 self._prefetcher = None
-            for channel in self._prefetch_channels:
-                channel.close()
-            self._prefetch_channels.clear()
             super().close()
 
 
@@ -432,12 +407,10 @@ class RemoteFileClient:
         scratch_dir: Optional[Path] = None,
         cache_blocks: int = 64,
         prefetch: bool = True,
-        prefetch_streams: int = DEFAULT_PREFETCH_STREAMS,
     ):
         self.client = client
         self.scratch_dir = scratch_dir
         self.prefetch = prefetch
-        self.prefetch_streams = prefetch_streams
         self.block_cache = BlockCache(cache_blocks)
 
     def open_proxy(
@@ -465,7 +438,6 @@ class RemoteFileClient:
             block_size=block_size,
             cache=self.block_cache,
             prefetch=self.prefetch if prefetch is None else prefetch,
-            prefetch_streams=self.prefetch_streams,
         )
         if core.startswith("a"):
             f.seek(0, os.SEEK_END)

@@ -9,26 +9,26 @@ mechanisms the FM's remote paths share to get that behaviour:
   blocks, shared by every proxy file opened through one
   :class:`~repro.core.remote_client.RemoteFileClient`, with counters
   distinguishing demand hits from prefetch hits and wasted prefetches.
-* :class:`BlockPrefetcher` — background threads that keep an adaptive
-  window of sequential blocks in flight on their *own* RPC
-  connections, so demand reads never queue behind read-ahead traffic.
+* :class:`BlockPrefetcher` — keeps an adaptive window of sequential
+  blocks in flight as ``get_block`` futures on the engine loop, on one
+  connection of its own, so demand reads never queue behind
+  read-ahead traffic and no open file costs a thread.
 * :class:`WriteCoalescer` — a write-behind buffer that merges small
   contiguous writes into block-sized flushes (one ``put_block`` RPC
-  per block instead of one per legacy WRITE call).
-
-None of these know about sockets directly: the prefetcher is handed a
-``fetch`` callable bound to a dedicated channel, and the coalescer a
-``flush`` callable, so the same machinery serves the GridFTP proxy
-path and (for coalescing) the Grid Buffer writer.
+  per block instead of one per legacy WRITE call), through a ``flush``
+  callable.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict, deque
-from typing import Callable, Deque, Dict, Iterable, Optional, Tuple
+from collections import OrderedDict
+from concurrent.futures import Future, wait
+from typing import Callable, Dict, Iterable, Optional, Set, Tuple
 
 from .. import obs
+from ..transport.aio import AsyncRpcClient, get_engine
+from ..transport.gridftp import GridFtpClient
 
 __all__ = ["BlockCache", "BlockPrefetcher", "WriteCoalescer"]
 
@@ -47,7 +47,7 @@ _DEMAND_HITS = obs.counter(
     "fm_demand_hits_total", "Reads served by a previously demand-fetched cached block"
 )
 _PREFETCH_RPCS = obs.counter(
-    "fm_prefetch_rpcs_total", "Block RPCs issued by background prefetch channels"
+    "fm_prefetch_rpcs_total", "Block RPCs completed by prefetchers on the engine loop"
 )
 _WRITE_FLUSHES = obs.counter(
     "fm_write_flushes_total", "Block flushes issued by write-behind coalescers"
@@ -90,12 +90,8 @@ class BlockCache:
         self.prefetch_wasted = 0
         self.demand_hits = 0
 
-    def get(self, path: str, block_no: int) -> Optional[bytes]:
-        data, _ = self.fetch(path, block_no)
-        return data
-
     def fetch(self, path: str, block_no: int) -> Tuple[Optional[bytes], bool]:
-        """Like :meth:`get` but also reports pipeline credit.
+        """The cached block (or None) and its pipeline credit.
 
         The second element is True when this lookup is the first consume
         of a prefetched block — i.e. the background pipeline, not a past
@@ -160,153 +156,109 @@ class BlockCache:
             self.prefetch_wasted += n
         _PREFETCH_WASTED.inc(n)
 
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-
-class _InFlight:
-    __slots__ = ("event", "stale")
-
-    def __init__(self) -> None:
-        self.event = threading.Event()
-        self.stale = False
-
 
 class BlockPrefetcher:
-    """Keeps a window of upcoming blocks in flight on dedicated channels.
+    """Keeps a window of upcoming blocks in flight as futures on the engine.
 
     The owner (a proxy file) calls :meth:`schedule` with the block
-    numbers it expects to need next; background worker threads fetch
-    them through the ``fetch`` callables (each bound to its own RPC
-    connection — the strict request/reply framing allows one
-    outstanding RPC per connection, so in-flight depth equals the
-    number of workers) and deposit them in the shared
-    :class:`BlockCache` marked *prefetched*.  A reader about to
-    demand-fetch a block first calls :meth:`claim` — if that block is
-    in flight it waits for the pipeline instead of issuing a duplicate
-    RPC.
+    numbers it expects to need next; each becomes one ``get_block``
+    coroutine on :func:`~repro.transport.aio.get_engine`, and all of
+    them pipeline on the prefetcher's one
+    :class:`~repro.transport.aio.AsyncRpcClient` connection, dialled on
+    the first :meth:`schedule`, so demand reads never queue behind
+    read-ahead traffic and no block costs a thread.  A landed block
+    goes into the shared :class:`BlockCache` marked *prefetched*.  A
+    reader about to demand-fetch a block first calls :meth:`claim` — if
+    that block is in flight it waits for the pipeline instead of issuing
+    a duplicate RPC.
 
     Writes call :meth:`invalidate` so an in-flight block dirtied under
     the prefetcher is discarded on arrival (counted as wasted) rather
-    than poisoning the cache.
+    than poisoning the cache.  A failed fetch lands nothing: the demand
+    path re-fetches the block and surfaces the error.
+
+    Block fetches take the prefetcher's lock on the loop, so an owner
+    thread never holds it while it waits.
     """
 
-    def __init__(
-        self,
-        path: str,
-        fetch: "Callable[[int], bytes] | Iterable[Callable[[int], bytes]]",
-        cache: BlockCache,
-        name: str = "fm-prefetch",
-    ):
+    def __init__(self, path: str, client: GridFtpClient, block_size: int, cache: BlockCache):
         self._path = path
-        fetches = [fetch] if callable(fetch) else list(fetch)
-        if not fetches:
-            raise ValueError("at least one fetch callable required")
+        self._client = client
+        self._block_size = block_size
         self._cache = cache
-        self._cv = threading.Condition()
-        self._queue: Deque[int] = deque()
-        self._inflight: Dict[int, _InFlight] = {}
+        self._lock = threading.Lock()
+        self._inflight: Dict[int, Future] = {}
+        self._stale: Set[int] = set()
+        self._conn: Optional[AsyncRpcClient] = None
         self._stopped = False
-        self.rpc_reads = 0  # RPCs issued by the prefetch channels
-        self._threads = [
-            threading.Thread(target=self._run, args=(fn,), name=f"{name}#{i}", daemon=True)
-            for i, fn in enumerate(fetches)
-        ]
-        for t in self._threads:
-            t.start()
+        # Fetches run on the loop thread: they parent their rpc.client
+        # spans under whatever span opened the file.
+        self._trace_ctx = obs.current_context()
 
     # -- owner-side API ----------------------------------------------------
     def schedule(self, block_nos: Iterable[int]) -> None:
-        with self._cv:
+        with self._lock:
             if self._stopped:
                 return
             for block_no in block_nos:
-                if block_no in self._inflight or block_no in self._queue:
+                if block_no in self._inflight or self._cache.contains(self._path, block_no):
                     continue
-                if self._cache.contains(self._path, block_no):
-                    continue
-                self._queue.append(block_no)
-            self._cv.notify()
+                if self._conn is None:
+                    self._conn = AsyncRpcClient(*self._client.address)
+                self._inflight[block_no] = get_engine().submit(self._run(self._conn, block_no))
 
     def claim(self, block_no: int, timeout: Optional[float] = None) -> bool:
         """Wait for ``block_no`` if it is in flight.
 
         Returns True when the block was (or is now) in the cache thanks
-        to the pipeline; False means the caller must demand-fetch.  A
-        queued-but-unstarted block is dropped from the queue so the
-        demand fetch doesn't race a duplicate.
+        to the pipeline; False means the caller must demand-fetch.
         """
-        with self._cv:
+        with self._lock:
             pending = self._inflight.get(block_no)
-            if pending is None:
-                try:
-                    self._queue.remove(block_no)
-                except ValueError:
-                    pass
-                return False
-        if not pending.event.wait(timeout):
+        if pending is None:
             return False
+        wait([pending], timeout)
         return self._cache.contains(self._path, block_no)
 
     def invalidate(self, first_block: int, last_block: int) -> None:
-        """A write dirtied ``first..last``: drop them from queue/flight."""
-        with self._cv:
+        """A write dirtied ``first..last``: discard them when they land."""
+        with self._lock:
             for block_no in range(first_block, last_block + 1):
-                try:
-                    self._queue.remove(block_no)
-                except ValueError:
-                    pass
-                pending = self._inflight.get(block_no)
-                if pending is not None:
-                    pending.stale = True
-
-    def cancel_queued(self) -> None:
-        """Random seek: the queued window is no longer the likely future."""
-        with self._cv:
-            self._queue.clear()
-
-    def in_flight(self, block_no: int) -> bool:
-        with self._cv:
-            return block_no in self._inflight or block_no in self._queue
+                if block_no in self._inflight:
+                    self._stale.add(block_no)
 
     def close(self) -> None:
-        with self._cv:
+        """Fail every fetch in flight at once and wait for them to end."""
+        with self._lock:
             self._stopped = True
-            self._queue.clear()
-            self._cv.notify_all()
-        for t in self._threads:
-            t.join(timeout=5)
+            conn, self._conn = self._conn, None
+            tasks = list(self._inflight.values())
+        if conn is not None:
+            get_engine().submit(conn.close())
+        wait(tasks, timeout=5)
 
-    # -- workers -----------------------------------------------------------
-    def _run(self, fetch: Callable[[int], bytes]) -> None:
-        while True:
-            with self._cv:
-                while not self._queue and not self._stopped:
-                    self._cv.wait()
-                if self._stopped:
-                    # Wake any claim() waiters; entries owned by workers
-                    # still mid-RPC are released by their finally blocks.
-                    for pending in self._inflight.values():
-                        pending.event.set()
-                    return
-                block_no = self._queue.popleft()
-                pending = self._inflight[block_no] = _InFlight()
-            try:
-                data = fetch(block_no)
-                _PREFETCH_RPCS.inc()
-                with self._cv:
-                    self.rpc_reads += 1
-            except Exception:
-                data = None  # demand path will retry and surface the error
-            with self._cv:
-                if data is not None:
-                    if pending.stale:
-                        self._cache.note_wasted()
-                    else:
-                        self._cache.put(self._path, block_no, data, prefetched=True)
-                self._inflight.pop(block_no, None)
-                pending.event.set()
+    # -- the fetch, on the loop ----------------------------------------------
+    async def _run(self, conn: AsyncRpcClient, block_no: int) -> None:
+        try:
+            data: Optional[bytes] = await self._client.read_block_async(
+                conn,
+                self._path,
+                block_no * self._block_size,
+                self._block_size,
+                parent=self._trace_ctx,
+            )
+            _PREFETCH_RPCS.inc()
+        except Exception:  # noqa: BLE001 - the demand path re-fetches and surfaces it
+            data = None
+        with self._lock:
+            self._inflight.pop(block_no, None)
+            stale = block_no in self._stale
+            self._stale.discard(block_no)
+            if data is not None:
+                if stale:
+                    self._cache.note_wasted()
+                else:
+                    self._cache.put(self._path, block_no, data, prefetched=True)
 
 
 class WriteCoalescer:
@@ -328,11 +280,6 @@ class WriteCoalescer:
         self._buf = bytearray()
         self.flushes = 0          # put RPCs issued
         self.writes_coalesced = 0  # WRITE calls absorbed without an RPC
-
-    @property
-    def pending(self) -> Tuple[int, int]:
-        """``(offset, length)`` of the not-yet-flushed run."""
-        return self._start, len(self._buf)
 
     def write(self, offset: int, data: bytes) -> None:
         if not data:
@@ -360,9 +307,3 @@ class WriteCoalescer:
             _WRITE_FLUSHES.inc()
             self._start += len(self._buf)
             self._buf.clear()
-
-    def overlaps(self, offset: int, length: int) -> bool:
-        """Does pending data intersect ``[offset, offset+length)``?"""
-        if not self._buf or length <= 0:
-            return False
-        return offset < self._start + len(self._buf) and self._start < offset + length

@@ -35,6 +35,7 @@ calls, keeping delete-on-read GC and per-reader lag gauges exact.
 
 from __future__ import annotations
 
+import asyncio
 import io
 import os
 import threading
@@ -70,7 +71,7 @@ __all__ = ["GridBufferClient", "BufferWriter", "BufferReader"]
 
 
 #: Default upper bound (seconds) on how long coalesced writer bytes may
-#: stay local before the deadline thread pushes them.
+#: stay local before the deadline timer pushes them.
 _FLUSH_DEADLINE = 0.02
 
 #: The clock every window measures round trips and delivery rate with.
@@ -778,7 +779,7 @@ class _RunBatcher:
     new run instead of forcing a flush (the vectored ``gb.write_multi``
     carries all runs in one frame).  The batch is pushed when it
     reaches ``limit`` bytes (the owner keeps it at its window's span),
-    on an explicit flush, or by the owning writer's deadline thread.
+    on an explicit flush, or by the owning writer's deadline timer.
     Each run's buffer goes out as is: the batcher starts fresh ones.
     """
 
@@ -876,11 +877,12 @@ class BufferWriter(io.RawIOBase):
 
     Writes are buffered locally and pushed as *batched vectored RPCs*:
     contiguous runs merge, scattered runs ride the same
-    ``gb.write_multi`` frame.  Coalescing is safe because a background
-    deadline thread bounds how long bytes stay local (``flush_after``
-    seconds, 20 ms by default) — a downstream blocking reader sees new
-    data within the deadline even mid-run, which keeps tightly
-    pipelined streams tight.  ``flush_after=0`` disables the deadline
+    ``gb.write_multi`` frame.  Coalescing is safe because a deadline
+    bounds how long bytes stay local (``flush_after`` seconds, 20 ms by
+    default) — a downstream blocking reader sees new data within the
+    deadline even mid-run, which keeps tightly pipelined streams tight.
+    The deadline is a timer on the engine loop, armed when bytes go
+    pending, not a thread.  ``flush_after=0`` disables the deadline
     (flush only on size/flush/close).
 
     The writer's :class:`_WindowRule` sizes both the batch (its span,
@@ -889,11 +891,11 @@ class BufferWriter(io.RawIOBase):
     rate of the batches' replies, and caps the bytes in flight at the
     stream's ``capacity_bytes``; a stall reply is the server's
     backpressure and simply arrives late.  :meth:`flush` and
-    :meth:`close` drain the window; the deadline thread only adds to
-    it.  A batch that fails beyond the transport's retries fails the
-    writer: the next :meth:`write`, :meth:`flush` or :meth:`close`
-    raises it, and :meth:`close` then marks the stream failed rather
-    than end it with a hole.
+    :meth:`close` drain the window; the deadline timer only adds to it,
+    and only while the window has room.  A batch that fails beyond the
+    transport's retries fails the writer: the next :meth:`write`,
+    :meth:`flush` or :meth:`close` raises it, and :meth:`close` then
+    marks the stream failed rather than end it with a hole.
     """
 
     def __init__(
@@ -912,7 +914,6 @@ class BufferWriter(io.RawIOBase):
         self._timeout = write_timeout
         self._closed_writer = False
         self._lock = threading.Lock()
-        self._flush_cv = threading.Condition(self._lock)
         self._m_write_rpcs = _WRITE_RPCS.labels(stream=name)
         self._m_deadline_flushes = _DEADLINE_FLUSHES.labels(stream=name)
         self._rule = _WindowRule(coalesce_bytes, capacity=capacity_bytes)
@@ -923,17 +924,12 @@ class BufferWriter(io.RawIOBase):
         self._inflight: Deque[Future] = deque()
         self._error: Optional[Exception] = None
         self._flush_after = max(0.0, flush_after)
-        self._pending_since: Optional[float] = None
-        self._deadline_thread: Optional[threading.Thread] = None
-        # Deadline flushes issue write RPCs from a background thread;
-        # adopt the opener's span context so those rpc.client spans
-        # still join the workflow trace.
+        self._pending_since = 0.0
+        self._deadline_armed = False
+        # Deadline flushes issue write RPCs from the engine loop; adopt
+        # the opener's span context so those rpc.client spans still
+        # join the workflow trace.
         self._trace_ctx = obs.current_context()
-        if self._flush_after > 0:
-            self._deadline_thread = threading.Thread(
-                target=self._deadline_loop, name=f"gb-flush:{name}", daemon=True
-            )
-            self._deadline_thread.start()
 
     def _push_runs(self, runs: List[Tuple[int, bytes]]) -> None:
         """The batcher's flush: wait for a free window slot, then send."""
@@ -966,25 +962,41 @@ class BufferWriter(io.RawIOBase):
         if self._error is not None:
             raise self._error
 
-    def _deadline_loop(self) -> None:
-        with obs.attach(self._trace_ctx):
-            self._deadline_loop_attached()
+    def _arm_deadline(self) -> None:
+        """Bytes went pending: flush them by the deadline (writer lock held)."""
+        self._pending_since = time.monotonic()
+        if self._flush_after > 0 and not self._deadline_armed:
+            self._deadline_armed = True
+            loop = get_engine().loop
+            loop.call_soon_threadsafe(loop.call_later, self._flush_after, self._on_deadline)
 
-    def _deadline_loop_attached(self) -> None:
-        with self._flush_cv:
-            while not self._closed_writer:
-                if self._coalescer.pending_bytes == 0:
-                    self._pending_since = None
-                    self._flush_cv.wait()
-                    continue
-                assert self._pending_since is not None
-                age = time.monotonic() - self._pending_since
-                if age >= self._flush_after:
-                    self._coalescer.flush()
-                    self._pending_since = None
-                    self._m_deadline_flushes.inc()
-                else:
-                    self._flush_cv.wait(self._flush_after - age)
+    def _on_deadline(self) -> None:
+        """The flush deadline, a timer on the loop that resolves this
+        writer's replies, so it never blocks: a busy lock or a full
+        window re-arms it, and it reaps only batches already landed."""
+        loop = asyncio.get_running_loop()
+        if not self._lock.acquire(blocking=False):
+            loop.call_later(self._flush_after, self._on_deadline)
+            return
+        try:
+            if self._closed_writer or not self._coalescer.pending_bytes:
+                self._deadline_armed = False
+                return
+            due = self._pending_since + self._flush_after - time.monotonic()
+            if due > 0:  # these bytes went pending after the timer was set
+                loop.call_later(due, self._on_deadline)
+                return
+            while self._inflight and self._inflight[0].done():
+                self._reap()
+            if len(self._inflight) >= self._rule.depth:
+                loop.call_later(self._flush_after, self._on_deadline)
+                return
+            with obs.attach(self._trace_ctx):
+                self._coalescer.flush()
+            self._m_deadline_flushes.inc()
+            self._deadline_armed = False
+        finally:
+            self._lock.release()
 
     @property
     def rpc_writes(self) -> int:
@@ -1002,11 +1014,8 @@ class BufferWriter(io.RawIOBase):
             if data:
                 had_pending = self._coalescer.pending_bytes > 0
                 self._coalescer.write(self._pos, data)
-                if self._coalescer.pending_bytes == 0:
-                    self._pending_since = None
-                elif not had_pending or self._pending_since is None:
-                    self._pending_since = time.monotonic()
-                    self._flush_cv.notify_all()
+                if self._coalescer.pending_bytes and not had_pending:
+                    self._arm_deadline()
                 self._pos += len(data)
             if self._error is not None:
                 raise self._error
@@ -1036,7 +1045,6 @@ class BufferWriter(io.RawIOBase):
         with self._lock:
             if not self._closed_writer:
                 self._coalescer.flush()
-                self._pending_since = None
                 self._drain()
         super().flush()
 
@@ -1049,20 +1057,14 @@ class BufferWriter(io.RawIOBase):
         forever — or, worse, seeing a truncated stream that looks
         complete.  Idempotent; a later :meth:`close` is a no-op.
         """
-        join_me = None
         with self._lock:
             if self._closed_writer:
                 return
             self._closed_writer = True
-            join_me = self._deadline_thread
-            self._deadline_thread = None
             self._coalescer.discard()
-            self._flush_cv.notify_all()
             # Batches in flight stay unread: their replies no longer matter.
             self._client._give_channel(self._channel, drained=not self._inflight)
         self._fail_stream(reason)
-        if join_me is not None:
-            join_me.join(timeout=2.0)
         super().close()
 
     def _fail_stream(self, reason: str) -> None:
@@ -1076,13 +1078,9 @@ class BufferWriter(io.RawIOBase):
             obs.event("gb.abort_failed", stream=self.name, error=str(exc))
 
     def close(self) -> None:
-        join_me = None
         with self._lock:
             if not self._closed_writer:
                 self._closed_writer = True
-                join_me = self._deadline_thread
-                self._deadline_thread = None
-                self._flush_cv.notify_all()
                 try:
                     self._coalescer.flush()
                     self._drain()
@@ -1094,8 +1092,6 @@ class BufferWriter(io.RawIOBase):
                 finally:
                     self._client._give_channel(self._channel, drained=not self._inflight)
                 self._client.close_writer(self.name)
-        if join_me is not None:
-            join_me.join(timeout=2.0)
         super().close()
 
 

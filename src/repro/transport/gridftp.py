@@ -23,6 +23,7 @@ from pathlib import Path
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from .. import faults, obs
+from .aio import AsyncRpcClient
 from .tcp import DEFAULT_POOL_CONNECTIONS, RpcClient, RpcError, RpcServer
 
 __all__ = ["GridFtpServer", "GridFtpClient", "TransferError", "DEFAULT_BLOCK"]
@@ -232,25 +233,37 @@ class GridFtpClient:
             max_connections=max(DEFAULT_POOL_CONNECTIONS, parallel_streams + 1),
         )
 
+    @property
+    def address(self) -> Tuple[str, int]:
+        return self._addr
+
     # -- observability -------------------------------------------------------
     def _timed(self, op: str, rpc: RpcClient, header: Dict[str, Any], payload: bytes = b""):
         """One RPC round trip, always metered, monitor-recorded if present."""
-        corrupter = None
         injector = faults.ACTIVE
-        if injector is not None:
-            verdict = injector.fire("gridftp", op, self.peer)
-            if verdict == "corrupt":
-                # Flip bits in the *received* block after the transfer:
-                # corruption past the wire CRC (disk, memory), which only
-                # the whole-file ``checksum`` re-verification can catch.
-                corrupter = injector
-            elif verdict is not None:
-                # There is no single socket to act on at this layer, so
-                # close/drop verdicts degrade to a connection error; the
-                # bulk-copy resume path is what recovers from it.
-                raise faults.InjectedFault(f"injected fault: gridftp {op} to {self.peer}")
+        verdict = injector.fire("gridftp", op, self.peer) if injector is not None else None
+        corrupter = self._fault_verdict(op, injector, verdict)
         t0 = time.perf_counter()
         reply, data = rpc.call(op, header, payload=payload)
+        return reply, self._metered(op, corrupter, payload, data, t0)
+
+    def _fault_verdict(self, op: str, injector, verdict: Optional[str]):
+        """Act on the ``gridftp`` hook's verdict: the injector that corrupts
+        the received block, or None; any other verdict raises."""
+        if verdict == "corrupt":
+            # Flip bits in the *received* block after the transfer:
+            # corruption past the wire CRC (disk, memory), which only
+            # the whole-file ``checksum`` re-verification can catch.
+            return injector
+        if verdict is not None:
+            # There is no single socket to act on at this layer, so
+            # close/drop verdicts degrade to a connection error; the
+            # bulk-copy resume path is what recovers from it.
+            raise faults.InjectedFault(f"injected fault: gridftp {op} to {self.peer}")
+        return None
+
+    def _metered(self, op: str, corrupter, payload: bytes, data: bytes, t0: float) -> bytes:
+        """The round trip's end: corrupt if told to, then meter and record."""
         elapsed = time.perf_counter() - t0
         if corrupter is not None and data:
             data = corrupter.corrupt_bytes(data)
@@ -259,15 +272,7 @@ class GridFtpClient:
         _RPC_BYTES.labels(peer=self.peer, op=op).inc(nbytes)
         if self.monitor is not None:
             self.monitor.record(self.peer, op, nbytes, elapsed)
-        return reply, data
-
-    def open_channel(self) -> RpcClient:
-        """A dedicated connection for a background pipeline thread.
-
-        A prefetcher must not share the demand connection: one blocking
-        request would head-of-line block the application's reads.
-        """
-        return self._rpc.clone()
+        return data
 
     # -- metadata -----------------------------------------------------------
     def size(self, path: str) -> int:
@@ -319,11 +324,34 @@ class GridFtpClient:
         return data
 
     def read_block_via(self, rpc: RpcClient, path: str, offset: int, length: int) -> bytes:
-        """``read_block`` over a caller-owned channel (prefetch/stream)."""
+        """``read_block`` over a caller-owned blocking client."""
         _, data = self._timed(
             "get_block", rpc, {"path": path, "offset": offset, "length": length}
         )
         return data
+
+    async def read_block_async(
+        self,
+        rpc: AsyncRpcClient,
+        path: str,
+        offset: int,
+        length: int,
+        parent: Optional[obs.SpanContext] = None,
+    ) -> bytes:
+        """``read_block`` as a coroutine over a caller-owned connection.
+
+        Runs on the event loop, so a ``delay`` fault is awaited rather
+        than slept: it delays this block, not the loop.
+        """
+        injector = faults.ACTIVE
+        verdict = None
+        if injector is not None:
+            verdict = await injector.fire_async("gridftp", "get_block", self.peer)
+        corrupter = self._fault_verdict("get_block", injector, verdict)
+        header = {"path": path, "offset": offset, "length": length}
+        t0 = time.perf_counter()
+        _, data = await rpc.call("get_block", header, parent=parent)
+        return self._metered("get_block", corrupter, b"", data, t0)
 
     def write_block(self, path: str, offset: int, data: bytes, truncate: bool = False) -> int:
         reply, _ = self._timed(

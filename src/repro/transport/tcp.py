@@ -16,8 +16,10 @@ to, and never retried as if it were a flaky link.
 
 ``RpcServer`` is the async-native engine from
 :mod:`repro.transport.aio` (one event loop, no thread per connection);
-:class:`RpcClient` is the blocking, pooled client every service client
-in the tree drives.
+:class:`RpcClient` is the blocking, pooled client behind every service
+client's caller-thread calls.  Pipelined traffic that runs on its own
+(stream windows, block prefetch) rides
+:class:`~repro.transport.aio.AsyncRpcClient` on the engine loop instead.
 """
 
 from __future__ import annotations
@@ -72,8 +74,8 @@ __all__ = [
 
 #: Default connection-pool width per RpcClient.  The framing protocol
 #: is strict request/reply, so in-flight depth equals connections; a
-#: small pool lets one client carry concurrent calls (read-ahead
-#: windows, store fan-out) without serialising behind a single lock.
+#: small pool lets one client carry concurrent calls (striped copies,
+#: threads sharing a client) without serialising behind a single lock.
 DEFAULT_POOL_CONNECTIONS = 4
 
 #: Payloads at or above this size are sent via ``socket.sendmsg``
@@ -238,20 +240,6 @@ class RpcClient:
         self._inflight: Set[_Conn] = set()   # connections currently checked out
         self._active = 0
         self._gen = 0             # bumped by close(): stale checkouts die
-
-    def clone(self) -> "RpcClient":
-        """A fresh, unconnected client to the same server.
-
-        Background pipelines (prefetcher threads, parallel streams) use
-        clones when they want connections whose blocking calls can
-        never contend with the owner's pool at all.
-        """
-        return RpcClient(
-            *self._addr,
-            timeout=self._timeout,
-            max_connections=self._max,
-            retry=self._retry,
-        )
 
     def _new_conn(self) -> _Conn:
         sock = socket.create_connection(self._addr, timeout=self._timeout)
@@ -432,9 +420,8 @@ class RpcClient:
     def close(self) -> None:
         """Close idle connections now; in-flight ones close on check-in.
 
-        Closing also unblocks calls parked in a server-side wait (their
-        socket dies under them), which is what lets reader shutdown
-        join background threads that are mid-RPC.
+        A call still in flight keeps its socket until it returns; use
+        :meth:`close_all` to fail it now.
         """
         with self._cv:
             self._gen += 1
@@ -451,8 +438,8 @@ class RpcClient:
 
         A plain :meth:`close` leaves checked-out sockets alive until
         their call returns; this forces those calls to fail *now*,
-        which is how reader teardown unblocks a background thread
-        parked in a server-side blocking read.
+        which is how reader teardown unblocks a caller parked in a
+        server-side blocking read.
         """
         with self._cv:
             self._gen += 1

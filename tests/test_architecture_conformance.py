@@ -567,3 +567,34 @@ class TestEnvironmentIsNotConfiguration:
                 readers.add(str(path.relative_to(check.REPO)))
         assert readers == set(check.ENV_READERS)  # no stale allow-list entry
 
+
+
+class TestNoThreadPerOpenFile:
+    """``scripts/check.py``'s fourth rule: only the modules in
+    ``THREAD_OWNERS`` start threads; per-file work runs on the engine."""
+
+    _check = staticmethod(TestEnvironmentIsNotConfiguration._check)
+
+    def test_rule_flags_threads_outside_the_allow_list(self):
+        import ast
+
+        check = self._check()
+        text = "import threading\nt = threading.Thread(target=print)\n"
+        tree = ast.parse(text)
+        flagged = check.check_thread_owners(check.REPO / "src/repro/core/x.py", text, tree)
+        assert len(flagged) == 1
+        for allowed in check.THREAD_OWNERS:
+            assert check.check_thread_owners(check.REPO / allowed, text, tree) == []
+        assert check.check_thread_owners(check.REPO / "tests/x.py", text, tree) == []
+
+    def test_src_starts_threads_only_where_allowed(self):
+        import ast
+
+        check = self._check()
+        owners = set()
+        for path in sorted((check.REPO / "src").rglob("*.py")):
+            text = path.read_text(encoding="utf-8")
+            assert check.check_thread_owners(path, text, ast.parse(text)) == []
+            if "threading.Thread(" in text:
+                owners.add(str(path.relative_to(check.REPO)))
+        assert owners == set(check.THREAD_OWNERS)  # no stale allow-list entry

@@ -245,6 +245,35 @@ class TestWriterWindow:
         )
         assert peak_in_flight(capped) == capped._rule.depth == 2
 
+    def test_bytes_pending_after_a_size_flush_get_a_whole_deadline(self):
+        """The timer armed for the first bytes finds newer ones after a
+        size flush and waits out their own deadline, not the old one."""
+        replies = _ScriptedReplies([])
+        sent = []
+        send = replies.send
+
+        def timed_send(name, runs, timeout=None):
+            sent.append((time.monotonic(), b"".join(bytes(data) for _, data in runs)))
+            return send(name, runs, timeout)
+
+        replies.send = timed_send
+        w = BufferWriter(replies, "late", coalesce_bytes=4, flush_after=0.5)
+        try:
+            w.write(b"a")  # arms the timer
+            time.sleep(0.25)
+            w.write(b"bcd")  # a size flush
+            w.write(b"e")  # pending again
+            pending_at = time.monotonic()
+            deadline = pending_at + 5.0
+            while len(sent) < 2:
+                assert time.monotonic() < deadline, "the deadline never flushed"
+                time.sleep(0.01)
+            assert [data for _, data in sent] == [b"abcd", b"e"]
+            waited = sent[1][0] - pending_at
+            assert waited >= 0.45, f"flushed {waited:.2f} s after going pending"
+        finally:
+            w.close()
+
     @pytest.mark.faults
     def test_a_batch_lost_past_the_retries_fails_the_writer_and_the_stream(self, buffer_server):
         client = GridBufferClient(*buffer_server.address)

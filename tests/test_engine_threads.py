@@ -1,0 +1,141 @@
+"""No thread per open file: REMOTE read-ahead and the BUFFER writer's
+flush deadline run on the engine loop.
+
+A REMOTE proxy's prefetches are ``get_block`` futures pipelined on one
+connection per prefetcher, and a writer's flush deadline is a timer on
+the loop, so many open files cost connections, not threads.  The timer
+runs on the loop that resolves the writer's replies: it must never wait
+for one, or every stream on the engine stalls behind a full window.
+"""
+
+import threading
+import time
+from concurrent.futures import wait
+
+from repro.core.remote_client import RemoteFileClient
+from repro.gridbuffer.client import GridBufferClient
+from repro.transport import aio
+from repro.transport.gridftp import GridFtpClient, GridFtpServer
+
+KIB = 1024
+BLOCK = 1024
+N = 64
+
+
+def _warm_handler_pool() -> None:
+    """Grow the engine's handler pool to its fixed size first: GridFTP
+    handlers run on it, and its threads exist per process, not per file."""
+    engine = aio.get_engine()
+    wait([engine.executor.submit(time.sleep, 0.05) for _ in range(aio._EXECUTOR_WORKERS)])
+
+
+class TestThreadBudget:
+    def test_remote_proxies_and_buffer_writers_add_at_most_two_threads(
+        self, tmp_path, buffer_server
+    ):
+        """64 REMOTE proxies read past two sequential blocks, so each has
+        prefetches in flight, plus 64 BUFFER writers holding bytes under a
+        flush deadline: together they add at most two threads, and each
+        prefetcher holds one connection."""
+        root = tmp_path / "export"
+        root.mkdir()
+        payloads = {}
+        for i in range(N):
+            payloads[i] = bytes([i]) * (8 * BLOCK)
+            (root / f"f{i}.bin").write_bytes(payloads[i])
+        ftp_server = GridFtpServer(root, simulated_latency=0.002).start()
+        ftp = GridFtpClient(*ftp_server.address, block_size=BLOCK)
+        remote = RemoteFileClient(ftp)
+        gb = GridBufferClient(*buffer_server.address)
+        proxies, writers = [], []
+        _warm_handler_pool()
+        baseline = threading.active_count()
+        most = 0
+        try:
+            for i in range(N):
+                f = remote.open_proxy(f"/f{i}.bin", "r", block_size=BLOCK)
+                assert f.read(2 * BLOCK) == payloads[i][: 2 * BLOCK]
+                assert f._prefetcher is not None, "two sequential blocks never engaged it"
+                proxies.append(f)
+                most = max(most, threading.active_count() - baseline)
+            for i in range(N):
+                w = gb.open_writer(f"held-{i}", flush_after=30.0)
+                w.write(b"h" * 100)  # stays pending until the deadline
+                writers.append(w)
+                most = max(most, threading.active_count() - baseline)
+            assert all(w._coalescer.pending_bytes == 100 for w in writers)
+            assert most <= 2, f"{most} new threads for {N} proxies and {N} writers"
+            # One connection per prefetcher, plus the demand connection.
+            with ftp_server._rpc._writers_lock:
+                connections = len(ftp_server._rpc._writers)
+            assert connections == N + 1
+            for i, f in enumerate(proxies):
+                assert f.read() == payloads[i][2 * BLOCK :]
+        finally:
+            for f in proxies:
+                f.close()
+            for w in writers:
+                w.close()
+            gb.close()
+            ftp.close()
+            ftp_server.stop()
+
+
+class TestFlushDeadlineOnTheLoop:
+    def test_a_full_window_keeps_its_bytes_and_never_blocks_the_loop(self, buffer_server):
+        """Writer A's stream is at capacity and its reader paused, so A's
+        window is full: its deadline keeps the pending bytes and re-arms
+        rather than wait for a reply the loop must deliver.  Meanwhile a
+        second writer on the same engine reaches its reader within its
+        deadline, and once A's reader drains, A's stream completes
+        byte-identical with the held bytes pushed by the deadline."""
+        cap = 64 * KIB
+        payload = bytes(i % 251 for i in range(2 * cap)) + b"t" * 100
+        client = GridBufferClient(*buffer_server.address, timeout=10.0)
+        wa = client.open_writer("parked", capacity_bytes=cap)
+        ra = client.open_reader("parked", read_timeout=10.0)
+        wb = client.open_writer("free")
+        rb = client.open_reader("free", read_timeout=10.0)
+        try:
+            wa.write(payload[:cap])
+            wa.write(payload[cap : 2 * cap])  # parks on the full buffer
+            stream = buffer_server.service._stream("parked")
+            deadline = time.monotonic() + 5.0
+            while not stream.async_writers:
+                assert time.monotonic() < deadline, "A's second batch never parked"
+                time.sleep(0.01)
+            rearms = []
+            on_deadline = wa._on_deadline
+
+            def counting():
+                rearms.append(time.monotonic())
+                on_deadline()
+
+            wa._on_deadline = counting  # what each re-arm schedules
+            wa.write(payload[2 * cap :])  # held: the window is full
+
+            wb.write(b"b" * 100)
+            t0 = time.monotonic()
+            assert rb.read(100) == b"b" * 100
+            waited = time.monotonic() - t0
+            assert waited < 1.0, f"B's bytes took {waited:.2f} s behind A's full window"
+
+            time.sleep(0.2)  # ten of A's deadlines
+            assert wa._coalescer.pending_bytes == 100
+            assert len(wa._inflight) == 1 and not wa._inflight[0].done()
+            assert rearms, "A's deadline never re-armed"
+
+            got = bytearray()
+            while len(got) < len(payload):  # the last 100 B need the deadline
+                chunk = ra.read(32 * KIB)
+                assert chunk, "A's stream ended early"
+                got += chunk
+            assert bytes(got) == payload
+            wa.close()
+            assert ra.read(32 * KIB) == b""
+            wb.close()
+            assert rb.read(100) == b""
+        finally:
+            for f in (ra, rb, wa, wb):
+                f.close()
+            client.close()

@@ -97,7 +97,7 @@ class TestFileLikeAdapters:
         w.write(b"z")
         assert w.tell() == 11
         # The stream has a gap at (3, 10), so it cannot close; abort
-        # joins the writer's deadline thread before the server goes away.
+        # releases the writer's channel before the server goes away.
         w.abort()
 
     def test_write_after_close_raises(self, client):

@@ -6,13 +6,19 @@ pipeline must be invisible except in the counters.
 
 import hashlib
 import io
+import sys
 import threading
+import time
 
 import pytest
 
+from repro import faults
 from repro.core.remote_client import RemoteFileClient
 from repro.core.remote_io import WriteCoalescer
+from repro.faults import FaultRule
 from repro.transport.gridftp import GridFtpClient, GridFtpServer
+
+from ._seed import SEED
 
 PATTERN = bytes(i % 256 for i in range(64_000))
 BLOCK = 1024
@@ -132,6 +138,45 @@ class TestPrefetchCorrectness:
         expected = hashlib.sha256(PATTERN).hexdigest()
         assert all(d == expected for d in digests.values())
 
+    def test_writes_into_the_window_under_a_short_switch_interval(self, remote, export):
+        """Eight proxies (more than cores), each on its own file, write
+        into their own prefetch window while its blocks are in flight on
+        the loop: a dirtied block is never served stale."""
+        _, root = export
+        for i in range(8):
+            (root / f"w{i}.bin").write_bytes(PATTERN)
+        errors = []
+
+        def writer(i: int) -> None:
+            try:
+                f = remote.open_proxy(f"/w{i}.bin", "r+", block_size=BLOCK)
+                try:
+                    for round_ in range(6):
+                        start = round_ * 8 * BLOCK
+                        f.seek(start)
+                        f.read(2 * BLOCK)  # blocks +2 and +3 go in flight
+                        fresh = bytes([i * 8 + round_]) * BLOCK
+                        f.write(fresh)  # dirties block +2
+                        f.seek(start + 2 * BLOCK)
+                        assert f.read(BLOCK) == fresh, f"proxy {i} served a stale block"
+                finally:
+                    f.close()
+            except BaseException as exc:  # noqa: BLE001 - surface in main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=writer, args=(i,)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors, errors[0]
+
     def test_prefetch_disabled_still_correct(self, remote):
         f = remote.open_proxy("/data.bin", "r", block_size=BLOCK, prefetch=False)
         assert f.read() == PATTERN
@@ -145,6 +190,47 @@ class TestPrefetchCorrectness:
         assert f.prefetch_hits + f.rpc_reads >= 8
         assert f.prefetch_wasted >= 0
         f.close()
+
+
+class TestPrefetchUnderFaults:
+    """Prefetch stays on.  The first two ``get_block`` calls are the
+    demand reads of blocks 0 and 1; the third is the prefetch of block 2."""
+
+    def test_a_failed_prefetch_is_refetched_on_demand(self, remote):
+        rule = FaultRule(layer="gridftp", op="get_block", action="error", nth=3)
+        with faults.injected(rule, seed=SEED) as injector:
+            f = remote.open_proxy("/data.bin", "r", block_size=BLOCK)
+            try:
+                out = bytearray()
+                while chunk := f.read(BLOCK):
+                    out += chunk
+            finally:
+                f.close()
+        assert bytes(out) == PATTERN
+        assert [action for *_, action in injector.fired] == ["error"]
+        assert f.rpc_reads >= 3, "block 2 was not re-fetched on demand"
+        assert f.prefetch_hits > 0
+
+    def test_a_delayed_prefetch_does_not_delay_another_connection(self, remote):
+        """The delay is awaited on the loop, so the server, on the same
+        loop, still answers a demand call within a fraction of it."""
+        rule = FaultRule(layer="gridftp", op="get_block", action="delay", delay=0.2, nth=3)
+        with faults.injected(rule, seed=SEED) as injector:
+            f = remote.open_proxy("/data.bin", "r", block_size=BLOCK)
+            try:
+                assert f.read(2 * BLOCK) == PATTERN[: 2 * BLOCK]  # schedules 2 and 3
+                deadline = time.monotonic() + 5.0
+                while not injector.fired:
+                    assert time.monotonic() < deadline, "the prefetch never fired"
+                    time.sleep(0.001)
+                t0 = time.perf_counter()
+                assert remote.client.exists("/data.bin")
+                elapsed = time.perf_counter() - t0
+                assert f.read() == PATTERN[2 * BLOCK :]
+            finally:
+                f.close()
+        assert [action for *_, action in injector.fired] == ["delay"]
+        assert elapsed < 0.1, f"a call on another connection waited {elapsed:.3f} s"
 
 
 class TestWriteCoalescing:

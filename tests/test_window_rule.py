@@ -270,7 +270,7 @@ class TestReaderWindowOnTheEngine:
         try:
             for i in range(8):
                 block = bytes([i]) * 100
-                w.write(block)  # no flush: the deadline thread sends it
+                w.write(block)  # no flush: the deadline timer sends it
                 t0 = time.monotonic()
                 assert r.read(len(block)) == block
                 waited = time.monotonic() - t0
