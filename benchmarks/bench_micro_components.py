@@ -3,8 +3,8 @@
 Timed with pytest-benchmark's normal statistics so regressions in the
 hot paths (framing, FM dispatch, DES engine) are
 visible across commits.  The pipelined remote-IO A/B additionally
-emits ``BENCH_remote_io.json`` at the repo root so the prefetch /
-parallel-stream trajectory is tracked from commit to commit.
+emits ``BENCH_remote_io.json`` at the repo root so the prefetch
+trajectory is tracked from commit to commit.
 """
 
 import hashlib
@@ -141,28 +141,7 @@ def test_remote_io_prefetch_ab(tmp_path, obs_snapshot):
                 "prefetch_wasted": f.prefetch_wasted,
             }
 
-        # Parallel-stream store A/B on the same link.
-        src = tmp_path / "upload.bin"
-        src.write_bytes(payload)
-        for label, streams in (("store_1_stream", 1), ("store_4_streams", 4)):
-            with GridFtpClient(
-                *server.address, block_size=AB_BLOCK, parallel_streams=streams
-            ) as client:
-                t0 = time.perf_counter()
-                n = client.store_file(src, f"/{label}.bin")
-                elapsed = time.perf_counter() - t0
-            assert n == AB_FILE_BYTES
-            stored = (root / f"{label}.bin").read_bytes()
-            assert hashlib.sha256(stored).hexdigest() == want
-            results[label] = {
-                "seconds": elapsed,
-                "mib_per_s": AB_FILE_BYTES / elapsed / (1 << 20),
-            }
-
     read_speedup = results["prefetch_off"]["seconds"] / results["prefetch_on"]["seconds"]
-    store_speedup = (
-        results["store_1_stream"]["seconds"] / results["store_4_streams"]["seconds"]
-    )
     assert results["prefetch_on"]["prefetch_hits"] > 0, "pipeline never engaged"
     assert read_speedup >= 2.0, f"prefetch speedup only {read_speedup:.2f}x"
 
@@ -172,7 +151,6 @@ def test_remote_io_prefetch_ab(tmp_path, obs_snapshot):
         "file_bytes": AB_FILE_BYTES,
         "block_size": AB_BLOCK,
         "read_speedup": round(read_speedup, 3),
-        "store_speedup": round(store_speedup, 3),
         "results": {
             k: {kk: (round(vv, 5) if isinstance(vv, float) else vv) for kk, vv in v.items()}
             for k, v in results.items()

@@ -33,9 +33,9 @@ Four repo-specific rules run in BOTH paths (ruff cannot express them):
   lives in the GNS record or a constructor argument, never in the
   environment.
 * ``threading.Thread(`` may appear under ``src/`` only in the modules
-  listed in ``THREAD_OWNERS`` (the engine loop, striped bulk copies,
-  the GNS watch, workflow stages).  No open file owns a thread: a
-  per-file pipeline runs as futures and timers on the engine loop.
+  listed in ``THREAD_OWNERS`` (the engine loop, the GNS watch,
+  workflow stages).  No open file or transfer owns a thread: a window
+  of blocks runs as futures and timers on the engine loop.
 
 Exit status is non-zero on any finding, so ``python scripts/check.py``
 works as a pre-commit / CI step independent of pytest.
@@ -75,7 +75,6 @@ ENV_READERS = (
 THREAD_OWNERS = (
     "src/repro/core/multiplexer.py",
     "src/repro/transport/aio.py",
-    "src/repro/transport/gridftp.py",
     "src/repro/workflow/runner.py",
 )
 

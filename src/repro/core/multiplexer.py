@@ -153,8 +153,6 @@ class GridContext:
     #: Pipeline sequential proxy reads: up to 8 blocks in flight per
     #: proxy file, as futures on the engine loop over one connection.
     prefetch: bool = True
-    #: Parallel TCP streams for bulk copies (fetch and store).
-    parallel_streams: int = 1
     #: Subscribe to GNS changes and live-migrate open read streams
     #: between IO modes mid-run (COPY↔BUFFER and friends) when their
     #: records are edited.  Off by default: resolve-at-open only.
@@ -500,12 +498,7 @@ class FileMultiplexer:
             client = self._ftp_clients.get(host)
             if client is None:
                 addr = self._gridftp_locator(host)
-                client = GridFtpClient(
-                    *addr,
-                    parallel_streams=self.ctx.parallel_streams,
-                    monitor=self.monitor,
-                    peer=host,
-                )
+                client = GridFtpClient(*addr, monitor=self.monitor, peer=host)
                 self._ftp_clients[host] = client
             return client
 

@@ -23,7 +23,8 @@ from typing import Optional
 
 from .. import ioutil, obs
 from ..ioutil import ReadIntoFromRead
-from ..transport.gridftp import DEFAULT_BLOCK, GridFtpClient
+from ..transport.gridftp import DEFAULT_BLOCK, WINDOW_BLOCKS, GridFtpClient
+from ..transport.tcp import RpcError
 from .remote_io import BlockCache, BlockPrefetcher, WriteCoalescer
 
 __all__ = ["RemoteProxyFile", "CopyInOutFile", "RemoteFileClient"]
@@ -31,7 +32,7 @@ __all__ = ["RemoteProxyFile", "CopyInOutFile", "RemoteFileClient"]
 #: Prefetch window bounds, in blocks in flight: start at MIN once
 #: sequential access is detected, double on every pipeline hit up to MAX.
 MIN_PREFETCH_WINDOW = 2
-MAX_PREFETCH_WINDOW = 8
+MAX_PREFETCH_WINDOW = WINDOW_BLOCKS
 
 
 class RemoteProxyFile(ReadIntoFromRead, io.RawIOBase):
@@ -258,7 +259,7 @@ class CopyInOutFile(ReadIntoFromRead, io.RawIOBase):
 
     With ``verify=True`` the local copy's SHA-256 is compared against
     the server's after the fetch (end-to-end integrity over however
-    many blocks/streams the transfer used).
+    many blocks the transfer kept in flight).
     """
 
     def __init__(
@@ -284,21 +285,24 @@ class CopyInOutFile(ReadIntoFromRead, io.RawIOBase):
         )
         os.close(fd)
         self._local_path = Path(tmp)
-        if core in ("r", "r+", "a", "a+"):
-            exists = client.exists(remote_path)
-            if not exists:
-                if core.startswith("a"):
+        try:
+            if core in ("r", "r+", "a", "a+"):
+                try:  # fetch_file's ``size`` probe is the existence check
+                    client.fetch_file(remote_path, self._local_path)
+                except RpcError as exc:
+                    if exc.kind != "not-found":
+                        raise
+                    if not core.startswith("a"):
+                        raise FileNotFoundError(remote_path) from exc
                     # POSIX append creates a missing file; the copy-out
                     # on close materialises it remotely.
                     self._dirty = True
-                else:
-                    self._local_path.unlink(missing_ok=True)
-                    raise FileNotFoundError(remote_path)
-            else:
-                client.fetch_file(remote_path, self._local_path)
-                if verify:
+                if verify and not self._dirty:
                     self._verified_fetch()
-        self._fh = open(self._local_path, self._local_mode(core))
+            self._fh = open(self._local_path, self._local_mode(core))
+        except BaseException:
+            self._local_path.unlink(missing_ok=True)
+            raise
         if core.startswith("a"):
             self._fh.seek(0, os.SEEK_END)
 

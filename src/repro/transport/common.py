@@ -76,7 +76,6 @@ IDEMPOTENT_OPS: FrozenSet[str] = frozenset(
         "get_block",
         "put_block",
         "checksum",
-        "mkdirs",
         "pull_from",
         # Grid Buffer
         "gb.create",

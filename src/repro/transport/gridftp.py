@@ -2,8 +2,9 @@
 
 Mirrors the two roles GridFTP plays in the paper:
 
-* **bulk copy** — whole-file transfers with optional parallel streams;
-  the latency-insensitive path used when the GNS says "copy the file
+* **bulk copy** — whole-file transfers that keep a window of blocks in
+  flight (the role GridFTP's parallel TCP streams play); the
+  latency-insensitive path used when the GNS says "copy the file
   between machines" (Table 5 "File Copy" rows).
 * **block proxy** — ``GET_BLOCK(offset, length)`` partial reads, used
   by the FM's Remote File Client so an application can read a remote
@@ -19,24 +20,29 @@ import hashlib
 import os
 import threading
 import time
+from concurrent.futures import wait
+from itertools import islice
 from pathlib import Path
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from .. import faults, obs
-from .aio import AsyncRpcClient
-from .tcp import DEFAULT_POOL_CONNECTIONS, RpcClient, RpcError, RpcServer
+from .aio import AsyncRpcClient, get_engine
+from .tcp import RpcClient, RpcError, RpcServer
 
-__all__ = ["GridFtpServer", "GridFtpClient", "TransferError", "DEFAULT_BLOCK"]
+__all__ = ["GridFtpServer", "GridFtpClient", "TransferError", "DEFAULT_BLOCK", "WINDOW_BLOCKS"]
 
 DEFAULT_BLOCK = 256 * 1024
+
+#: Blocks in flight per window: a bulk copy's and a proxy's read-ahead.
+WINDOW_BLOCKS = 8
 
 
 class TransferError(IOError):
     """A bulk copy died or came up short.
 
     ``copied`` is the byte offset up to which the *destination* is known
-    good and contiguous — pass it back as ``fetch_file(resume_from=...)``
-    to continue instead of re-copying, with any number of streams.
+    good and contiguous (the end of the last block landed in order) —
+    pass it back as ``fetch_file(resume_from=...)`` to continue.
     """
 
     def __init__(self, message: str, copied: int = 0):
@@ -59,7 +65,7 @@ class GridFtpServer:
     """Exports one directory over the framed RPC protocol.
 
     Operations: ``size``, ``exists``, ``get_block``, ``put_block``,
-    ``checksum``, ``mkdirs``, ``delete``.
+    ``checksum``, ``delete``, ``pull_from``.
     """
 
     def __init__(
@@ -78,9 +84,8 @@ class GridFtpServer:
         self._rpc.register("get_block", self._op_get_block)
         self._rpc.register("put_block", self._op_put_block)
         self._rpc.register("checksum", self._op_checksum)
-        self._rpc.register("mkdirs", self._op_mkdirs)
         self._rpc.register("delete", self._op_delete)
-        self._rpc.register("pull_from", self._op_pull_from)
+        self._rpc.register("pull_from", self._op_pull_from)  # threaded: its copy blocks
 
     # -- lifecycle -----------------------------------------------------------
     @property
@@ -162,10 +167,6 @@ class GridFtpServer:
                 digest.update(chunk)
         return {"sha256": digest.hexdigest()}, b""
 
-    def _op_mkdirs(self, header: Dict[str, Any], _payload: bytes):
-        self._resolve(header["path"]).mkdir(parents=True, exist_ok=True)
-        return {}, b""
-
     def _op_delete(self, header: Dict[str, Any], _payload: bytes):
         p = self._resolve(header["path"])
         existed = p.exists()
@@ -184,7 +185,6 @@ class GridFtpServer:
             header["src_host"],
             int(header["src_port"]),
             block_size=int(header.get("block_size", DEFAULT_BLOCK)),
-            parallel_streams=int(header.get("streams", 1)),
         )
         try:
             nbytes = source.fetch_file(header["src_path"], target)
@@ -196,9 +196,9 @@ class GridFtpServer:
 class GridFtpClient:
     """Client-side API over one GridFTP server.
 
-    ``parallel_streams`` stripes bulk copies (fetch and store) block by
-    block over that many concurrent streams on the pooled client,
-    mirroring GridFTP's parallel TCP streams.
+    Bulk copies (fetch and store) keep up to ``WINDOW_BLOCKS`` blocks in
+    flight on a connection of their own, the role GridFTP's parallel TCP
+    streams play; everything else goes over the pooled demand client.
 
     ``monitor`` is any object with ``record(peer, op, nbytes, seconds)``
     (e.g. :class:`repro.core.trace.TransferMonitor`); every RPC is
@@ -209,42 +209,46 @@ class GridFtpClient:
         self,
         host: str,
         port: int,
-        parallel_streams: int = 1,
         block_size: int = DEFAULT_BLOCK,
         monitor=None,
         peer: Optional[str] = None,
     ):
-        if parallel_streams < 1:
-            raise ValueError("parallel_streams must be >= 1")
         if block_size < 1:
             raise ValueError("block_size must be >= 1")
         self._addr = (host, port)
-        self.parallel_streams = parallel_streams
         self.block_size = block_size
         self.monitor = monitor
         self.peer = peer or f"{host}:{port}"
-        # One pooled client carries both the demand path and the data
-        # channels: the pool is sized so every parallel stream plus the
-        # demand connection can be in flight at once, and every transfer
-        # inherits the client's redial/retry/backoff recovery.
-        self._rpc = RpcClient(
-            host,
-            port,
-            max_connections=max(DEFAULT_POOL_CONNECTIONS, parallel_streams + 1),
-        )
+        self._rpc = RpcClient(host, port)
 
     @property
     def address(self) -> Tuple[str, int]:
         return self._addr
 
     # -- observability -------------------------------------------------------
-    def _timed(self, op: str, rpc: RpcClient, header: Dict[str, Any], payload: bytes = b""):
-        """One RPC round trip, always metered, monitor-recorded if present."""
+    def _timed(self, op: str, rpc: RpcClient, header: Dict[str, Any], payload: bytes = b"",
+               armed: Optional[Callable[[], None]] = None):
+        """One metered RPC round trip; ``armed`` runs between the fault hook and it."""
         injector = faults.ACTIVE
         verdict = injector.fire("gridftp", op, self.peer) if injector is not None else None
         corrupter = self._fault_verdict(op, injector, verdict)
+        if armed is not None:
+            armed()
         t0 = time.perf_counter()
         reply, data = rpc.call(op, header, payload=payload)
+        return reply, self._metered(op, corrupter, payload, data, t0)
+
+    async def _timed_async(self, op: str, rpc: AsyncRpcClient, header: Dict[str, Any],
+                           payload: bytes = b"", parent: Optional[obs.SpanContext] = None):
+        """``_timed`` as a coroutine over a caller-owned connection: a
+        ``delay`` fault is awaited, delaying this call, not the loop."""
+        injector = faults.ACTIVE
+        verdict = None
+        if injector is not None:
+            verdict = await injector.fire_async("gridftp", op, self.peer)
+        corrupter = self._fault_verdict(op, injector, verdict)
+        t0 = time.perf_counter()
+        reply, data = await rpc.call(op, header, payload=payload, parent=parent)
         return reply, self._metered(op, corrupter, payload, data, t0)
 
     def _fault_verdict(self, op: str, injector, verdict: Optional[str]):
@@ -297,7 +301,6 @@ class GridFtpClient:
         src_port: int,
         src_path: str,
         dst_path: str,
-        streams: int = 1,
     ) -> int:
         """Ask *this* server to pull a file directly from another server.
 
@@ -310,7 +313,6 @@ class GridFtpClient:
                 "src_port": src_port,
                 "src_path": src_path,
                 "dst_path": dst_path,
-                "streams": streams,
                 "block_size": self.block_size,
             },
         )
@@ -338,20 +340,10 @@ class GridFtpClient:
         length: int,
         parent: Optional[obs.SpanContext] = None,
     ) -> bytes:
-        """``read_block`` as a coroutine over a caller-owned connection.
-
-        Runs on the event loop, so a ``delay`` fault is awaited rather
-        than slept: it delays this block, not the loop.
-        """
-        injector = faults.ACTIVE
-        verdict = None
-        if injector is not None:
-            verdict = await injector.fire_async("gridftp", "get_block", self.peer)
-        corrupter = self._fault_verdict("get_block", injector, verdict)
+        """``read_block`` as a coroutine over a caller-owned connection."""
         header = {"path": path, "offset": offset, "length": length}
-        t0 = time.perf_counter()
-        _, data = await rpc.call("get_block", header, parent=parent)
-        return self._metered("get_block", corrupter, b"", data, t0)
+        _, data = await self._timed_async("get_block", rpc, header, parent=parent)
+        return data
 
     def write_block(self, path: str, offset: int, data: bytes, truncate: bool = False) -> int:
         reply, _ = self._timed(
@@ -362,14 +354,21 @@ class GridFtpClient:
         )
         return int(reply["written"])
 
+    async def write_block_async(self, rpc: AsyncRpcClient, path: str, offset: int, data: bytes,
+                                parent: Optional[obs.SpanContext] = None) -> int:
+        """A non-truncating ``write_block`` as a coroutine over a caller-owned connection."""
+        header = {"path": path, "offset": offset, "truncate": False}
+        reply, _ = await self._timed_async("put_block", rpc, header, data, parent)
+        return int(reply["written"])
+
     # -- bulk copy -----------------------------------------------------------
     def fetch_file(self, remote_path: str, local_path: Path, resume_from: int = 0) -> int:
-        """Copy remote → local over ``parallel_streams`` striped streams.
+        """Copy remote → local through the block window.
 
         ``resume_from`` continues an interrupted copy: the first
         ``resume_from`` bytes of ``local_path`` are assumed good (use
         :attr:`TransferError.copied` from the failed attempt) and the
-        transfer restarts there, striped like any other.  Returns the
+        transfer restarts there, windowed like any other.  Returns the
         bytes moved *this call*.  Raises :class:`TransferError` on a
         mid-copy connection failure or a short copy (e.g. the file
         shrank) — a short copy must never pass silently.
@@ -381,101 +380,104 @@ class GridFtpClient:
             raise ValueError(f"resume_from {resume_from} outside [0, {total}]")
         t0 = time.perf_counter()
         mode = "r+b" if resume_from and local_path.exists() else "wb"
+        size, ctx = self.block_size, obs.current_context()
         with open(local_path, mode, buffering=0) as out:
             out.truncate(resume_from)
             fd = out.fileno()
-
-            def move(offset: int) -> int:
-                return os.pwrite(fd, self.read_block(remote_path, offset, self.block_size), offset)
-
-            self._striped("fetch", remote_path, resume_from, total, move)
+            header = {"path": remote_path, "offset": resume_from, "length": size}
+            self._windowed(
+                "fetch", remote_path, resume_from, total,
+                lambda fill: self._timed("get_block", self._rpc, header, armed=fill)[1],
+                lambda conn, offset: self.read_block_async(
+                    conn, remote_path, offset, size, parent=ctx),
+                lambda offset, data: os.pwrite(fd, data, offset),
+            )
         copied = total - resume_from
         if copied and self.monitor is not None:
             self.monitor.record(self.peer, "fetch", copied, time.perf_counter() - t0)
         return copied
 
     def store_file(self, local_path: Path, remote_path: str) -> int:
-        """Copy local → remote over ``parallel_streams`` striped streams."""
+        """Copy local → remote through the block window.  Block 0
+        truncates the target, so it lands before any other put goes out
+        (the server runs pipelined puts concurrently)."""
         local_path = Path(local_path)
         total = local_path.stat().st_size
         t0 = time.perf_counter()
-        # A lone stream truncates the target with its first block, so a
-        # store costs no extra RPC; striped streams (and an empty file,
-        # which has no block) truncate it first.
-        lone = self.parallel_streams == 1 or total <= self.block_size
-        if total == 0 or not lone:
+        size, ctx = self.block_size, obs.current_context()
+        if total == 0:
             self.write_block(remote_path, 0, b"", truncate=True)
         with open(local_path, "rb", buffering=0) as src:
             fd = src.fileno()
-
-            def move(offset: int) -> int:
-                chunk = os.pread(fd, self.block_size, offset)
-                return self.write_block(remote_path, offset, chunk, truncate=lone and offset == 0)
-
-            self._striped("store", remote_path, 0, total, move)
+            self._windowed(
+                "store", remote_path, 0, total,
+                lambda _fill: self.write_block(
+                    remote_path, 0, os.pread(fd, size, 0), truncate=True),
+                lambda conn, offset: self.write_block_async(
+                    conn, remote_path, offset, os.pread(fd, size, offset), ctx),
+                lambda _offset, written: written,
+            )
         if total and self.monitor is not None:
             self.monitor.record(self.peer, "store", total, time.perf_counter() - t0)
         return total
 
-    def _striped(
-        self, verb: str, path: str, start: int, total: int, move: Callable[[int], int]
-    ) -> None:
+    def _windowed(self, verb: str, path: str, start: int, total: int, head: Callable,
+                  later: Callable, land: Callable[[int, Any], int]) -> None:
         """The one bulk-copy loop: move ``[start, total)`` in blocks.
 
-        Stream *i* of *N* moves every *N*-th block from ``start``, in
-        order; ``move(offset)`` moves one block and returns its length.
-        A lone stream runs inline on the caller's thread.  All streams
-        share the pooled client (sized for them in ``__init__``), whose
-        retry layer redials a dead socket instead of failing the copy.
-
-        A stream stops at a short block or once any stream has failed.
-        The lowest stream's next offset is then a contiguous good
-        prefix for any *N*: a failure or short copy raises
-        :class:`TransferError` with ``copied`` set to it.
+        ``head(fill)`` moves the block at ``start`` on the demand pool; a
+        fetch calls ``fill`` between the head's fault hook and its round
+        trip, so the two overlap and hooks fire in block order.  Every
+        later block is ``later(conn, offset)`` on the engine, at most
+        ``WINDOW_BLOCKS`` in flight on one connection dialled for this
+        transfer.  Each lands in order on the caller's thread via
+        ``land(offset, result)``, which returns its length, so a failure
+        or short block leaves a contiguous good prefix: the window's
+        connection is closed (failing its calls at once) and every call
+        waited for before :class:`TransferError` reports it as ``copied``.
         """
-        blocks = -(-(total - start) // self.block_size)  # ceiling division
-        streams = max(1, min(self.parallel_streams, blocks))
-        stride = streams * self.block_size
-        ahead = [start + i * self.block_size for i in range(streams)]  # next offset per stream
-        errors: list = []
+        rest = iter(range(start + self.block_size, total, self.block_size))
+        window: list = []  # (offset, future) in block order
+        conn: Optional[AsyncRpcClient] = None
+        copied, error = start, None
 
-        def stream(i: int) -> None:
-            try:
-                while ahead[i] < total and not errors:
-                    n = move(ahead[i])
-                    if n < min(self.block_size, total - ahead[i]):
-                        ahead[i] += n
-                        return
-                    ahead[i] += stride
-            except BaseException as exc:  # noqa: BLE001 - re-raised on the caller's thread
-                errors.append(exc)
+        def fill() -> None:
+            nonlocal conn
+            for offset in islice(rest, WINDOW_BLOCKS - len(window)):
+                conn = conn or AsyncRpcClient(*self._addr)
+                window.append((offset, get_engine().submit(later(conn, offset))))
 
-        if streams == 1:
-            stream(0)
-        else:
-            threads = [
-                threading.Thread(target=stream, args=(i,), daemon=True) for i in range(streams)
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-        copied = min(min(ahead), total)
-        if errors:
-            exc = errors[0]
-            if not isinstance(exc, (OSError, RpcError)):
-                raise exc
+        def landed(offset: int, result: Any) -> bool:
+            nonlocal copied
+            copied = offset + land(offset, result)
+            return copied >= min(offset + self.block_size, total)
+
+        try:
+            whole = start < total and landed(start, head(fill))
+            while whole:
+                fill()
+                if not window:
+                    break
+                offset, fut = window.pop(0)
+                whole = landed(offset, fut.result())
+        except (OSError, RpcError) as exc:  # fault-ok: raised below, after the window
+            error = exc
+        finally:
+            if conn is not None:
+                get_engine().submit(conn.close()).result()
+                wait([fut for _, fut in window])
+        if error is not None:
             raise TransferError(
-                f"{verb} of {path!r} died at byte {copied} of {total}: {exc}", copied=copied
-            ) from exc
+                f"{verb} of {path!r} died at byte {copied} of {total}: {error}", copied=copied
+            ) from error
         if copied < total:
             raise TransferError(
                 f"short {verb} of {path!r}: have {copied} of {total} bytes", copied=copied
             )
 
     def close(self) -> None:
-        # Hard close: also kills any data-channel socket still mid-RPC,
-        # so teardown never leaks a parked worker.
+        # Hard close: also kills any demand socket still mid-RPC, so
+        # teardown never leaks a parked caller.
         self._rpc.close_all()
 
     def __enter__(self) -> "GridFtpClient":

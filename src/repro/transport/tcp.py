@@ -74,8 +74,8 @@ __all__ = [
 
 #: Default connection-pool width per RpcClient.  The framing protocol
 #: is strict request/reply, so in-flight depth equals connections; a
-#: small pool lets one client carry concurrent calls (striped copies,
-#: threads sharing a client) without serialising behind a single lock.
+#: small pool lets threads sharing one client make concurrent calls
+#: without serialising behind a single lock.
 DEFAULT_POOL_CONNECTIONS = 4
 
 #: Payloads at or above this size are sent via ``socket.sendmsg``

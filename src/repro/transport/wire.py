@@ -186,7 +186,8 @@ OPS: Tuple[str, ...] = (
     "gb.abort", "gb.resume", "gb.high_water",
     # GridFTP-like file server
     "size", "exists", "get_block", "put_block", "checksum",
-    "mkdirs", "delete", "pull_from",
+    "mkdirs",  # retired; slot kept so ids never shift
+    "delete", "pull_from",
     # GNS
     "gns.resolve", "gns.add", "gns.remove", "gns.list",
     "gns.announce", "gns.pin",

@@ -434,9 +434,9 @@ class TestOneWayToRebind:
             for qualname, fn in _functions(gridftp)
             if "threading.Thread(" in inspect.getsource(fn)
         ]
-        assert threaded == ["GridFtpClient._striped"]
+        assert threaded == []
         for name in ("fetch_file", "store_file"):
-            assert "self._striped(" in inspect.getsource(getattr(gridftp.GridFtpClient, name))
+            assert "self._windowed(" in inspect.getsource(getattr(gridftp.GridFtpClient, name))
 
     def test_old_paths_are_gone(self):
         from repro.core.multiplexer import FMFile
@@ -452,8 +452,9 @@ class TestOneWayToRebind:
         assert set(inspect.signature(FMFile.__init__).parameters) == {
             "self", "inner", "record", "stats",
         }
-        for gone in ("_parallel_fetch", "_parallel_store"):
+        for gone in ("_parallel_fetch", "_parallel_store", "_striped"):
             assert not hasattr(GridFtpClient, gone), gone
+        assert "parallel_streams" not in inspect.signature(GridFtpClient).parameters
 
 
 def _functions(module):

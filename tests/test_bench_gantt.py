@@ -90,7 +90,5 @@ class TestThirdPartyCopy:
         (src_root / "big").write_bytes(payload)
         with GridFtpServer(src_root) as src, GridFtpServer(tmp_path / "dst") as dst:
             with GridFtpClient(*dst.address, block_size=8192) as client:
-                client.third_party_copy(
-                    src.address[0], src.address[1], "/big", "/big", streams=4
-                )
+                client.third_party_copy(src.address[0], src.address[1], "/big", "/big")
         assert (tmp_path / "dst" / "big").read_bytes() == payload

@@ -527,16 +527,16 @@ class TestTransferResume:
             client.close()
 
     def test_striped_fetch_resumes_from_reported_offset(self, tmp_path):
-        """Four streams, the 9th block request fails: ``copied`` is the
-        lowest stream's next offset — a good prefix — and a striped
-        resume from there reproduces the file."""
+        """A window of blocks in flight, the 9th block request fails:
+        ``copied`` is the end of the last block landed in order — a good
+        prefix — and a windowed resume from there reproduces the file."""
         root = tmp_path / "export"
         root.mkdir()
         payload = bytes(random.Random(SEED + 4).randbytes(1_000_000))
         (root / "big.bin").write_bytes(payload)
         block = 32 * 1024
         with GridFtpServer(root) as server:
-            client = GridFtpClient(*server.address, parallel_streams=4, block_size=block)
+            client = GridFtpClient(*server.address, block_size=block)
             dst = tmp_path / "out.bin"
             with faults.injected(
                 FaultRule(layer="gridftp", op="get_block", action="error", nth=9),
@@ -552,6 +552,27 @@ class TestTransferResume:
             assert moved == len(payload) - copied
             assert dst.read_bytes() == payload
             client.close()
+
+    def test_failed_copy_in_leaves_no_scratch_file(self, tmp_path):
+        """A COPY open whose copy-in dies mid-file raises and unlinks its
+        scratch copy rather than leaving ``fm-copy-*`` behind."""
+        from repro.core.remote_client import RemoteFileClient
+
+        root = tmp_path / "export"
+        root.mkdir()
+        (root / "big.bin").write_bytes(random.Random(SEED + 5).randbytes(600_000))
+        scratch = tmp_path / "scratch"
+        with GridFtpServer(root) as server:
+            client = GridFtpClient(*server.address, block_size=64 * 1024)
+            remote = RemoteFileClient(client, scratch_dir=scratch)
+            with faults.injected(
+                FaultRule(layer="gridftp", op="get_block", action="error", nth=3),
+                seed=SEED,
+            ):
+                with pytest.raises(TransferError):
+                    remote.open_copy("/big.bin", "r")
+            client.close()
+        assert list(scratch.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------

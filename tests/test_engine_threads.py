@@ -1,21 +1,29 @@
-"""No thread per open file: REMOTE read-ahead and the BUFFER writer's
-flush deadline run on the engine loop.
+"""No thread per open file or transfer: REMOTE read-ahead, GridFTP bulk
+copies and the BUFFER writer's flush deadline run on the engine loop.
 
 A REMOTE proxy's prefetches are ``get_block`` futures pipelined on one
-connection per prefetcher, and a writer's flush deadline is a timer on
-the loop, so many open files cost connections, not threads.  The timer
-runs on the loop that resolves the writer's replies: it must never wait
-for one, or every stream on the engine stalls behind a full window.
+connection per prefetcher, a bulk copy's blocks are ``get_block`` /
+``put_block`` futures on one connection per transfer, and a writer's
+flush deadline is a timer on the loop, so many open files cost
+connections, not threads.  The timer runs on the loop that resolves the
+writer's replies: it must never wait for one, or every stream on the
+engine stalls behind a full window.
 """
 
 import threading
 import time
 from concurrent.futures import wait
 
+import pytest
+
+from repro import faults
 from repro.core.remote_client import RemoteFileClient
+from repro.faults import FaultRule
 from repro.gridbuffer.client import GridBufferClient
 from repro.transport import aio
-from repro.transport.gridftp import GridFtpClient, GridFtpServer
+from repro.transport.gridftp import GridFtpClient, GridFtpServer, TransferError
+
+from ._seed import SEED
 
 KIB = 1024
 BLOCK = 1024
@@ -139,3 +147,108 @@ class TestFlushDeadlineOnTheLoop:
             for f in (ra, rb, wa, wb):
                 f.close()
             client.close()
+
+
+LATENCY = 0.005
+BLOCKS = 32
+
+
+def _watch_blocks(server, baseline):
+    """Track a server's concurrent block requests, from arrival through the
+    simulated link delay to the reply, with the server's connections and
+    the process's new threads at each arrival."""
+    rpc = server._rpc
+    run_one = rpc._run_one
+    seen = {"now": 0, "peak": 0, "connections": 0, "threads": 0}
+
+    async def counting(op, *args):
+        if op not in ("get_block", "put_block"):
+            return await run_one(op, *args)
+        seen["now"] += 1
+        seen["peak"] = max(seen["peak"], seen["now"])
+        with rpc._writers_lock:
+            seen["connections"] = max(seen["connections"], len(rpc._writers))
+        seen["threads"] = max(seen["threads"], threading.active_count() - baseline)
+        try:
+            return await run_one(op, *args)
+        finally:
+            seen["now"] -= 1
+
+    rpc._run_one = counting
+    return seen
+
+
+class TestBulkCopyWindow:
+    def _export(self, tmp_path, name):
+        root = tmp_path / name
+        root.mkdir()
+        payload = bytes(i % 251 for i in range(BLOCKS * BLOCK))
+        (root / "big.bin").write_bytes(payload)
+        return root, payload
+
+    def test_fetch_store_and_third_party_copy_keep_a_window_in_flight(self, tmp_path):
+        """A 32-block fetch, store and third-party copy each keep at least
+        four blocks in flight at the server, over at most one connection
+        beyond the demand one, and add no thread."""
+        root, payload = self._export(tmp_path, "src")
+        (tmp_path / "upload.bin").write_bytes(payload)
+        _warm_handler_pool()
+        baseline = threading.active_count()
+        copies = {
+            "fetch": lambda c, _: c.fetch_file("/big.bin", tmp_path / "fetched.bin"),
+            "store": lambda c, _: c.store_file(tmp_path / "upload.bin", "/stored.bin"),
+            "third_party": lambda c, dst: dst.third_party_copy(
+                *c.address, "/big.bin", "/pulled.bin"
+            ),
+        }
+        for name, copy in copies.items():
+            with GridFtpServer(root, simulated_latency=LATENCY) as server, GridFtpServer(
+                tmp_path / f"dst-{name}"
+            ) as dst_server:
+                seen = _watch_blocks(server, baseline)
+                client = GridFtpClient(*server.address, block_size=BLOCK)
+                dst = GridFtpClient(*dst_server.address, block_size=BLOCK)
+                try:
+                    assert copy(client, dst) == len(payload)
+                finally:
+                    client.close()
+                    dst.close()
+            assert seen["peak"] >= 4, f"{name}: {seen['peak']} blocks in flight"
+            assert seen["connections"] <= 2, f"{name}: {seen['connections']} connections"
+            assert seen["threads"] == 0, f"{name}: {seen['threads']} new threads"
+        assert (tmp_path / "fetched.bin").read_bytes() == payload
+        assert (root / "stored.bin").read_bytes() == payload
+        assert (tmp_path / "dst-third_party" / "pulled.bin").read_bytes() == payload
+
+    @pytest.mark.faults
+    def test_a_failed_store_lands_nothing_after_it_raises(self, tmp_path):
+        """The 9th put of a windowed store fails: the store raises with the
+        blocks landed in order before it, and no put of it reaches the
+        server's disk afterwards (its window was closed and drained)."""
+        root, payload = self._export(tmp_path, "export")
+        src = tmp_path / "upload.bin"
+        src.write_bytes(payload)
+        with GridFtpServer(root, simulated_latency=LATENCY) as server:
+            kind, put_block = server._rpc._handlers["put_block"]
+            puts = []
+
+            def counting(header, data):
+                puts.append(header["offset"])
+                return put_block(header, data)
+
+            server._rpc._handlers["put_block"] = (kind, counting)
+            client = GridFtpClient(*server.address, block_size=BLOCK)
+            try:
+                with faults.injected(
+                    FaultRule(layer="gridftp", op="put_block", action="error", nth=9),
+                    seed=SEED,
+                ):
+                    with pytest.raises(TransferError) as excinfo:
+                        client.store_file(src, "/stored.bin")
+                landed = len(puts)
+                time.sleep(4 * LATENCY)
+                assert len(puts) == landed
+            finally:
+                client.close()
+        assert excinfo.value.copied == 8 * BLOCK
+        assert (root / "stored.bin").read_bytes()[: 8 * BLOCK] == payload[: 8 * BLOCK]

@@ -34,7 +34,7 @@ BUDGET = {
     ("/job/local.dat", "w"): {"gns.resolve": 1},
     ("/job/local.dat", "r"): {"gns.resolve": 1},
     ("/job/copy.dat", "w"): {"gns.resolve": 1, "put_block": 1},
-    ("/job/copy.dat", "r"): {"gns.resolve": 1, "exists": 1, "size": 1, "get_block": 1},
+    ("/job/copy.dat", "r"): {"gns.resolve": 1, "size": 1, "get_block": 1},
     # The open's truncating put_block, then the data.
     ("/job/remote.dat", "w"): {"gns.resolve": 1, "exists": 1, "put_block": 2},
     ("/job/remote.dat", "r"): {"gns.resolve": 1, "exists": 1, "get_block": 1},

@@ -342,20 +342,20 @@ class TestBulkTransfers:
         server, root = export
         client = GridFtpClient(*server.address, block_size=BLOCK)
 
-        # Shrink the file after size() is measured: the single-stream
-        # loop's early break must not silently return the full total.
-        real_read = client.read_block
-        state = {"shrunk": False}
+        # Shrink the file right after size() measures it: the reported
+        # size is then past the end, and the copy must not silently
+        # return the full total.
+        real_size = client.size
 
-        def shrinking_read(path, offset, length):
-            if not state["shrunk"] and offset >= 8 * BLOCK:
-                (root / "data.bin").write_bytes(PATTERN[: 8 * BLOCK])
-                state["shrunk"] = True
-            return real_read(path, offset, length)
+        def size_then_shrink(path):
+            total = real_size(path)
+            (root / "data.bin").write_bytes(PATTERN[: 8 * BLOCK + 5])
+            return total
 
-        client.read_block = shrinking_read
-        with pytest.raises(IOError, match="short fetch"):
+        client.size = size_then_shrink
+        with pytest.raises(IOError, match="short fetch") as excinfo:
             client.fetch_file("/data.bin", tmp_path / "short.bin")
+        assert excinfo.value.copied == 8 * BLOCK + 5
         client.close()
 
     def test_parallel_store_roundtrip(self, export, tmp_path):
@@ -363,7 +363,7 @@ class TestBulkTransfers:
         payload = bytes((i * 7) % 256 for i in range(300_000))
         src = tmp_path / "upload.bin"
         src.write_bytes(payload)
-        with GridFtpClient(*server.address, parallel_streams=4, block_size=8192) as client:
+        with GridFtpClient(*server.address, block_size=8192) as client:
             n = client.store_file(src, "/incoming/upload.bin")
         assert n == len(payload)
         stored = (root / "incoming" / "upload.bin").read_bytes()
@@ -375,48 +375,49 @@ class TestBulkTransfers:
         payload = bytes(i % 251 for i in range(100_000))
         src = tmp_path / "new.bin"
         src.write_bytes(payload)
-        with GridFtpClient(*server.address, parallel_streams=3, block_size=4096) as client:
+        with GridFtpClient(*server.address, block_size=4096) as client:
             client.store_file(src, "/big-old.bin")
         assert (root / "big-old.bin").read_bytes() == payload
 
     def test_lone_stream_copies_inline_and_truncates_with_its_first_block(
         self, export, tmp_path
     ):
-        """One stream moves every block on the caller's thread, and a store
-        over a longer file costs one ``put_block`` per block: the first one
-        truncates, so a COPY close pays no extra round trip."""
+        """A store over a longer file costs one ``put_block`` per block,
+        counted at the server: the first one truncates, so a COPY close
+        pays no extra round trip, and it lands before any other put
+        starts (the server runs pipelined puts concurrently, so a late
+        truncate would wipe blocks already written)."""
         server, root = export
         (root / "old.bin").write_bytes(b"\xff" * (8 * BLOCK))
         src = tmp_path / "new.bin"
         src.write_bytes(PATTERN[: 3 * BLOCK + 5])
+        kind, put_block = server._rpc._handlers["put_block"]
+        events = []
+
+        def counting(header, payload):
+            events.append(("start", header["offset"], bool(header.get("truncate"))))
+            try:
+                return put_block(header, payload)
+            finally:
+                events.append(("end", header["offset"], bool(header.get("truncate"))))
+
+        server._rpc._handlers["put_block"] = (kind, counting)
         client = GridFtpClient(*server.address, block_size=BLOCK)
-        threads = set()
-        real_read, real_write = client.read_block, client.write_block
-
-        def read_block(*args):
-            threads.add(threading.current_thread())
-            return real_read(*args)
-
-        def write_block(path, offset, data, truncate=False):
-            threads.add(threading.current_thread())
-            puts.append((offset, truncate))
-            return real_write(path, offset, data, truncate=truncate)
-
-        puts = []
-        client.read_block, client.write_block = read_block, write_block
         try:
             assert client.store_file(src, "/old.bin") == 3 * BLOCK + 5
             assert client.fetch_file("/old.bin", tmp_path / "back.bin") == 3 * BLOCK + 5
         finally:
             client.close()
-        assert puts == [(0, True), (BLOCK, False), (2 * BLOCK, False), (3 * BLOCK, False)]
+        assert events[:2] == [("start", 0, True), ("end", 0, True)]
+        starts = sorted(e[1:] for e in events if e[0] == "start")
+        assert starts == [(0, True), (BLOCK, False), (2 * BLOCK, False), (3 * BLOCK, False)]
+        assert (root / "old.bin").read_bytes() == PATTERN[: 3 * BLOCK + 5]
         assert (tmp_path / "back.bin").read_bytes() == PATTERN[: 3 * BLOCK + 5]
-        assert threads == {threading.current_thread()}
 
     def test_store_empty_file(self, export, tmp_path):
         server, root = export
         src = tmp_path / "empty.bin"
         src.write_bytes(b"")
-        with GridFtpClient(*server.address, parallel_streams=4) as client:
+        with GridFtpClient(*server.address) as client:
             assert client.store_file(src, "/empty.out") == 0
         assert (root / "empty.out").read_bytes() == b""

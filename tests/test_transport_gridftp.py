@@ -94,7 +94,7 @@ class TestBulkCopy:
     def test_fetch_with_parallel_streams(self, export, tmp_path):
         server, root = export
         dest = tmp_path / "par.bin"
-        with GridFtpClient(*server.address, parallel_streams=4, block_size=8192) as client:
+        with GridFtpClient(*server.address, block_size=8192) as client:
             client.fetch_file("/big.bin", dest)
         assert dest.read_bytes() == (root / "big.bin").read_bytes()
 
@@ -134,7 +134,5 @@ class TestPathSafety:
 
     def test_client_validation(self, export):
         server, _ = export
-        with pytest.raises(ValueError):
-            GridFtpClient(*server.address, parallel_streams=0)
         with pytest.raises(ValueError):
             GridFtpClient(*server.address, block_size=0)
