@@ -9,9 +9,9 @@ The FM asks the GNS matcher where the stream's buffer server lives
 (reader-end or writer-end placement), then opens a writer or reader
 adapter on it.  Connections to each distinct server are pooled per
 client instance.  How a stream moves is decided by its GNS record (the
-:class:`BufferEndpoint`): the pool adds only timeouts and the
-read-ahead depth, and a broadcast endpoint (``n_readers > 1``) shares
-fetched blocks between its co-located readers.
+:class:`BufferEndpoint`): the pool adds only timeouts.  Every reader,
+a broadcast endpoint's (``n_readers > 1``) included, fetches its bytes
+from the stream's buffer server.
 """
 
 from __future__ import annotations
@@ -89,8 +89,6 @@ class GridBufferClientPool:
             n_readers=endpoint.n_readers,
             capacity_bytes=endpoint.capacity_bytes,
             cache=endpoint.cache,
-            # Dedup fetches only when the stream actually broadcasts.
-            shared_cache=endpoint.n_readers > 1,
         )
 
     def close(self) -> None:

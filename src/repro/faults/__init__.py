@@ -19,8 +19,8 @@ perform one of five actions:
 ``corrupt``
     the hook site flips seeded bits in the payload it was about to
     send/store (:meth:`FaultInjector.corrupt_bytes`), exercising the
-    end-to-end integrity machinery: wire-CRC verification, poisoned
-    shared-cache blocks, and whole-file checksum re-verification.
+    end-to-end integrity machinery: wire-CRC verification and
+    whole-file checksum re-verification.
 
 Rules are configured through the API (:func:`arm`, :class:`FaultRule`)
 or the ``REPRO_FAULTS`` environment variable, which holds
@@ -84,6 +84,8 @@ _FAULTS_INJECTED = obs.counter(
 )
 
 _ACTIONS = ("error", "close", "drop", "delay", "corrupt")
+#: Every layer with a hook point; a ``layer`` glob must match one.
+_LAYERS = ("rpc.client", "rpc.server", "gridftp", "gb.service")
 
 
 class InjectedFault(ConnectionError):
@@ -111,6 +113,8 @@ class FaultRule:
     def __post_init__(self) -> None:
         if self.action not in _ACTIONS:
             raise ValueError(f"unknown fault action {self.action!r} (want one of {_ACTIONS})")
+        if not any(fnmatch.fnmatchcase(layer, self.layer) for layer in _LAYERS):
+            raise ValueError(f"fault layer {self.layer!r} has no hook (want one of {_LAYERS})")
         if self.nth < 1:
             raise ValueError("nth is 1-based and must be >= 1")
         if self.times < 0:
@@ -128,8 +132,8 @@ def parse_rules(spec: str) -> List[FaultRule]:
     """Parse the ``REPRO_FAULTS`` rule syntax into :class:`FaultRule`.
 
     A blank/whitespace spec yields no rules (unset env var), but within
-    a non-empty spec every chunk must parse: empty rules, unknown keys
-    or actions, and non-numeric ``nth``/``times``/``delay``/
+    a non-empty spec every chunk must parse: empty rules, unknown keys,
+    actions or layers, and non-numeric ``nth``/``times``/``delay``/
     ``probability`` values raise :class:`ValueError` carrying the
     offending rule text, so a typo fails the run at arm time instead of
     silently disabling the fault.

@@ -26,11 +26,9 @@ pipelines on its :class:`_WriteChannel`, the reader on one
 The reads the window does not cover are fetched inline on the caller's
 thread over a second, one-socket connection, so a request parked
 server-side never head-of-line blocks the caller's own fetch; one
-recovery path redials and resumes after any fetch fails.  Co-located
-readers of one broadcast stream can share a per-process block cache:
-each block is fetched from the server once and the other readers
-acknowledge their consumption with cheap batched ``gb.consume_multi``
-calls, keeping delete-on-read GC and per-reader lag gauges exact.
+recovery path redials and resumes after any fetch fails.  Every reader,
+a broadcast stream's included, fetches its bytes from its buffer server
+over these two connections and nothing else.
 """
 
 from __future__ import annotations
@@ -41,12 +39,11 @@ import os
 import threading
 import time
 import uuid
-from bisect import bisect_left, bisect_right, insort
-from collections import OrderedDict, deque
+from collections import deque
 from concurrent.futures import Future, wait
 from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
-from .. import faults, ioutil, obs
+from .. import obs
 from ..ioutil import ReadIntoFromRead
 from ..transport.aio import AsyncRpcClient, get_engine
 from ..transport.tcp import PoolTimeout, RpcClient, RpcError
@@ -57,7 +54,6 @@ from .protocol import (
     OP_CONSUME_MULTI,
     OP_CREATE,
     OP_DROP,
-    OP_EXISTS,
     OP_HIGH_WATER,
     OP_READ_MULTI,
     OP_REGISTER_READER,
@@ -91,11 +87,6 @@ _WRITE_RPCS = obs.counter(
 _DEADLINE_FLUSHES = obs.counter(
     "buffer_flush_deadline_total",
     "Coalesced writer runs pushed out by the flush deadline",
-    labelnames=("stream",),
-)
-_SHARED_HITS = obs.counter(
-    "buffer_shared_cache_hits_total",
-    "Reads served from the per-process shared block cache",
     labelnames=("stream",),
 )
 _READER_RESUMES = obs.counter(
@@ -276,204 +267,6 @@ class _WindowRule:
         self.span, self.depth = span, depth
 
 
-# ---------------------------------------------------------------------------
-# Shared per-process block cache (broadcast dedup)
-# ---------------------------------------------------------------------------
-
-
-class _SharedStreamCache:
-    """Recently fetched runs of one remote stream, shared process-wide.
-
-    R co-located readers of the same broadcast stream fetch each block
-    from the server once; the other R-1 serve it from here and batch
-    ``gb.consume_multi`` acknowledgements instead of re-transferring.
-    Runs are evicted LRU once ``capacity_bytes`` is exceeded — a
-    straggler that falls too far behind simply falls back to real reads
-    (served by the stream's cache file server-side).
-    """
-
-    def __init__(
-        self, capacity_bytes: int = 8 * 1024 * 1024, gen: int = 0, name: str = ""
-    ):
-        self._capacity = max(1, capacity_bytes)
-        self._lock = threading.Lock()
-        self._entries: "OrderedDict[int, bytes]" = OrderedDict()
-        # crc32 of each run, taken at insert time.  Serving paths
-        # re-verify against it, so a run that rots in memory (or is
-        # poisoned by the chaos injector) is discarded — the reader
-        # falls through to the origin — instead of being handed to a
-        # co-located sibling.
-        self._crcs: Dict[int, int] = {}
-        self._index: List[int] = []
-        self._max_len = 0
-        self._bytes = 0
-        self.eof_total: Optional[int] = None
-        self.refs = 0
-        #: Stream generation this cache mirrors (part of the registry
-        #: key): a re-created stream gets a fresh cache, never stale
-        #: bytes from the previous incarnation.
-        self.gen = gen
-        #: Stream name, used only to label fault-injection hooks and
-        #: discard events.
-        self.name = name
-        # Pending consume acknowledgements from *all* co-located
-        # readers, merged here so one ``gb.consume_multi`` frame (and
-        # one server-side GC pass) covers the whole group per flush.
-        self._acks: Dict[str, List[List[int]]] = {}
-        self._ack_bytes = 0
-        self.ack_flushes = 0
-
-    def ack(
-        self, reader_id: str, start: int, end: int, flush_bytes: int
-    ) -> Optional[List[Tuple[str, List[List[int]]]]]:
-        """Queue a consumed range; returns the batch to send once the
-        aggregate (across all readers) crosses ``flush_bytes``."""
-        if end <= start:
-            return None
-        with self._lock:
-            self._note_range_locked(self._acks.setdefault(reader_id, []), start, end)
-            self._ack_bytes += end - start
-            if self._ack_bytes < flush_bytes:
-                return None
-            return self._drain_acks_locked()
-
-    def drain_acks(self) -> Optional[List[Tuple[str, List[List[int]]]]]:
-        with self._lock:
-            return self._drain_acks_locked()
-
-    def _drain_acks_locked(self) -> Optional[List[Tuple[str, List[List[int]]]]]:
-        if not self._acks:
-            return None
-        entries = [(rid, runs) for rid, runs in self._acks.items()]
-        self._acks = {}
-        self._ack_bytes = 0
-        self.ack_flushes += 1
-        return entries
-
-    def note_eof(self, total: Optional[int]) -> None:
-        if total is None:
-            return
-        with self._lock:
-            self.eof_total = total if self.eof_total is None else min(self.eof_total, total)
-
-    def put(self, offset: int, data: bytes) -> None:
-        """Cache a run fetched from the server."""
-        if not data:
-            return
-        data = bytes(data)
-        # Checksum *before* the poison hook: a "corrupt" rule on
-        # gb.cache flips a bit in the stored copy while the recorded
-        # crc stays honest — exactly the shape of real memory rot, and
-        # what the serve-time verify in get() must catch.
-        crc = ioutil.crc32(data)
-        injector = faults.ACTIVE
-        if injector is not None:
-            if injector.fire("gb.cache", "put", self.name) == "corrupt":
-                data = injector.corrupt_bytes(data)
-        with self._lock:
-            if offset in self._entries:
-                self._entries.move_to_end(offset)
-                return
-            self._entries[offset] = data
-            self._crcs[offset] = crc
-            insort(self._index, offset)
-            self._max_len = max(self._max_len, len(data))
-            self._bytes += len(data)
-            while self._bytes > self._capacity and len(self._entries) > 1:
-                self._remove_locked(next(iter(self._entries)))  # the LRU run
-
-    @staticmethod
-    def _note_range_locked(runs: List[List[int]], start: int, end: int) -> None:
-        if runs and runs[-1][1] == start:
-            runs[-1][1] = end
-        else:
-            runs.append([start, end])
-
-    def _remove_locked(self, off: int) -> None:
-        data = self._entries.pop(off)
-        self._crcs.pop(off, None)
-        self._bytes -= len(data)
-        i = bisect_left(self._index, off)
-        if i < len(self._index) and self._index[i] == off:
-            del self._index[i]
-
-    def _covering_locked(self, pos: int) -> Optional[int]:
-        """Position in ``_index`` of the run covering ``pos``, or None."""
-        i = bisect_right(self._index, pos) - 1
-        floor = pos - self._max_len
-        while i >= 0 and self._index[i] >= floor:
-            data = self._entries.get(self._index[i])
-            if data is not None and pos < self._index[i] + len(data):
-                return i
-            i -= 1
-        return None
-
-    def _verify_locked(self, off: int, data: bytes) -> bool:
-        """Serve-time integrity check; a corrupt run is discarded.
-
-        The caller sees a plain miss — readers fall through to the
-        origin, which is always authoritative.
-        """
-        want = self._crcs.get(off)
-        if want is None or ioutil.crc32(data) == want:
-            return True
-        self._remove_locked(off)
-        ioutil.count_integrity_error("gb.cache", "discard")
-        obs.event(
-            "gb.cache_discard", stream=self.name, offset=off, length=len(data)
-        )
-        return False
-
-    def get(self, pos: int) -> Optional[bytes]:
-        """Bytes from ``pos`` to the end of a covering run, or None."""
-        with self._lock:
-            i = self._covering_locked(pos)
-            if i is None:
-                return None
-            off = self._index[i]
-            data = self._entries[off]
-            if not self._verify_locked(off, data):
-                return None
-            self._entries.move_to_end(off)
-            return data[pos - off :] if off != pos else data
-
-    def covers(self, pos: int) -> bool:
-        with self._lock:
-            return self._covering_locked(pos) is not None
-
-
-# Keyed (host, port, stream, generation): the generation makes a
-# re-created stream (writer crash, drop + recreate) land in a *fresh*
-# cache instead of being served the previous incarnation's bytes.
-_SHARED_CACHES: Dict[Tuple[str, int, str, int], _SharedStreamCache] = {}
-_SHARED_CACHES_LOCK = threading.Lock()
-
-
-def _shared_cache_acquire(
-    addr: Tuple[str, int], stream: str, gen: int = 0
-) -> _SharedStreamCache:
-    key = (addr[0], addr[1], stream, int(gen))
-    with _SHARED_CACHES_LOCK:
-        cache = _SHARED_CACHES.get(key)
-        if cache is None:
-            cache = _SHARED_CACHES[key] = _SharedStreamCache(gen=int(gen), name=stream)
-        cache.refs += 1
-        return cache
-
-
-def _shared_cache_release(addr: Tuple[str, int], stream: str, gen: int = 0) -> bool:
-    """Drop one reference; True when the cache was the last and removed."""
-    key = (addr[0], addr[1], stream, int(gen))
-    with _SHARED_CACHES_LOCK:
-        cache = _SHARED_CACHES.get(key)
-        if cache is not None:
-            cache.refs -= 1
-            if cache.refs <= 0:
-                del _SHARED_CACHES[key]
-                return True
-        return False
-
-
 def _read_header(
     name: str, reader_id: str, offset: int, budget: int, min_bytes: int, timeout: Optional[float]
 ) -> Dict[str, Any]:
@@ -641,10 +434,9 @@ class GridBufferClient:
     def consume_multi(
         self, name: str, entries: Sequence[Tuple[str, Sequence[Sequence[int]]]]
     ) -> None:
-        """Acknowledge ranges served from a shared cache, several readers a frame.
+        """Mark ranges consumed without reading them, several readers a frame.
 
-        ``entries`` is a list of ``(reader_id, ranges)`` pairs — the
-        shared-cache ack aggregator's flush unit.
+        ``entries`` is a list of ``(reader_id, ranges)`` pairs.
         """
         self.consume_multi_ex(name, entries)
 
@@ -672,10 +464,6 @@ class GridBufferClient:
 
     def drop_stream(self, name: str) -> None:
         self._rpc.call(OP_DROP, {"name": name})
-
-    def stream_exists(self, name: str) -> bool:
-        reply, _ = self._rpc.call(OP_EXISTS, {"name": name})
-        return bool(reply["exists"])
 
     def abort_writer(self, name: str, reason: str = "writer aborted") -> None:
         self._rpc.call(OP_ABORT, {"name": name, "reason": reason})
@@ -726,7 +514,6 @@ class GridBufferClient:
         cache: bool = False,
         read_ahead_bytes: int = _WindowRule.TOP_SPAN,
         read_ahead_depth: Optional[int] = None,
-        shared_cache: bool = False,
     ) -> "BufferReader":
         """Attach a reader in one round trip.
 
@@ -749,7 +536,6 @@ class GridBufferClient:
             read_timeout=read_timeout,
             read_ahead_bytes=read_ahead_bytes,
             read_ahead_depth=read_ahead_depth,
-            shared_cache=shared_cache,
             gen=gen,
         )
 
@@ -780,7 +566,10 @@ class _RunBatcher:
     carries all runs in one frame).  The batch is pushed when it
     reaches ``limit`` bytes (the owner keeps it at its window's span),
     on an explicit flush, or by the owning writer's deadline timer.
-    Each run's buffer goes out as is: the batcher starts fresh ones.
+    A batch never holds more than ``limit`` bytes: a longer write is cut
+    into ``limit``-sized batches, since the server refuses any run
+    longer than the stream's capacity.  Each run's buffer goes out as
+    is: the batcher starts fresh ones.
     """
 
     def __init__(self, flush_fn, limit: int):
@@ -803,16 +592,19 @@ class _RunBatcher:
         self._bytes = 0
 
     def write(self, offset: int, data: bytes) -> None:
-        if not data:
-            return
-        if self._runs and offset == self._runs[-1][0] + len(self._runs[-1][1]):
-            self._runs[-1][1] += data
-            self.writes_coalesced += 1
-        else:
-            self._runs.append([offset, bytearray(data)])
-        self._bytes += len(data)
-        if self._bytes >= self.limit:
-            self.flush()
+        view = memoryview(data)
+        while view:
+            piece = view[: self.limit - self._bytes]
+            if self._runs and offset == self._runs[-1][0] + len(self._runs[-1][1]):
+                self._runs[-1][1] += piece
+                self.writes_coalesced += 1
+            else:
+                self._runs.append([offset, bytearray(piece)])
+            self._bytes += len(piece)
+            offset += len(piece)
+            view = view[len(piece) :]
+            if self._bytes >= self.limit:
+                self.flush()
 
     def flush(self) -> None:
         if not self._runs:
@@ -1138,7 +930,6 @@ class _ReadAheadWindow:
         timeout: Optional[float],
         chunk_bytes: int,
         max_depth: Optional[int] = None,
-        shared: Optional[_SharedStreamCache] = None,
         gen: int = 0,
     ):
         self._client = client
@@ -1146,7 +937,6 @@ class _ReadAheadWindow:
         self._reader_id = reader_id
         self._timeout = timeout
         self._rule = _WindowRule(chunk_bytes, max_depth)
-        self._shared = shared
         # The stream generation fetched bytes belong to: a fetch that
         # lands after rebind() to a new incarnation is dropped.
         self._gen = int(gen)
@@ -1222,8 +1012,6 @@ class _ReadAheadWindow:
                 end = self._covered_end_locked(pos)
                 if end is not None:
                     pos = end
-                elif self._shared is not None and self._shared.covers(pos):
-                    pos += span
                 else:
                     pos += self._launch_locked(pos, span)
                     outstanding += 1
@@ -1252,9 +1040,9 @@ class _ReadAheadWindow:
 
         ``b""`` means EOF at/after ``pos``; None means the caller must
         fetch inline (:meth:`fetch_head`).  A request *covering* ``pos``
-        (its span may start earlier when a shared-cache hit advanced the
-        consumer mid-run) is served from ``pos`` onward, as a view of
-        the landed bytes.  An error recorded at exactly ``pos`` re-raises
+        (its span may start earlier when a seek moved the consumer
+        mid-span) is served from ``pos`` onward, as a view of the landed
+        bytes.  An error recorded at exactly ``pos`` re-raises
         here, for the reader's recovery path; other errors are dropped
         during scheduling.
         """
@@ -1311,11 +1099,10 @@ class _ReadAheadWindow:
             self._cv.notify_all()
         self._head.close()
 
-    def rebind(self, shared: Optional[_SharedStreamCache], gen: int) -> None:
-        """Recovery found a new stream incarnation: swap cache and
-        generation, drop results and EOF from the dead one."""
+    def rebind(self, gen: int) -> None:
+        """Recovery found a new stream incarnation: swap the generation,
+        drop results and EOF from the dead one."""
         with self._cv:
-            self._shared = shared
             self._gen = int(gen)
             self._results.clear()
             self._eof_at = None
@@ -1356,24 +1143,12 @@ class _ReadAheadWindow:
             try:
                 reply, data = await rpc.call(OP_READ_MULTI, header, parent=self._trace_ctx)
                 self._client._record("read_multi", len(data), time.perf_counter() - t0)
-                landed = (offset, data, _reply_total(reply), gen)
-                if self._shared is None:
-                    self._note_reply(*landed)
-                else:  # the shared cache copies, checksums and fires fault rules
-                    engine = get_engine()
-                    await engine.loop.run_in_executor(engine.executor, self._note_reply, *landed)
+                self._note_reply(offset, data, _reply_total(reply), gen)
             except BaseException as exc:  # noqa: BLE001 - surfaced on take()
                 self._rule.delivered(token, None)
-                # A shared-cache hit can ack bytes a prefetch was racing
-                # to fetch; the server then rejects the re-read of
-                # consumed bytes.  That is benign — the consumer got the
-                # bytes locally — so drop the error when the cache
-                # covers them.
-                shared = self._shared
-                benign = shared is not None and shared.covers(offset)
                 with self._cv:
                     self._inflight.pop(offset, None)
-                    if epoch == self._epoch and not (benign or self._stopped):
+                    if epoch == self._epoch and not self._stopped:
                         self._errors[offset] = exc
                     self._cv.notify_all()
                 return
@@ -1432,11 +1207,7 @@ class _ReadAheadWindow:
         return span
 
     def _note_reply(self, offset: int, data: bytes, total: Optional[int], gen: int) -> None:
-        """Keep a reply's EOF and put its bytes in the shared cache."""
-        shared = self._shared if gen == self._gen else None
-        if shared is not None:
-            shared.put(offset, data)
-            shared.note_eof(total)
+        """Keep a reply's EOF, if it belongs to the current generation."""
         with self._cv:
             if gen == self._gen:
                 if total is not None:
@@ -1457,14 +1228,8 @@ class BufferReader(ReadIntoFromRead, io.RawIOBase):
     window does not cover, the window fetches inline on the caller's
     thread — the reader owns no connection of its own — and any fetch
     that fails beyond the transport's retries goes to :meth:`_recover`.
-    A landed span is held as a view and served without copying its tail.  With
-    ``shared_cache=True`` co-located readers of the same stream serve
-    each other's fetches from a per-process cache and acknowledge
-    consumption with batched ``gb.consume_multi`` calls.
+    A landed span is held as a view and served without copying its tail.
     """
-
-    #: Acked-but-unsent shared-cache ranges are flushed past this size.
-    ACK_FLUSH_BYTES = 1 * 1024 * 1024
 
     def __init__(
         self,
@@ -1474,7 +1239,6 @@ class BufferReader(ReadIntoFromRead, io.RawIOBase):
         read_timeout: Optional[float] = None,
         read_ahead_bytes: int = _WindowRule.TOP_SPAN,
         read_ahead_depth: Optional[int] = None,
-        shared_cache: bool = False,
         gen: int = 0,
     ):
         super().__init__()
@@ -1485,50 +1249,14 @@ class BufferReader(ReadIntoFromRead, io.RawIOBase):
         self._ra_buf = memoryview(b"")  # data already fetched ahead, at _pos
         self._at_eof = False
         self.readahead_hits = 0     # reads served (fully) from the pipeline
-        self.shared_hits = 0        # reads served from the shared cache
         self._m_ra_hits = _READAHEAD_HITS.labels(stream=name)
-        self._m_shared_hits = _SHARED_HITS.labels(stream=name)
         self._gen = int(gen)
-        self._shared: Optional[_SharedStreamCache] = None
-        if shared_cache:
-            self._shared = _shared_cache_acquire(client.address, name, self._gen)
         self._ra = _ReadAheadWindow(
-            client,
-            name,
-            reader_id,
-            read_timeout,
-            read_ahead_bytes,
-            read_ahead_depth,
-            shared=self._shared,
-            gen=self._gen,
+            client, name, reader_id, read_timeout, read_ahead_bytes, read_ahead_depth, gen=self._gen
         )
 
     def readable(self) -> bool:
         return True
-
-    # -- shared-cache ack batching -----------------------------------------
-    def _ack(self, start: int, end: int) -> None:
-        """Queue a shared-cache-served range for acknowledgement.
-
-        Acks from every co-located reader of this stream pool in the
-        shared cache's aggregator; once the aggregate crosses
-        ``ACK_FLUSH_BYTES`` the whole group's backlog goes out as one
-        ``gb.consume_multi`` frame — one round trip and one server-side
-        GC pass instead of one per reader.
-        """
-        if end <= start or self._shared is None:
-            return
-        entries = self._shared.ack(self.reader_id, start, end, self.ACK_FLUSH_BYTES)
-        if entries:
-            self._send_acks(entries)
-
-    def _send_acks(self, entries: Sequence[Tuple[str, Sequence[Sequence[int]]]]) -> None:
-        """One ``gb.consume_multi`` frame, best-effort: the transport
-        already retried it, and a lost ack only delays GC."""
-        try:
-            self._client.consume_multi_ex(self.name, entries)
-        except (OSError, RpcError):  # fault-ok: a lost ack delays GC, never corrupts
-            pass
 
     # -- read path ---------------------------------------------------------
     def _recover(self, exc: BaseException) -> None:
@@ -1539,8 +1267,8 @@ class BufferReader(ReadIntoFromRead, io.RawIOBase):
         or the service forgot this reader.  Resets the window (see
         :meth:`_ReadAheadWindow.reset`), re-registers (idempotent), and
         rebinds a re-created stream; the caller retries its read once
-        at ``self._pos`` — exact, because acks track consumption per
-        byte range (a silent socket's bound: ``_DEADLINE_MARGIN``).
+        at ``self._pos`` — exact, because the server tracks consumption
+        per byte range (a silent socket's bound: ``_DEADLINE_MARGIN``).
         Anything else (stream failed, the server's read timeout, a pool
         with no free connection) re-raises unchanged.
         """
@@ -1561,15 +1289,10 @@ class BufferReader(ReadIntoFromRead, io.RawIOBase):
         gen = self._client.register_reader(self.name, self.reader_id)
         if gen and gen != self._gen:
             # The stream was re-created while we were away: everything
-            # buffered or cached belongs to a dead incarnation.  Swap to
-            # the new generation's shared cache so no co-located reader
-            # ever serves the old bytes.
+            # buffered belongs to a dead incarnation.
             self._ra_buf = memoryview(b"")
             self._at_eof = False
-            if self._shared is not None:
-                _shared_cache_release(self._client.address, self.name, self._gen)
-                self._shared = _shared_cache_acquire(self._client.address, self.name, gen)
-            self._ra.rebind(self._shared, gen)
+            self._ra.rebind(gen)
             self._gen = gen
 
     def read(self, size: int = -1) -> bytes:  # type: ignore[override]
@@ -1596,22 +1319,7 @@ class BufferReader(ReadIntoFromRead, io.RawIOBase):
         self._pos += len(self._ra_buf)
         size -= len(self._ra_buf)
         self._ra_buf = memoryview(b"")
-        # 2. Shared per-process cache: a co-located reader already
-        # fetched this range; serve it locally and ack consumption.
-        if self._shared is not None and not self._at_eof:
-            if self._shared.eof_total is not None and self._pos >= self._shared.eof_total:
-                self._at_eof = True
-                self._schedule_readahead()
-                return bytes(buf)
-            data = self._shared.get(self._pos)
-            if data is not None:
-                self._ack(self._pos, self._pos + len(data))
-                self._serve(buf, data, size)
-                self.shared_hits += 1
-                self._m_shared_hits.inc()
-                self._schedule_readahead()
-                return bytes(buf)
-        # 3. The window: a landed or in-flight span at _pos, or else the
+        # 2. The window: a landed or in-flight span at _pos, or else the
         # head fetch, inline (a short read is fine — POSIX semantics —
         # but never block past EOF).
         if not self._at_eof:
@@ -1679,10 +1387,4 @@ class BufferReader(ReadIntoFromRead, io.RawIOBase):
         if self.closed:
             return
         self._ra.close()
-        if self._shared is not None:
-            entries = self._shared.drain_acks()
-            if entries:
-                self._send_acks(entries)
-            _shared_cache_release(self._client.address, self.name, self._gen)
-            self._shared = None
         super().close()

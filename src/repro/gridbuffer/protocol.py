@@ -23,7 +23,6 @@ __all__ = [
     "OP_CLOSE_WRITER",
     "OP_STATS",
     "OP_DROP",
-    "OP_EXISTS",
     "OP_ABORT",
     "OP_RESUME",
     "OP_HIGH_WATER",
@@ -51,7 +50,6 @@ OP_WRITE = "gb.write"
 OP_CLOSE_WRITER = "gb.close_writer"
 OP_STATS = "gb.stats"
 OP_DROP = "gb.drop"
-OP_EXISTS = "gb.exists"
 OP_ABORT = "gb.abort"
 OP_RESUME = "gb.resume"
 OP_HIGH_WATER = "gb.high_water"
@@ -77,12 +75,9 @@ OP_WRITE_MULTI = "gb.write_multi"
 #: letting clients stop scheduling read-ahead past EOF.
 OP_READ_MULTI = "gb.read_multi"
 
-#: Mark byte ranges consumed for readers *without* transferring them
-#: (each reader got the bytes from a co-located reader's fetch).
+#: Mark byte ranges consumed for readers *without* transferring them.
 #: Header: ``name``, ``entries`` — a list of ``[reader_id, ranges]``
-#: pairs, ranges as lists of [start, end).  Keeps delete-on-read GC and
-#: per-reader lag gauges exact when a shared client-side cache dedupes
-#: broadcast reads; emitted by the shared-cache ack aggregator so
-#: co-located readers pay one round trip and one server-side GC pass
-#: per flush instead of one each.
+#: pairs, ranges as lists of [start, end).  Every reader and its GC run
+#: as if it had read the ranges, in one frame and one server-side GC
+#: pass.  The stream readers never send it: each reads its own bytes.
 OP_CONSUME_MULTI = "gb.consume_multi"

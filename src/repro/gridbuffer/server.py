@@ -27,7 +27,6 @@ from .protocol import (
     OP_CONSUME_MULTI,
     OP_CREATE,
     OP_DROP,
-    OP_EXISTS,
     OP_HIGH_WATER,
     OP_READ_MULTI,
     OP_REGISTER_READER,
@@ -97,7 +96,6 @@ class GridBufferServer:
             (OP_CONSUME_MULTI, self._op_consume_multi),
             (OP_CLOSE_WRITER, self._op_close_writer),
             (OP_STATS, self._op_stats),
-            (OP_EXISTS, self._op_exists),
             (OP_ABORT, self._op_abort),
             (OP_RESUME, self._op_resume),
             (OP_HIGH_WATER, self._op_high_water),
@@ -180,7 +178,7 @@ class GridBufferServer:
                 self._create(header)
         with _rpc_errors():
             gen = self.service.register_reader(name, header["reader_id"])
-        # Clients key their shared block cache on the generation.
+        # A recovering reader compares the generation to its own.
         return {"gen": gen}, b""
 
     async def _op_write(self, header: Dict[str, Any], payload: bytes):
@@ -260,9 +258,6 @@ class GridBufferServer:
     def _op_drop(self, header: Dict[str, Any], _payload: bytes):
         self.service.drop_stream(header["name"])
         return {}, b""
-
-    def _op_exists(self, header: Dict[str, Any], _payload: bytes):
-        return {"exists": self.service.exists(header["name"])}, b""
 
     def _op_abort(self, header: Dict[str, Any], _payload: bytes):
         with _rpc_errors():

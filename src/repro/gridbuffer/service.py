@@ -247,9 +247,8 @@ class _Stream:
         frontier = done[-1][1] if done else 0
         _READER_LAG.labels(stream=self.name, reader=reader_id).set(max(0, top - frontier))
         # Block-granular lag published by the *service* so it stays
-        # exact when shared-cache readers batch their acks client-side
-        # (the aggregator coalesces ranges, so inferring blocks from
-        # individual ack calls under-counts).
+        # exact when one consume covers many blocks (inferring blocks
+        # from individual consume calls under-counts).
         behind = len(self.block_index) - bisect_left(self.block_index, frontier)
         _READER_LAG_BLOCKS.labels(stream=self.name, reader=reader_id).set(behind)
 
@@ -320,8 +319,9 @@ class GridBufferService:
         self._shard_maps: List[Dict[str, _Stream]] = [{} for _ in range(_N_SHARDS)]
         # Per-name generation counters.  Deliberately NOT per-stream
         # state: they must survive drop_stream so a re-created stream
-        # gets a *new* generation — that is what invalidates client-side
-        # shared caches after a writer crash.  Own lock: names on
+        # gets a *new* generation — that is what tells a recovering
+        # reader its buffered bytes belong to a dead incarnation after
+        # a writer crash.  Own lock: names on
         # different shards share this dict.
         self._gen_lock = threading.Lock()
         self._generations: Dict[str, int] = {}
@@ -388,9 +388,9 @@ class GridBufferService:
     def register_reader(self, name: str, reader_id: str) -> int:
         """Attach a reader; at most ``n_readers`` distinct ids allowed.
 
-        Returns the stream's generation so clients can key their shared
-        block caches on it (a re-created stream must never be served
-        from a previous incarnation's cached bytes).
+        Returns the stream's generation, so a recovering reader learns
+        the stream was re-created and drops the previous incarnation's
+        buffered bytes.
         """
         st = self._stream(name)
         with st.lock:
@@ -780,13 +780,11 @@ class GridBufferService:
     ) -> None:
         """Record ranges as consumed, without reading, for several readers.
 
-        Backs the ``gb.consume_multi`` wire op: when a co-located
-        reader already fetched a range and served it from a shared
-        client-side cache, the other readers acknowledge here — one
-        frame, one lock acquisition and one GC pass for the group — so
-        delete-on-read GC and the per-reader lag gauges stay exact
-        without moving the bytes again.  Ranges outside written data
-        are ignored.  All readers are validated before anything is
+        Backs the ``gb.consume_multi`` wire op: one frame, one lock
+        acquisition and one GC pass for the whole group, and
+        delete-on-read GC and the per-reader lag gauges move as if each
+        reader had read its ranges.  Ranges outside written data are
+        ignored.  All readers are validated before anything is
         applied.
         """
         st = self._stream(name)

@@ -6,8 +6,7 @@ define ``read()`` break under ``io.BufferedReader``.
 :class:`ReadIntoFromRead` supplies the missing direction.
 
 This module also hosts the shared integrity primitives: the masked
-crc32 used by every checksummed path (wire frames, peer-cache reads,
-shared-cache blocks), a whole-file sha256 helper, and the
+crc32 behind the wire frames' checksum, a whole-file sha256 helper, and the
 ``integrity_errors_total{layer,action}`` counter every detection site
 increments so one query answers "did corruption fire, and where was it
 caught?".
@@ -35,8 +34,7 @@ def crc32(data: Union[bytes, bytearray, memoryview]) -> int:
     """zlib crc32 masked to an unsigned 32-bit value.
 
     The single definition behind every checksum in the tree: the binary
-    wire trailer and shared-cache block verification both compare
-    values produced here.
+    wire trailer is computed and verified here.
     """
     return zlib.crc32(data) & 0xFFFFFFFF
 

@@ -84,7 +84,6 @@ IDEMPOTENT_OPS: FrozenSet[str] = frozenset(
         "gb.consume_multi",
         "gb.close_writer",
         "gb.stats",
-        "gb.exists",
         "gb.abort",
         "gb.resume",
         "gb.high_water",

@@ -182,7 +182,8 @@ OPS: Tuple[str, ...] = (
     "gb.read_multi",
     "gb.consume",  # retired; slot kept so ids never shift
     "gb.consume_multi",
-    "gb.close_writer", "gb.stats", "gb.drop", "gb.exists",
+    "gb.close_writer", "gb.stats", "gb.drop",
+    "gb.exists",  # retired; slot kept so ids never shift
     "gb.abort", "gb.resume", "gb.high_water",
     # GridFTP-like file server
     "size", "exists", "get_block", "put_block", "checksum",

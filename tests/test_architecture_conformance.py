@@ -181,7 +181,7 @@ class TestOneStreamPath:
         from repro.core.buffer_client import GridBufferClientPool
         from repro.gridbuffer.client import BufferReader, GridBufferClient
 
-        sizing = {"read_ahead_bytes", "read_ahead_depth", "shared_cache"}
+        sizing = {"read_ahead_bytes", "read_ahead_depth"}
         expected = {
             GridBufferClient.open_reader: {
                 "name", "reader_id", "read_timeout", "n_readers", "capacity_bytes", "cache",
@@ -246,7 +246,7 @@ class TestOneStreamPath:
         try:
             with pytest.raises(ValueError):
                 client.open_writer("wt", coalesce_bytes=0)
-            assert not client.stream_exists("wt")  # refused before any RPC
+            assert not buffer_server.service.exists("wt")  # refused before any RPC
         finally:
             client.close()
 
@@ -599,3 +599,28 @@ class TestNoThreadPerOpenFile:
             if "threading.Thread(" in text:
                 owners.add(str(path.relative_to(check.REPO)))
         assert owners == set(check.THREAD_OWNERS)  # no stale allow-list entry
+
+
+class TestFaultLayersHaveHooks:
+    """A fault rule for a layer with no hook point could never fire, so
+    ``FaultRule`` refuses it; the layers it knows are the hook sites."""
+
+    def test_layers_are_the_literal_hook_layers(self):
+        import ast
+        from pathlib import Path
+
+        from repro import faults
+
+        hooked = set()
+        src = Path(faults.__file__).resolve().parents[1]
+        for path in sorted(src.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("fire", "fire_async")
+                    and node.args
+                    and isinstance(node.args[0], ast.Constant)
+                ):
+                    hooked.add(node.args[0].value)
+        assert hooked == set(faults._LAYERS)

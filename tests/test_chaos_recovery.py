@@ -445,8 +445,8 @@ class TestReaderResume:
     def test_recreated_stream_moves_the_reader_to_the_new_generation(self, buffer_server):
         """The stream is dropped and re-created under a reader with other
         bytes: its next fetch is "not registered", and recovery rebinds
-        the window and the shared cache to the new generation, so every
-        byte read after it belongs to the new incarnation."""
+        the window to the new generation, so every byte read after it
+        belongs to the new incarnation."""
         name, chunk = "regen-stream", self.CHUNK
         host, port = buffer_server.address
         rng = random.Random(SEED + 5)
@@ -456,7 +456,7 @@ class TestReaderResume:
             w.write(old)
         reader_client = GridBufferClient(host, port)
         r = reader_client.open_reader(
-            name, reader_id="r1", read_ahead_bytes=chunk, read_ahead_depth=1, shared_cache=True
+            name, reader_id="r1", read_ahead_bytes=chunk, read_ahead_depth=1
         )
         before = _counter("buffer_reader_resumes_total", {"stream": name})
         try:
@@ -465,7 +465,7 @@ class TestReaderResume:
             while r._ra._inflight or not r._ra._results:  # the prefetch of [16K, 32K)
                 assert time.monotonic() < deadline, "the window never prefetched"
                 time.sleep(0.01)
-            old_gen, old_cache = r._gen, r._shared
+            old_gen = r._gen
             writer_client.drop_stream(name)
             with writer_client.open_writer(name, n_readers=1, cache=True) as w:
                 w.write(new)
@@ -476,9 +476,6 @@ class TestReaderResume:
             assert _counter("buffer_reader_resumes_total", {"stream": name}) == before + 1
             assert rest == new[2 * chunk :]
             assert r._gen == r._ra._gen == old_gen + 1
-            assert r._shared is not old_cache and r._shared.gen == r._gen
-            assert r._ra._shared is r._shared
-            assert (host, port, name, old_gen) not in gbc._SHARED_CACHES
         finally:
             r.close()
             reader_client.close()

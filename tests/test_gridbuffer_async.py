@@ -2,11 +2,10 @@
 and thousands-of-readers concurrency without per-reader server threads.
 
 Complements ``test_gridbuffer_fastpath.py`` (PR 3 vectored path) with
-the async-engine additions: ``gb.consume_multi`` + the shared-cache ack
-aggregator, the shared cache's generation-keyed registry, the
-service's block-granular reader lag, rate-tiered read-ahead chunk
-sizing, and the headline scaling property — a parked reader costs a
-future, not a thread.
+the async-engine additions: ``gb.consume_multi``, the service's
+block-granular reader lag, rate-tiered read-ahead chunk sizing, and the
+headline scaling property — a parked reader costs a future, not a
+thread.
 """
 
 import asyncio
@@ -18,13 +17,7 @@ import pytest
 
 from repro import obs
 from repro.gridbuffer import client as gbc
-from repro.gridbuffer.client import (
-    GridBufferClient,
-    _ReadAheadWindow,
-    _WindowRule,
-    _shared_cache_acquire,
-    _shared_cache_release,
-)
+from repro.gridbuffer.client import GridBufferClient, _ReadAheadWindow, _WindowRule
 from repro.gridbuffer.protocol import OP_READ_MULTI
 from repro.gridbuffer.service import GridBufferError
 from repro.transport.aio import AsyncRpcClient, get_engine
@@ -66,92 +59,6 @@ class TestConsumeMulti:
         # Nothing was applied: the valid entry must not have been
         # consumed before validation rejected the batch.
         assert service.stats("mv").blocks_in_table == 1
-
-
-class TestSharedAckAggregator:
-    def test_colocated_readers_batch_acks_into_one_frame(
-        self, client, buffer_server, monkeypatch
-    ):
-        """Acks from co-located readers pool and flush as consume_multi."""
-        from repro.gridbuffer.client import BufferReader
-
-        monkeypatch.setattr(BufferReader, "ACK_FLUSH_BYTES", 1 << 30)  # flush on close only
-        payload = bytes(i % 251 for i in range(32 * 1024))
-        w = client.open_writer("sha", n_readers=2, cache=True)
-        w.write(payload)
-        w.close()
-        r0 = client.open_reader("sha", reader_id="a", shared_cache=True)
-        r1 = client.open_reader("sha", reader_id="b", shared_cache=True)
-        assert r0.read() == payload      # real fetches populate the cache
-        assert r1.read() == payload      # served locally, acks queued
-        assert r1.shared_hits > 0
-        shared = r1._shared
-        assert shared is not None
-        r0.close()
-        r1.close()                       # drains the pooled acks
-        assert shared.ack_flushes >= 1
-        assert shared.drain_acks() is None  # nothing left behind
-        stats = client.stats("sha")
-        assert stats["bytes_read"] >= 2 * len(payload)
-        assert stats["blocks_in_table"] == 0
-
-    def test_aggregate_threshold_triggers_flush(self, client):
-        client.create_stream("thr", n_readers=3)
-        client.register_reader("thr", "a")
-        client.register_reader("thr", "b")
-        client.write("thr", 0, b"m" * 4096)
-        r = client.open_reader("thr", reader_id="ignored", shared_cache=True)
-        shared = r._shared
-        # Below the threshold nothing flushes; crossing it returns the
-        # pooled batch covering *both* readers.
-        assert shared.ack(("a"), 0, 100, flush_bytes=300) is None
-        entries = shared.ack("b", 0, 250, flush_bytes=300)
-        assert entries is not None
-        assert sorted(rid for rid, _ in entries) == ["a", "b"]
-        r.close()
-
-    def test_contiguous_acks_merge_per_reader(self, client):
-        client.create_stream("mrg", n_readers=1)
-        r = client.open_reader("mrg", reader_id="r", shared_cache=True)
-        shared = r._shared
-        shared.ack("r", 0, 100, flush_bytes=1 << 30)
-        shared.ack("r", 100, 200, flush_bytes=1 << 30)
-        shared.ack("r", 300, 400, flush_bytes=1 << 30)
-        entries = shared.drain_acks()
-        assert entries == [("r", [[0, 200], [300, 400]])]
-        r.close()
-
-
-class TestGenerationKeyedCache:
-    """The shared cache registry key includes the stream generation."""
-
-    ADDR = ("127.0.0.1", 1)  # never dialled: registry-only tests
-
-    def test_generations_get_distinct_caches(self):
-        a = _shared_cache_acquire(self.ADDR, "gen-key", 0)
-        b = _shared_cache_acquire(self.ADDR, "gen-key", 1)
-        try:
-            assert a is not b
-            assert (a.gen, b.gen) == (0, 1)
-            assert _shared_cache_acquire(self.ADDR, "gen-key", 1) is b
-        finally:
-            _shared_cache_release(self.ADDR, "gen-key", 0)
-            _shared_cache_release(self.ADDR, "gen-key", 1)
-            assert _shared_cache_release(self.ADDR, "gen-key", 1) is True
-
-    def test_recreated_stream_never_serves_stale_bytes(self):
-        """Bytes cached under generation N are invisible to N+1."""
-        old = _shared_cache_acquire(self.ADDR, "gen-stale", 0)
-        try:
-            old.put(0, b"stale" * 100)
-            fresh = _shared_cache_acquire(self.ADDR, "gen-stale", 1)
-            try:
-                assert fresh.get(0) is None
-                assert old.get(0) == b"stale" * 100
-            finally:
-                _shared_cache_release(self.ADDR, "gen-stale", 1)
-        finally:
-            _shared_cache_release(self.ADDR, "gen-stale", 0)
 
 
 class TestReaderLagBlocks:

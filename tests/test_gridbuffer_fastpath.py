@@ -107,8 +107,7 @@ class TestBroadcastStress:
         Every reader re-reads a prefix mid-stream (cache-file path),
         then drains to EOF.  Afterwards delete-on-read GC must have
         emptied the hash table and every per-reader lag gauge must be
-        zero even though some bytes were served via the shared cache
-        and acked with ``gb.consume``.
+        zero.
         """
         name = "stress"
         digest = hashlib.sha256(PAYLOAD).hexdigest()
@@ -116,12 +115,7 @@ class TestBroadcastStress:
             name, n_readers=self.N_READERS, cache=True, coalesce_bytes=16 * 1024
         )
         readers = [
-            client.open_reader(
-                name,
-                reader_id=f"r{i}",
-                read_ahead_depth=3,
-                shared_cache=True,
-            )
+            client.open_reader(name, reader_id=f"r{i}", read_ahead_depth=3)
             for i in range(self.N_READERS)
         ]
         errors = []
@@ -137,8 +131,8 @@ class TestBroadcastStress:
         def read_all(r, i):
             try:
                 first = r.read(24 * 1024)
-                # Interleave: jump back and re-read a slice (cache hit
-                # server-side or shared-cache hit locally), then resume.
+                # Interleave: jump back and re-read a slice (a cache-file
+                # hit server-side), then resume.
                 r.seek(4096 * i)
                 again = r.read(8192)
                 assert again == PAYLOAD[4096 * i : 4096 * i + 8192]
@@ -160,7 +154,7 @@ class TestBroadcastStress:
         assert errors == [], errors
 
         # Delete-on-read GC: every block consumed by all three readers
-        # (via real reads or consume acks) must have left the table.
+        # must have left the table.
         stats = client.stats(name)
         assert stats["blocks_in_table"] == 0
         assert stats["bytes_in_table"] == 0

@@ -1,13 +1,21 @@
 """Integration tests: Grid Buffer over real TCP."""
 
+import random
 import threading
 
 import pytest
 
+from repro import obs
 from repro.core.buffer_client import GridBufferClientPool
 from repro.gns.records import BufferEndpoint
 from repro.gridbuffer.client import GridBufferClient
 from repro.transport.tcp import RpcError
+
+
+def _served(op):
+    """Requests for ``op`` the in-process server answered, any status."""
+    family = obs.snapshot().get("rpc_server_requests_total") or {"series": []}
+    return sum(s["value"] for s in family["series"] if s["labels"].get("op") == op)
 
 
 @pytest.fixture()
@@ -25,10 +33,10 @@ class TestRemoteStream:
         client.close_writer("s")
         assert client.read_window_ex("s", "r", 0, 13)[0] == b"over the wire"
 
-    def test_stream_exists(self, client):
-        assert not client.stream_exists("s")
+    def test_stream_exists(self, client, buffer_server):
+        assert not buffer_server.service.exists("s")
         client.create_stream("s")
-        assert client.stream_exists("s")
+        assert buffer_server.service.exists("s")
 
     def test_stats(self, client):
         client.create_stream("s")
@@ -41,10 +49,10 @@ class TestRemoteStream:
         with pytest.raises(RpcError):
             client.write("unknown-stream", 0, b"x")
 
-    def test_drop(self, client):
+    def test_drop(self, client, buffer_server):
         client.create_stream("s")
         client.drop_stream("s")
-        assert not client.stream_exists("s")
+        assert not buffer_server.service.exists("s")
 
 
 class TestFileLikeAdapters:
@@ -120,6 +128,32 @@ class TestFileLikeAdapters:
             c.close()
         assert got == [b"fanout", b"fanout"]
 
+    def test_write_larger_than_capacity_streams_through(self, client, buffer_server):
+        """One ``write()`` of four times the stream's capacity goes out in
+        batches no larger than the capacity, so it lands instead of
+        failing the stream."""
+        capacity = 256 * 1024
+        payload = random.Random(7).randbytes(4 * capacity)
+        received = {}
+
+        def consume():
+            reader_client = GridBufferClient(*buffer_server.address)
+            try:
+                r = reader_client.open_reader(
+                    "big", read_timeout=10, n_readers=1, capacity_bytes=capacity
+                )
+                received["data"] = r.read()
+                r.close()
+            finally:
+                reader_client.close()
+
+        tr = threading.Thread(target=consume)
+        tr.start()
+        with client.open_writer("big", capacity_bytes=capacity) as w:
+            w.write(payload)
+        tr.join(timeout=30)
+        assert received["data"] == payload
+
     def test_readinto_supported(self, client):
         """BufferedReader requires raw readinto — regression test."""
         import io
@@ -132,6 +166,33 @@ class TestFileLikeAdapters:
         assert buffered.readline() == b"line one\n"
         assert buffered.readline() == b"line two\n"
         buffered.close()
+
+
+class TestBroadcastReadersPullFromTheServer:
+    def test_two_machines_in_one_process_each_fetch_the_stream(self, buffer_server):
+        """Two FMs of different machines in one process hold a broadcast
+        stream open and read it in turn: each gets every byte from the
+        buffer server, so nothing acknowledges bytes it did not read."""
+        endpoint = BufferEndpoint(stream="fanout", n_readers=2, cache=True)
+        payload = random.Random(11).randbytes(256 * 1024)
+        pools = [GridBufferClientPool("m1"), GridBufferClientPool("m2")]
+        try:
+            with pools[0].open_writer(endpoint, buffer_server.address) as w:
+                w.write(payload)
+            before = _served("gb.consume_multi")
+            readers = [
+                pool.open_reader(endpoint, buffer_server.address, read_timeout=5) for pool in pools
+            ]
+            try:
+                for r in readers:
+                    assert r.read() == payload
+            finally:
+                for r in readers:
+                    r.close()
+            assert _served("gb.consume_multi") == before
+        finally:
+            for pool in pools:
+                pool.close()
 
 
 class TestCacheFiles:
