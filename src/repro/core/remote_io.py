@@ -9,8 +9,8 @@ mechanisms the FM's remote paths share to get that behaviour:
   blocks, shared by every proxy file opened through one
   :class:`~repro.core.remote_client.RemoteFileClient`, with counters
   distinguishing demand hits from prefetch hits and wasted prefetches.
-* :class:`BlockPrefetcher` — keeps an adaptive window of sequential
-  blocks in flight as ``get_block`` futures on the engine loop, on one
+* :class:`BlockPrefetcher` — keeps a window of sequential blocks in
+  flight as ``get_block`` futures on the engine loop, on one
   connection of its own, so demand reads never queue behind
   read-ahead traffic and no open file costs a thread.
 * :class:`WriteCoalescer` — a write-behind buffer that merges small
@@ -174,8 +174,9 @@ class BlockPrefetcher:
 
     Writes call :meth:`invalidate` so an in-flight block dirtied under
     the prefetcher is discarded on arrival (counted as wasted) rather
-    than poisoning the cache.  A failed fetch lands nothing: the demand
-    path re-fetches the block and surfaces the error.
+    than poisoning the cache.  A failed fetch lands nothing and is not
+    scheduled again before a :meth:`claim` of it: the demand path
+    re-fetches the block and surfaces the error.
 
     Block fetches take the prefetcher's lock on the loop, so an owner
     thread never holds it while it waits.
@@ -189,6 +190,7 @@ class BlockPrefetcher:
         self._lock = threading.Lock()
         self._inflight: Dict[int, Future] = {}
         self._stale: Set[int] = set()
+        self._failed: Set[int] = set()  # left to the demand path
         self._conn: Optional[AsyncRpcClient] = None
         self._stopped = False
         # Fetches run on the loop thread: they parent their rpc.client
@@ -201,7 +203,11 @@ class BlockPrefetcher:
             if self._stopped:
                 return
             for block_no in block_nos:
-                if block_no in self._inflight or self._cache.contains(self._path, block_no):
+                if (
+                    block_no in self._inflight
+                    or block_no in self._failed
+                    or self._cache.contains(self._path, block_no)
+                ):
                     continue
                 if self._conn is None:
                     self._conn = AsyncRpcClient(*self._client.address)
@@ -215,9 +221,10 @@ class BlockPrefetcher:
         """
         with self._lock:
             pending = self._inflight.get(block_no)
-        if pending is None:
-            return False
-        wait([pending], timeout)
+            self._failed.discard(block_no)
+        if pending is not None:
+            wait([pending], timeout)
+        # Also true for a block that landed since the caller's cache miss.
         return self._cache.contains(self._path, block_no)
 
     def invalidate(self, first_block: int, last_block: int) -> None:
@@ -254,11 +261,12 @@ class BlockPrefetcher:
             self._inflight.pop(block_no, None)
             stale = block_no in self._stale
             self._stale.discard(block_no)
-            if data is not None:
-                if stale:
-                    self._cache.note_wasted()
-                else:
-                    self._cache.put(self._path, block_no, data, prefetched=True)
+            if data is None:
+                self._failed.add(block_no)
+            elif stale:
+                self._cache.note_wasted()
+            else:
+                self._cache.put(self._path, block_no, data, prefetched=True)
 
 
 class WriteCoalescer:

@@ -143,7 +143,10 @@ class GridFtpServer:
         with open(p, "rb") as fh:
             fh.seek(offset)
             data = fh.read(length)
-        return {"offset": offset, "eof": offset + len(data) >= p.stat().st_size}, data
+            size = os.fstat(fh.fileno()).st_size
+        # ``size`` lets a proxy open probe existence, block 0 and the
+        # file's extent in one round trip.
+        return {"offset": offset, "eof": offset + len(data) >= size, "size": size}, data
 
     def _op_put_block(self, header: Dict[str, Any], payload: bytes):
         p = self._resolve(header["path"])
@@ -320,10 +323,14 @@ class GridFtpClient:
 
     # -- block proxy ----------------------------------------------------------
     def read_block(self, path: str, offset: int, length: int) -> bytes:
-        _, data = self._timed(
+        return self.read_block_ex(path, offset, length)[0]
+
+    def read_block_ex(self, path: str, offset: int, length: int) -> Tuple[bytes, int]:
+        """``read_block`` plus the file's size, from the same reply."""
+        reply, data = self._timed(
             "get_block", self._rpc, {"path": path, "offset": offset, "length": length}
         )
-        return data
+        return data, int(reply["size"])
 
     def read_block_via(self, rpc: RpcClient, path: str, offset: int, length: int) -> bytes:
         """``read_block`` over a caller-owned blocking client."""

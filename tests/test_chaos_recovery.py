@@ -573,6 +573,52 @@ class TestTransferResume:
 
 
 # ---------------------------------------------------------------------------
+# Integration: a REMOTE write window through a reset connection
+# ---------------------------------------------------------------------------
+class TestRemoteWriteWindowRetry:
+    def test_a_put_reset_at_the_server_is_retried_byte_identical(self, tmp_path):
+        """A nine-block REMOTE write through the FM: the server resets the
+        connection on one of the window's ``put_block`` requests, every
+        put in flight on it fails, and each is retried (``put_block`` is
+        idempotent), so the stored file is byte-identical."""
+        hosts = HostRegistry(tmp_path / "hosts")
+        for name in ("compute", "store"):
+            hosts.add_host(name)
+        payload = random.Random(SEED + 6).randbytes(8 * 256 * 1024 + 777)
+        ns = NameService()
+        ns.add(
+            GnsRecord(
+                machine="compute", path="/job/out.dat", mode=IOMode.REMOTE,
+                remote_host="store", remote_path="/out/result.dat",
+            )
+        )
+        server = GridFtpServer(hosts.host("store").root).start()
+        fm = FileMultiplexer(
+            GridContext(
+                machine="compute", gns=LocalGnsClient(ns), hosts=hosts,
+                gridftp={"store": server.address}, scratch_dir=tmp_path / "scratch",
+            )
+        )
+        # Put 1 is the open's truncate and put 2 block 0, on the demand
+        # connection; the seed picks one of the window's puts after them.
+        nth = 3 + SEED % 6
+        retries = _counter("rpc_retries_total")
+        try:
+            rule = FaultRule(layer="rpc.server", op="put_block", action="close", nth=nth)
+            with faults.injected(rule, seed=SEED) as injector:
+                f = fm.open("/job/out.dat", "w")
+                for i in range(0, len(payload), 64 * 1024):
+                    f.write(payload[i : i + 64 * 1024])
+                f.close()
+        finally:
+            fm.close()
+            server.stop()
+        assert [action for *_, action in injector.fired] == ["close"]
+        assert _counter("rpc_retries_total") > retries
+        assert hosts.host("store").resolve("/out/result.dat").read_bytes() == payload
+
+
+# ---------------------------------------------------------------------------
 # Integration: stage crash aborts its streams; readers fail fast
 # ---------------------------------------------------------------------------
 class TestStageCrashAbort:

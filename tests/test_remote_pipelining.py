@@ -184,19 +184,32 @@ class TestPrefetchCorrectness:
         f.close()
 
     def test_prefetch_counters_observable(self, remote):
+        """Block 0 comes with the open (a demand block in the cache); the
+        read there starts the window, which serves blocks 1 to 7."""
+        demand_hits = remote.block_cache.demand_hits
         f = remote.open_proxy("/data.bin", "r", block_size=BLOCK)
-        f.read(8 * BLOCK)
-        assert f.rpc_reads >= 1
-        assert f.prefetch_hits + f.rpc_reads >= 8
+        assert f.read(8 * BLOCK) == PATTERN[: 8 * BLOCK]
+        assert remote.block_cache.demand_hits == demand_hits + 1
+        assert f.prefetch_hits >= 1
+        assert f.prefetch_hits + f.rpc_reads == 7
         assert f.prefetch_wasted >= 0
         f.close()
 
 
 class TestPrefetchUnderFaults:
-    """Prefetch stays on.  The first two ``get_block`` calls are the
-    demand reads of blocks 0 and 1; the third is the prefetch of block 2."""
+    """Prefetch stays on.  The first ``get_block`` call is the open's
+    probe of block 0; the read there starts the window, so the second
+    and third are the prefetches of blocks 1 and 2."""
 
-    def test_a_failed_prefetch_is_refetched_on_demand(self, remote):
+    def test_a_failed_prefetch_is_refetched_on_demand(self, remote, monkeypatch):
+        demand = []
+        read_block = remote.client.read_block
+
+        def recording(path, offset, length):
+            demand.append(offset)
+            return read_block(path, offset, length)
+
+        monkeypatch.setattr(remote.client, "read_block", recording)
         rule = FaultRule(layer="gridftp", op="get_block", action="error", nth=3)
         with faults.injected(rule, seed=SEED) as injector:
             f = remote.open_proxy("/data.bin", "r", block_size=BLOCK)
@@ -208,7 +221,8 @@ class TestPrefetchUnderFaults:
                 f.close()
         assert bytes(out) == PATTERN
         assert [action for *_, action in injector.fired] == ["error"]
-        assert f.rpc_reads >= 3, "block 2 was not re-fetched on demand"
+        assert demand == [2 * BLOCK], "block 2 was not re-fetched on demand"
+        assert f.rpc_reads == 1
         assert f.prefetch_hits > 0
 
     def test_a_delayed_prefetch_does_not_delay_another_connection(self, remote):
@@ -218,7 +232,7 @@ class TestPrefetchUnderFaults:
         with faults.injected(rule, seed=SEED) as injector:
             f = remote.open_proxy("/data.bin", "r", block_size=BLOCK)
             try:
-                assert f.read(2 * BLOCK) == PATTERN[: 2 * BLOCK]  # schedules 2 and 3
+                assert f.read(2 * BLOCK) == PATTERN[: 2 * BLOCK]  # schedules 1 to 8
                 deadline = time.monotonic() + 5.0
                 while not injector.fired:
                     assert time.monotonic() < deadline, "the prefetch never fired"

@@ -81,6 +81,12 @@ FRAMES = {
         b"",
     ),
     "gridftp.get_block.reply": ({"ok": True, "eof": True}, b"\x00\xff" * 32),
+    # Every get_block reply carries the file's size: a proxy's open
+    # probe is block 0 and learns the extent from the same frame.
+    "gridftp.get_block.sized_reply": (
+        {"ok": True, "offset": 0, "eof": False, "size": 300_000},
+        bytes(range(256)),
+    ),
     "_obs.health.request": ({"op": "_obs.health"}, b""),
     "_obs.health.reply": (
         {"ok": True, "status": "ok", "pid": 4242, "uptime_s": 1.5, "ops": ["_obs.health", "gb.read"]},
