@@ -395,7 +395,7 @@ class _ReplicaWalker:
         self,
         ctx: GridContext,
         record: GnsRecord,
-        open_replica: Callable[[Replica], io.RawIOBase],
+        open_replica: Callable[[Replica, int], io.RawIOBase],
     ):
         if ctx.selector is None:
             raise FMError(
@@ -407,9 +407,10 @@ class _ReplicaWalker:
         self._failed: set = set()
         self.current: Optional[Replica] = None
 
-    def walk(self) -> io.RawIOBase:
-        """Open the best replica not yet excluded, excluding each that
-        cannot be opened; once none is left, raise the last open error."""
+    def walk(self, offset: int = 0) -> io.RawIOBase:
+        """Open the best replica not yet excluded, to be read from
+        ``offset``, excluding each that cannot be opened; once none is
+        left, raise the last open error."""
         last: Optional[BaseException] = None
         while True:
             try:
@@ -421,16 +422,16 @@ class _ReplicaWalker:
                     raise
                 raise last
             try:
-                source = self.open(choice.replica)
+                source = self.open(choice.replica, offset)
             except (OSError, RpcError) as exc:
                 last = exc
                 continue
             self.current = choice.replica
             return source
 
-    def open(self, replica: Replica) -> io.RawIOBase:
+    def open(self, replica: Replica, offset: int = 0) -> io.RawIOBase:
         try:
-            return self._open_replica(replica)
+            return self._open_replica(replica, offset)
         except (OSError, RpcError) as exc:
             self.exclude(replica, exc)
             raise
@@ -446,7 +447,7 @@ class _ReplicaWalker:
     def failover(self, fmfile: FMFile, exc: BaseException, checkpoint: int) -> bool:
         """Exclude the source whose read failed; rebind to the next best."""
         self.exclude(self.current, exc)  # type: ignore[arg-type]
-        return fmfile._rebind(self.walk, checkpoint)
+        return fmfile._rebind(lambda: self.walk(checkpoint), checkpoint)
 
     def remap(self, fmfile: FMFile) -> None:
         """Every ``remap_every`` reads, rebind to a replica the selector
@@ -460,7 +461,8 @@ class _ReplicaWalker:
             )
         except NoReplicaError:
             return  # every replica has failed; the next read raises
-        if choice is not None and fmfile._rebind(lambda: self.open(choice.replica), fmfile.tell()):
+        at = fmfile.tell()
+        if choice is not None and fmfile._rebind(lambda: self.open(choice.replica, at), at):
             self.current = choice.replica
             fmfile.stats.remaps += 1
             _FM_REMAPS.inc()
@@ -573,13 +575,16 @@ class FileMultiplexer:
 
     # -- the one table: GNS record -> raw source ------------------------------
     def _open_source(
-        self, record: GnsRecord, path: str, mode: str, stats: OpenStats
+        self, record: GnsRecord, path: str, mode: str, stats: OpenStats, offset: int = 0
     ) -> Tuple[io.RawIOBase, Optional[_ReplicaWalker]]:
         """The only place an IO mode becomes a source.
 
         ``open``, each fallback it degrades to, and each live migration
         come through here.  A REMOTE_REPLICA source comes with the
         replica walker the handle fails over and re-maps through.
+        ``offset`` is where the handle will read first: a proxy's open
+        probe fetches that block; other sources are seeked there by
+        the caller.
         """
         core = mode.replace("b", "").replace("t", "")
         if record.mode is IOMode.LOCAL:
@@ -589,7 +594,7 @@ class FileMultiplexer:
             return remote.open_copy(record.remote_path, mode, verify=self.ctx.verify_copies), None
         if record.mode is IOMode.REMOTE:
             remote = self._remote(record.remote_host)  # type: ignore[arg-type]
-            return remote.open_proxy(record.remote_path, mode), None  # type: ignore[arg-type]
+            return remote.open_proxy(record.remote_path, mode, offset=offset), None  # type: ignore[arg-type]
         if record.mode is IOMode.BUFFER:
             endpoint = record.buffer
             assert endpoint is not None  # enforced by GnsRecord validation
@@ -613,25 +618,26 @@ class FileMultiplexer:
             raise FMError("replicated files are read-only")
         if record.mode is IOMode.REMOTE_REPLICA:
             replicas = _ReplicaWalker(self.ctx, record, self._open_replica_source)
-            return replicas.walk(), replicas
+            return replicas.walk(offset), replicas
         assert record.mode is IOMode.LOCAL_REPLICA  # the enum is closed
         return _ReplicaWalker(self.ctx, record, self._copy_in(record, path, stats)).walk(), None
 
-    def _open_replica_source(self, replica: Replica) -> io.RawIOBase:
+    def _open_replica_source(self, replica: Replica, offset: int) -> io.RawIOBase:
         if replica.host == self.ctx.machine:
             return self._local.open(replica.path, "r")
-        return self._remote(replica.host).open_proxy(replica.path, "r")
+        return self._remote(replica.host).open_proxy(replica.path, "r", offset=offset)
 
     def _copy_in(
         self, record: GnsRecord, path: str, stats: OpenStats
-    ) -> Callable[[Replica], io.RawIOBase]:
+    ) -> Callable[[Replica, int], io.RawIOBase]:
         """LOCAL_REPLICA's replica opener: copy the replica in, then read
-        the local copy.  A copy that dies counts as a failover, and the
-        next replica resumes it at :attr:`TransferError.copied`."""
+        the local copy, whole whatever offset the handle reads from.  A
+        copy that dies counts as a failover, and the next replica resumes
+        it at :attr:`TransferError.copied`."""
         local_copy = record.local_path or f"/fm-replica-cache{path}"
         resume = 0  # contiguous bytes already copied by failed attempts
 
-        def copy_in(replica: Replica) -> io.RawIOBase:
+        def copy_in(replica: Replica, _offset: int) -> io.RawIOBase:
             nonlocal resume
             if replica.host == self.ctx.machine:
                 return self._local.open(replica.path, "r")
@@ -664,8 +670,10 @@ class FileMultiplexer:
         if core != "r" or fmfile.record.mode not in _MIGRATABLE:
             return
         key = id(fmfile)
+        # A migration runs at a read boundary on the reader's thread, so
+        # the handle's position is where the new source resumes.
         fmfile._migrate_opener = lambda record: self._open_source(
-            record, path, mode, fmfile.stats
+            record, path, mode, fmfile.stats, fmfile.tell()
         )[0]
         fmfile._on_close = lambda: self._unregister_live(key)
         with self._watch_lock:

@@ -45,7 +45,7 @@ from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
 from .. import obs
 from ..ioutil import ReadIntoFromRead
-from ..transport.aio import AsyncRpcClient, get_engine
+from ..transport.aio import AsyncRpcClient, close_at_exit, get_engine
 from ..transport.tcp import PoolTimeout, RpcClient, RpcError
 from .protocol import (
     DEFAULT_READ_BUDGET,
@@ -722,6 +722,7 @@ class BufferWriter(io.RawIOBase):
         # the opener's span context so those rpc.client spans still
         # join the workflow trace.
         self._trace_ctx = obs.current_context()
+        close_at_exit(self)
 
     def _push_runs(self, runs: List[Tuple[int, bytes]]) -> None:
         """The batcher's flush: wait for a free window slot, then send."""
@@ -1254,6 +1255,7 @@ class BufferReader(ReadIntoFromRead, io.RawIOBase):
         self._ra = _ReadAheadWindow(
             client, name, reader_id, read_timeout, read_ahead_bytes, read_ahead_depth, gen=self._gen
         )
+        close_at_exit(self)
 
     def readable(self) -> bool:
         return True

@@ -33,11 +33,14 @@ pattern).
 from __future__ import annotations
 
 import asyncio
+import atexit
 import logging
 import os
 import random
 import socket
+import sys
 import threading
+import weakref
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Deque, Dict, Optional, Set, Tuple
@@ -215,6 +218,11 @@ class _LoopEngine:
 
     @classmethod
     def get(cls) -> "_LoopEngine":
+        if sys.is_finalizing():
+            # The loop thread no longer runs, and a thread started now
+            # never returns from ``start``: a future submitted here
+            # would never complete.
+            raise RuntimeError("the engine loop does not run during interpreter shutdown")
         with cls._lock:
             if cls._instance is None or not cls._instance._thread.is_alive():
                 cls._instance = cls()
@@ -227,6 +235,32 @@ class _LoopEngine:
 
 def get_engine() -> _LoopEngine:
     return _LoopEngine.get()
+
+
+#: Open file handles whose close needs the engine loop (see
+#: :func:`close_at_exit`); held weakly, so a handle that is collected
+#: earlier closes through its own finalizer.
+_CLOSE_AT_EXIT: "weakref.WeakSet[Any]" = weakref.WeakSet()
+
+
+def close_at_exit(handle: Any) -> None:
+    """Have ``handle.close()`` run at interpreter exit if it is still open.
+
+    A handle whose close drains futures on the engine loop cannot close
+    from its finalizer once the interpreter shuts down, because the loop
+    thread is gone by then.  The exit hook runs before that, so what a
+    handle left open still holds (write-behind, a coalesced tail) lands.
+    """
+    _CLOSE_AT_EXIT.add(handle)
+
+
+@atexit.register
+def _close_open_handles() -> None:
+    for handle in list(_CLOSE_AT_EXIT):
+        try:
+            handle.close()
+        except Exception as exc:  # noqa: BLE001 - one failed close must not skip the rest
+            logger.warning("closing %r at exit failed: %s", handle, exc)
 
 
 async def read_frame_async(reader: asyncio.StreamReader) -> Tuple[Dict[str, Any], bytes]:
