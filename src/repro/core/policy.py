@@ -107,10 +107,12 @@ class AccessPolicy:
         Files larger than this are never copied ("if the file is very
         large, it may not be possible to copy it").
     copy_setup_rtts:
-        Round trips charged to start a bulk (GridFTP) copy.
+        Round trips charged to start a bulk (GridFTP) copy: one, its head
+        block, whose reply also carries the extent
+        (``tests/test_open_rpc_budget.py``).
     """
 
-    def __init__(self, max_copy_bytes: int = 2 * 1024**3, copy_setup_rtts: float = 2.0):
+    def __init__(self, max_copy_bytes: int = 2 * 1024**3, copy_setup_rtts: float = 1.0):
         if max_copy_bytes < 0:
             raise ValueError("max_copy_bytes must be >= 0")
         self.max_copy_bytes = max_copy_bytes

@@ -20,13 +20,14 @@ import os
 import tempfile
 from collections import deque
 from concurrent.futures import Future
+from itertools import chain
 from pathlib import Path
-from typing import Deque, Optional, Tuple
+from typing import Deque, Iterable, Optional, Tuple
 
 from .. import ioutil, obs
 from ..ioutil import ReadIntoFromRead
 from ..transport.aio import AsyncRpcClient, close_at_exit, get_engine
-from ..transport.gridftp import DEFAULT_BLOCK, WINDOW_BLOCKS, GridFtpClient
+from ..transport.gridftp import DEFAULT_BLOCK, GridFtpClient
 from ..transport.tcp import RpcError
 from .remote_io import BlockCache, BlockPrefetcher, WriteCoalescer
 
@@ -40,15 +41,18 @@ class RemoteProxyFile(ReadIntoFromRead, io.RawIOBase):
     :class:`~repro.core.remote_io.BlockCache`.  A read at block 0, or at
     the block after the last one read, has a
     :class:`~repro.core.remote_io.BlockPrefetcher` keep the next
-    ``WINDOW_BLOCKS`` blocks in flight as futures on the engine loop,
-    pipelined on one connection of its own, so a sequential legacy read
-    loop never stalls on a round trip and the handle costs no thread.
+    blocks in flight as futures on the engine loop, pipelined on one
+    connection of its own, so a sequential legacy read loop never stalls
+    on a round trip and the handle costs no thread.  On a file whose
+    blocks fit the cache, any other read keeps the window busy with the
+    file's uncached blocks, from the one after it round to the start.
+    Every window is :meth:`GridFtpClient.window_depth` deep.
 
     Writes are coalesced write-behind into block-sized ``put_block``
     RPCs.  The handle's first block goes over the client's pooled demand
     connection (a one-block file dials nothing); every later one is a
     future on one :class:`~repro.transport.aio.AsyncRpcClient` of the
-    handle's own, at most ``WINDOW_BLOCKS`` in flight.  ``seek``,
+    handle's own, a window of them in flight.  ``seek``,
     ``read``, ``flush`` and ``close`` drain that window first, so two
     overlapping puts are never in flight together and reads see the
     handle's writes.  A failed put is kept: the next ``write``, ``flush``,
@@ -71,15 +75,18 @@ class RemoteProxyFile(ReadIntoFromRead, io.RawIOBase):
         cache: Optional[BlockCache] = None,
         prefetch: bool = True,
         size: Optional[int] = None,
+        offset: int = 0,
     ):
         super().__init__()
         if block_size < 1:
             raise ValueError("block_size must be >= 1")
+        if offset < 0:
+            raise ValueError("negative seek position")
         self._client = client
         self._path = path
         self._writable = writable
         self._block_size = block_size
-        self._pos = 0
+        self._pos = offset
         self._cache = cache if cache is not None else BlockCache(max(1, cache_blocks))
         self._size_cache = size
         self.rpc_reads = 0  # demand RPCs issued by this handle's reads
@@ -87,7 +94,9 @@ class RemoteProxyFile(ReadIntoFromRead, io.RawIOBase):
         # -- read-ahead --
         self._prefetch_enabled = prefetch
         self._prefetcher: Optional[BlockPrefetcher] = None
-        self._last_block: Optional[int] = None
+        # A handle streams on from where it opens: its first read there
+        # is the block after the last one read.
+        self._last_block = offset // block_size - 1
         # -- write-behind --
         self._coalescer = WriteCoalescer(self._flush_run, block_size) if writable else None
         self._head_sent = False
@@ -124,6 +133,9 @@ class RemoteProxyFile(ReadIntoFromRead, io.RawIOBase):
             self._size_cache = self._client.size(self._path)
         return self._size_cache
 
+    def _blocks(self, nbytes: int) -> int:
+        return -(-nbytes // self._block_size)
+
     def seek(self, offset: int, whence: int = os.SEEK_SET) -> int:  # type: ignore[override]
         self._flush_writes()
         if whence == os.SEEK_SET:
@@ -145,24 +157,36 @@ class RemoteProxyFile(ReadIntoFromRead, io.RawIOBase):
     # -- read-ahead ----------------------------------------------------------
     def _note_block(self, block_no: int) -> None:
         """A read entered ``block_no``: at block 0 or the block after the
-        last one read, keep the next ``WINDOW_BLOCKS`` in flight."""
+        last one read, keep the next blocks in flight; elsewhere in a
+        file of known size that fits the cache, keep the window busy
+        with its uncached blocks, from ``block_no + 1`` round to the
+        start.  Anywhere else (a larger file, or one of unknown size),
+        start nothing: each miss is one demand fetch."""
         last, self._last_block = self._last_block, block_no
         if not self._prefetch_enabled or block_no == last:
             return
-        if block_no != 0 and (last is None or block_no != last + 1):
-            return  # random access: no read-ahead
-        end = block_no + 1 + WINDOW_BLOCKS
-        try:
-            end = min(end, -(-self._size() // self._block_size))
-        except (OSError, RpcError):  # fault-ok: the window just runs to its full depth
-            pass
-        if end <= block_no + 1:
+        depth = self._client.window_depth(self._block_size)
+        if block_no in (0, last + 1):
+            end = block_no + 1 + depth
+            try:
+                end = min(end, self._blocks(self._size()))
+            except (OSError, RpcError):  # fault-ok: the window just runs to its full depth
+                pass
+            wanted: Iterable[int] = range(block_no + 1, end)
+            if not wanted:
+                return
+        elif self._size_cache is not None and (
+            self._blocks(self._size_cache) <= self._cache.capacity
+        ):
+            end = self._blocks(self._size_cache)
+            wanted = chain(range(block_no + 1, end), range(block_no))
+        else:
             return
         if self._prefetcher is None:
             self._prefetcher = BlockPrefetcher(
                 self._path, self._client, self._block_size, self._cache
             )
-        self._prefetcher.schedule(range(block_no + 1, end))
+        self._prefetcher.schedule(wanted, depth)
 
     # -- reads -----------------------------------------------------------
     def _fetch_block(self, block_no: int) -> bytes:
@@ -212,7 +236,7 @@ class RemoteProxyFile(ReadIntoFromRead, io.RawIOBase):
             self._client.write_block(self._path, offset, data)
             self._landed(first, last)
             return
-        while len(self._puts) >= WINDOW_BLOCKS:
+        while len(self._puts) >= self._client.window_depth(self._block_size):
             self._reap()
         if self._error is not None:
             return  # a failed handle sends no more; its next call raises
@@ -323,7 +347,7 @@ class CopyInOutFile(ReadIntoFromRead, io.RawIOBase):
         self._local_path = Path(tmp)
         try:
             if core in ("r", "r+", "a", "a+"):
-                try:  # fetch_file's ``size`` probe is the existence check
+                try:  # fetch_file's head block is the existence check
                     client.fetch_file(remote_path, self._local_path)
                 except RpcError as exc:
                     if exc.kind != "not-found":
@@ -465,7 +489,8 @@ class RemoteFileClient:
 
         An ``r`` open's existence probe fetches the block holding
         ``offset``, so a handle that resumes mid-file (a replica failover
-        or re-map, a live migration) pays for no block it will not read.
+        or re-map, a live migration) pays for no block it will not read,
+        and its first read there starts the read-ahead.
         """
         core = mode.replace("b", "").replace("t", "")
         writable = any(f in core for f in ("w", "a", "+"))
@@ -501,11 +526,10 @@ class RemoteFileClient:
             cache=self.block_cache,
             prefetch=self.prefetch if prefetch is None else prefetch,
             size=size,
+            offset=offset,
         )
         if core.startswith("a"):
             f.seek(0, os.SEEK_END)
-        elif offset:
-            f.seek(offset)
         return f
 
     def open_copy(self, path: str, mode: str = "r", verify: bool = False) -> CopyInOutFile:

@@ -9,10 +9,10 @@ mechanisms the FM's remote paths share to get that behaviour:
   blocks, shared by every proxy file opened through one
   :class:`~repro.core.remote_client.RemoteFileClient`, with counters
   distinguishing demand hits from prefetch hits and wasted prefetches.
-* :class:`BlockPrefetcher` — keeps a window of sequential blocks in
-  flight as ``get_block`` futures on the engine loop, on one
-  connection of its own, so demand reads never queue behind
-  read-ahead traffic and no open file costs a thread.
+* :class:`BlockPrefetcher` — keeps a window of blocks in flight as
+  ``get_block`` futures on the engine loop, on one connection of its
+  own, so demand reads never queue behind read-ahead traffic and no
+  open file costs a thread.
 * :class:`WriteCoalescer` — a write-behind buffer that merges small
   contiguous writes into block-sized flushes (one ``put_block`` RPC
   per block instead of one per legacy WRITE call), through a ``flush``
@@ -90,6 +90,11 @@ class BlockCache:
         self.prefetch_wasted = 0
         self.demand_hits = 0
 
+    @property
+    def capacity(self) -> int:
+        """Blocks the cache holds."""
+        return self._capacity
+
     def fetch(self, path: str, block_no: int) -> Tuple[Optional[bytes], bool]:
         """The cached block (or None) and its pipeline credit.
 
@@ -161,7 +166,8 @@ class BlockPrefetcher:
     """Keeps a window of upcoming blocks in flight as futures on the engine.
 
     The owner (a proxy file) calls :meth:`schedule` with the block
-    numbers it expects to need next; each becomes one ``get_block``
+    numbers it expects to need next, in order, and the window's depth;
+    each scheduled block becomes one ``get_block``
     coroutine on :func:`~repro.transport.aio.get_engine`, and all of
     them pipeline on the prefetcher's one
     :class:`~repro.transport.aio.AsyncRpcClient` connection, dialled on
@@ -198,11 +204,16 @@ class BlockPrefetcher:
         self._trace_ctx = obs.current_context()
 
     # -- owner-side API ----------------------------------------------------
-    def schedule(self, block_nos: Iterable[int]) -> None:
+    def schedule(self, block_nos: Iterable[int], depth: int) -> None:
+        """Put the blocks of ``block_nos`` in flight, in order, skipping
+        any cached, in flight or left to the demand path, until ``depth``
+        are in flight."""
         with self._lock:
             if self._stopped:
                 return
             for block_no in block_nos:
+                if len(self._inflight) >= depth:
+                    return
                 if (
                     block_no in self._inflight
                     or block_no in self._failed

@@ -46,6 +46,7 @@ from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 from .. import obs
 from ..ioutil import ReadIntoFromRead
 from ..transport.aio import AsyncRpcClient, close_at_exit, get_engine
+from ..transport.rate import DeliveryRate
 from ..transport.tcp import PoolTimeout, RpcClient, RpcError
 from .protocol import (
     DEFAULT_READ_BUDGET,
@@ -116,18 +117,11 @@ _DEADLINE_MARGIN = 5.0
 class _WindowRule:
     """How large and how deep a stream window runs: one rule, both halves.
 
-    Inputs, measured on every reply:
-
-    * the **delivery rate** over the whole window — bytes whose replies
-      arrived per second, across every request in flight.  Each reply
-      yields a sample from the bytes delivered since the last delivery
-      before its request left (or since it left, when the pipe was
-      idle), so one sample sees the whole window, not one fetch: a
-      64 KiB fetch on a 10 ms link reads as 6.4 MB/s, a window of
-      eight of them as 51 MB/s.  The estimate is the largest of the
-      last :attr:`RATE_SAMPLES`, so a consumer that pauses does not
-      shrink the window;
-    * the **smallest round trip** seen.
+    Inputs, measured on every reply by a
+    :class:`~repro.transport.rate.DeliveryRate`: the delivery rate over
+    the whole window (the largest of the last :attr:`RATE_SAMPLES`
+    samples, so a consumer that pauses does not shrink the window) and
+    the smallest round trip seen.
 
     Outputs, read by the window before each request:
 
@@ -180,7 +174,7 @@ class _WindowRule:
     #: Smallest round trip, in seconds, of a link with latency.
     LATENCY_RTT = 0.008
     #: Rate samples the estimate keeps.
-    RATE_SAMPLES = 16
+    RATE_SAMPLES = DeliveryRate.RATE_SAMPLES
 
     def __init__(
         self, max_span: int, max_depth: Optional[int] = None, capacity: Optional[int] = None
@@ -189,56 +183,35 @@ class _WindowRule:
         self._max_depth = max_depth
         self._capacity = capacity
         self._lock = threading.Lock()
-        self._outstanding = 0       # requests sent, reply not yet in
-        self._delivered = 0         # bytes whose replies arrived
-        self._delivered_at = _clock()
-        self._epoch = 0
+        self._link = DeliveryRate(lambda: _clock())  # looked up per call: tests script it
         self.collapse()
 
     @property
     def rate(self) -> float:
         """Delivery-rate estimate in bytes/s (0 before the first sample)."""
-        return max(self._rates, default=0.0)
+        return self._link.rate
 
     @property
     def min_rtt(self) -> float:
-        return self._min_rtt
+        return self._link.min_rtt
 
     def collapse(self) -> None:
         """Forget the estimates (a seek): back to the start sizes.
         Replies to requests sent before this yield no samples."""
         with self._lock:
-            self._epoch += 1
-            self._rates: Deque[float] = deque(maxlen=self.RATE_SAMPLES)
-            self._min_rtt = float("inf")
+            self._link.reset()
             self._tier = 0
             self._resize_locked()
 
     def sent(self) -> Tuple[int, int, float, float]:
         """A request leaves; pass the token to :meth:`delivered`."""
-        with self._lock:
-            now = _clock()
-            if self._outstanding == 0:
-                self._delivered_at = now  # an idle gap is not delivery time
-            self._outstanding += 1
-            return self._epoch, self._delivered, self._delivered_at, now
+        return self._link.sent()
 
     def delivered(self, token: Tuple[int, int, float, float], nbytes: Optional[int]) -> None:
         """The reply to ``token`` arrived with ``nbytes`` (None: it failed)."""
-        with self._lock:
-            self._outstanding -= 1
-            if nbytes is None:
-                return
-            now = _clock()
-            self._delivered += nbytes
-            self._delivered_at = now
-            epoch, delivered0, since, sent_at = token
-            if epoch != self._epoch:
-                return
-            self._min_rtt = min(self._min_rtt, now - sent_at)
-            if now > since:
-                self._rates.append((self._delivered - delivered0) / (now - since))
-            self._resize_locked()
+        if self._link.delivered(token, nbytes):
+            with self._lock:
+                self._resize_locked()
 
     def _tier_span(self, rate: float) -> int:
         return next((s for ceiling, s in self.SPANS if rate < ceiling), self.TOP_SPAN)
@@ -252,10 +225,10 @@ class _WindowRule:
             if span < self._tier:  # down a tier only well below its ceiling
                 span = min(self._tier, self._tier_span(2 * rate))
             self._tier = span
-            if self._min_rtt > self.LATENCY_RTT:
+            if self.min_rtt > self.LATENCY_RTT:
                 span = min(span, self.LATENCY_SPAN)
             span = min(span, self._max_span)
-            want = self.GAIN * rate * self._min_rtt
+            want = self.GAIN * rate * self.min_rtt
             depth = max(self.MIN_DEPTH, -(-int(want) // span))
             depth = min(depth, max(self.MIN_DEPTH, self.WINDOW_BYTES // span))
         span = min(span, self._max_span)

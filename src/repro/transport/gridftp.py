@@ -3,7 +3,8 @@
 Mirrors the two roles GridFTP plays in the paper:
 
 * **bulk copy** — whole-file transfers that keep a window of blocks in
-  flight (the role GridFTP's parallel TCP streams play); the
+  flight (the role GridFTP's parallel TCP streams play), as deep as the
+  link's delivery rate times its round trip asks; the
   latency-insensitive path used when the GNS says "copy the file
   between machines" (Table 5 "File Copy" rows).
 * **block proxy** — ``GET_BLOCK(offset, length)`` partial reads, used
@@ -18,7 +19,6 @@ from __future__ import annotations
 
 import hashlib
 import os
-import threading
 import time
 from concurrent.futures import wait
 from itertools import islice
@@ -27,14 +27,24 @@ from typing import Any, Callable, Dict, Optional, Tuple
 
 from .. import faults, obs
 from .aio import AsyncRpcClient, get_engine
+from .rate import DeliveryRate
 from .tcp import RpcClient, RpcError, RpcServer
 
-__all__ = ["GridFtpServer", "GridFtpClient", "TransferError", "DEFAULT_BLOCK", "WINDOW_BLOCKS"]
+__all__ = [
+    "GridFtpServer", "GridFtpClient", "TransferError", "DEFAULT_BLOCK", "WINDOW_BLOCKS",
+    "MAX_WINDOW_BLOCKS",
+]
 
 DEFAULT_BLOCK = 256 * 1024
 
-#: Blocks in flight per window: a bulk copy's and a proxy's read-ahead.
+#: Blocks in flight per window at least: a bulk copy's, a proxy's
+#: read-ahead and its write-behind (:meth:`GridFtpClient.window_depth`).
 WINDOW_BLOCKS = 8
+
+#: Blocks in flight per window at most: half the default 64-block
+#: ``BlockCache``, so a read-ahead window cannot evict its own unread
+#: blocks.
+MAX_WINDOW_BLOCKS = 32
 
 
 class TransferError(IOError):
@@ -66,6 +76,13 @@ class GridFtpServer:
 
     Operations: ``size``, ``exists``, ``get_block``, ``put_block``,
     ``checksum``, ``delete``, ``pull_from``.
+
+    The block ops and the two metadata ops run inline on the engine
+    loop: each is at most one block of page-cache IO or a ``stat``,
+    cheaper than the executor hop, and a window of them in flight costs
+    no handler thread.  ``checksum`` reads a whole file and
+    ``pull_from`` waits on another server, so both stay threaded, as
+    does ``delete``.
     """
 
     def __init__(
@@ -78,11 +95,13 @@ class GridFtpServer:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self._rpc = RpcServer(host, port, simulated_latency=simulated_latency)
-        self._lock = threading.Lock()
-        self._rpc.register("size", self._op_size)
-        self._rpc.register("exists", self._op_exists)
-        self._rpc.register("get_block", self._op_get_block)
-        self._rpc.register("put_block", self._op_put_block)
+        for op, handler in (
+            ("size", self._op_size),
+            ("exists", self._op_exists),
+            ("get_block", self._op_get_block),
+            ("put_block", self._op_put_block),
+        ):
+            self._rpc.register(op, handler, inline=True)
         self._rpc.register("checksum", self._op_checksum)
         self._rpc.register("delete", self._op_delete)
         self._rpc.register("pull_from", self._op_pull_from)  # threaded: its copy blocks
@@ -153,11 +172,11 @@ class GridFtpServer:
         offset = int(header.get("offset", 0))
         truncate = bool(header.get("truncate", False))
         p.parent.mkdir(parents=True, exist_ok=True)
-        with self._lock:
-            mode = "r+b" if p.exists() and not truncate else "wb"
-            with open(p, mode) as fh:
-                fh.seek(offset)
-                fh.write(payload)
+        # Inline on the loop, so no other put runs between the check and the open.
+        mode = "r+b" if p.exists() and not truncate else "wb"
+        with open(p, mode) as fh:
+            fh.seek(offset)
+            fh.write(payload)
         return {"written": len(payload)}, b""
 
     def _op_checksum(self, header: Dict[str, Any], _payload: bytes):
@@ -199,9 +218,15 @@ class GridFtpServer:
 class GridFtpClient:
     """Client-side API over one GridFTP server.
 
-    Bulk copies (fetch and store) keep up to ``WINDOW_BLOCKS`` blocks in
-    flight on a connection of their own, the role GridFTP's parallel TCP
-    streams play; everything else goes over the pooled demand client.
+    Bulk copies (fetch and store) keep a window of blocks in flight on a
+    connection of their own, the role GridFTP's parallel TCP streams
+    play; everything else goes over the pooled demand client.  Every
+    window over this client — copies, and a proxy's read-ahead and
+    write-behind — is :meth:`window_depth` deep, from one delivery-rate
+    and min-RTT estimate of the link that every metered reply feeds,
+    windowed or demand.  The demand replies matter: a windowed reply
+    waits behind the rest of its window, so only a request sent alone
+    (an open's probe, a demand read) shows the link's own round trip.
 
     ``monitor`` is any object with ``record(peer, op, nbytes, seconds)``
     (e.g. :class:`repro.core.trace.TransferMonitor`); every RPC is
@@ -223,23 +248,36 @@ class GridFtpClient:
         self.monitor = monitor
         self.peer = peer or f"{host}:{port}"
         self._rpc = RpcClient(host, port)
+        self._link = DeliveryRate()
 
     @property
     def address(self) -> Tuple[str, int]:
         return self._addr
 
+    def window_depth(self, block_size: int) -> int:
+        """Blocks of ``block_size`` a window keeps in flight:
+        ⌈2 × rate × min RTT / block⌉, within [``WINDOW_BLOCKS``,
+        ``MAX_WINDOW_BLOCKS``].  On a link without latency the product
+        is a block or two, so the floor holds."""
+        rate = self._link.rate
+        if not rate:
+            return WINDOW_BLOCKS
+        want = -(-int(2 * rate * self._link.min_rtt) // block_size)
+        return min(MAX_WINDOW_BLOCKS, max(WINDOW_BLOCKS, want))
+
     # -- observability -------------------------------------------------------
-    def _timed(self, op: str, rpc: RpcClient, header: Dict[str, Any], payload: bytes = b"",
-               armed: Optional[Callable[[], None]] = None):
-        """One metered RPC round trip; ``armed`` runs between the fault hook and it."""
+    def _timed(self, op: str, rpc: RpcClient, header: Dict[str, Any], payload: bytes = b""):
+        """One metered RPC round trip; its reply feeds the link's estimate."""
         injector = faults.ACTIVE
         verdict = injector.fire("gridftp", op, self.peer) if injector is not None else None
         corrupter = self._fault_verdict(op, injector, verdict)
-        if armed is not None:
-            armed()
-        t0 = time.perf_counter()
-        reply, data = rpc.call(op, header, payload=payload)
-        return reply, self._metered(op, corrupter, payload, data, t0)
+        token, t0 = self._link.sent(), time.perf_counter()
+        try:
+            reply, data = rpc.call(op, header, payload=payload)
+        except BaseException:
+            self._link.delivered(token, None)
+            raise
+        return reply, self._metered(op, corrupter, payload, data, t0, token)
 
     async def _timed_async(self, op: str, rpc: AsyncRpcClient, header: Dict[str, Any],
                            payload: bytes = b"", parent: Optional[obs.SpanContext] = None):
@@ -250,9 +288,13 @@ class GridFtpClient:
         if injector is not None:
             verdict = await injector.fire_async("gridftp", op, self.peer)
         corrupter = self._fault_verdict(op, injector, verdict)
-        t0 = time.perf_counter()
-        reply, data = await rpc.call(op, header, payload=payload, parent=parent)
-        return reply, self._metered(op, corrupter, payload, data, t0)
+        token, t0 = self._link.sent(), time.perf_counter()
+        try:
+            reply, data = await rpc.call(op, header, payload=payload, parent=parent)
+        except BaseException:
+            self._link.delivered(token, None)
+            raise
+        return reply, self._metered(op, corrupter, payload, data, t0, token)
 
     def _fault_verdict(self, op: str, injector, verdict: Optional[str]):
         """Act on the ``gridftp`` hook's verdict: the injector that corrupts
@@ -269,12 +311,14 @@ class GridFtpClient:
             raise faults.InjectedFault(f"injected fault: gridftp {op} to {self.peer}")
         return None
 
-    def _metered(self, op: str, corrupter, payload: bytes, data: bytes, t0: float) -> bytes:
+    def _metered(self, op: str, corrupter, payload: bytes, data: bytes, t0: float,
+                 token: Tuple[int, int, float, float]) -> bytes:
         """The round trip's end: corrupt if told to, then meter and record."""
         elapsed = time.perf_counter() - t0
         if corrupter is not None and data:
             data = corrupter.corrupt_bytes(data)
         nbytes = max(len(payload), len(data))
+        self._link.delivered(token, nbytes)
         _RPC_SECONDS.labels(peer=self.peer, op=op).observe(elapsed)
         _RPC_BYTES.labels(peer=self.peer, op=op).inc(nbytes)
         if self.monitor is not None:
@@ -376,25 +420,28 @@ class GridFtpClient:
         ``resume_from`` bytes of ``local_path`` are assumed good (use
         :attr:`TransferError.copied` from the failed attempt) and the
         transfer restarts there, windowed like any other.  Returns the
-        bytes moved *this call*.  Raises :class:`TransferError` on a
+        bytes moved *this call*.  The head block's reply is the
+        existence check (a missing file raises ``RpcError`` with
+        ``not-found``) and carries the file's extent, so no window block
+        is sent past the end.  Raises :class:`TransferError` on a
         mid-copy connection failure or a short copy (e.g. the file
         shrank) — a short copy must never pass silently.
         """
-        total = self.size(remote_path)
+        if resume_from < 0:
+            raise ValueError(f"resume_from {resume_from} is negative")
+        t0 = time.perf_counter()
+        size, ctx = self.block_size, obs.current_context()
+        head, total = self.read_block_ex(remote_path, resume_from, size)
+        if resume_from > total:
+            raise ValueError(f"resume_from {resume_from} outside [0, {total}]")
         local_path = Path(local_path)
         local_path.parent.mkdir(parents=True, exist_ok=True)
-        if resume_from < 0 or resume_from > total:
-            raise ValueError(f"resume_from {resume_from} outside [0, {total}]")
-        t0 = time.perf_counter()
         mode = "r+b" if resume_from and local_path.exists() else "wb"
-        size, ctx = self.block_size, obs.current_context()
         with open(local_path, mode, buffering=0) as out:
             out.truncate(resume_from)
             fd = out.fileno()
-            header = {"path": remote_path, "offset": resume_from, "length": size}
             self._windowed(
-                "fetch", remote_path, resume_from, total,
-                lambda fill: self._timed("get_block", self._rpc, header, armed=fill)[1],
+                "fetch", remote_path, resume_from, total, head,
                 lambda conn, offset: self.read_block_async(
                     conn, remote_path, offset, size, parent=ctx),
                 lambda offset, data: os.pwrite(fd, data, offset),
@@ -412,14 +459,11 @@ class GridFtpClient:
         total = local_path.stat().st_size
         t0 = time.perf_counter()
         size, ctx = self.block_size, obs.current_context()
-        if total == 0:
-            self.write_block(remote_path, 0, b"", truncate=True)
         with open(local_path, "rb", buffering=0) as src:
             fd = src.fileno()
+            head = self.write_block(remote_path, 0, os.pread(fd, size, 0), truncate=True)
             self._windowed(
-                "store", remote_path, 0, total,
-                lambda _fill: self.write_block(
-                    remote_path, 0, os.pread(fd, size, 0), truncate=True),
+                "store", remote_path, 0, total, head,
                 lambda conn, offset: self.write_block_async(
                     conn, remote_path, offset, os.pread(fd, size, offset), ctx),
                 lambda _offset, written: written,
@@ -428,16 +472,15 @@ class GridFtpClient:
             self.monitor.record(self.peer, "store", total, time.perf_counter() - t0)
         return total
 
-    def _windowed(self, verb: str, path: str, start: int, total: int, head: Callable,
+    def _windowed(self, verb: str, path: str, start: int, total: int, head: Any,
                   later: Callable, land: Callable[[int, Any], int]) -> None:
         """The one bulk-copy loop: move ``[start, total)`` in blocks.
 
-        ``head(fill)`` moves the block at ``start`` on the demand pool; a
-        fetch calls ``fill`` between the head's fault hook and its round
-        trip, so the two overlap and hooks fire in block order.  Every
-        later block is ``later(conn, offset)`` on the engine, at most
-        ``WINDOW_BLOCKS`` in flight on one connection dialled for this
-        transfer.  Each lands in order on the caller's thread via
+        ``head`` is the block at ``start``, already moved on the demand
+        pool (its reply told a fetch the extent).  Every later block is
+        ``later(conn, offset)`` on the engine, at most
+        :meth:`window_depth` in flight on one connection dialled for
+        this transfer.  Each lands in order on the caller's thread via
         ``land(offset, result)``, which returns its length, so a failure
         or short block leaves a contiguous good prefix: the window's
         connection is closed (failing its calls at once) and every call
@@ -450,7 +493,8 @@ class GridFtpClient:
 
         def fill() -> None:
             nonlocal conn
-            for offset in islice(rest, WINDOW_BLOCKS - len(window)):
+            room = self.window_depth(self.block_size) - len(window)
+            for offset in islice(rest, max(0, room)):
                 conn = conn or AsyncRpcClient(*self._addr)
                 window.append((offset, get_engine().submit(later(conn, offset))))
 
@@ -460,7 +504,7 @@ class GridFtpClient:
             return copied >= min(offset + self.block_size, total)
 
         try:
-            whole = start < total and landed(start, head(fill))
+            whole = landed(start, head)
             while whole:
                 fill()
                 if not window:

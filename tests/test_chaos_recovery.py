@@ -6,6 +6,7 @@ Grid Buffer front end restarts mid-stream — outputs must still be
 byte-identical and the recovery work must be visible in ``repro.obs``.
 """
 
+import hashlib
 import random
 import threading
 import time
@@ -24,7 +25,13 @@ from repro.gridbuffer import client as gbc
 from repro.gridbuffer.client import GridBufferClient
 from repro.gridbuffer.server import GridBufferServer
 from repro.gridbuffer.service import GridBufferService
-from repro.transport.gridftp import GridFtpClient, GridFtpServer, TransferError
+from repro.transport.gridftp import (
+    DEFAULT_BLOCK,
+    WINDOW_BLOCKS,
+    GridFtpClient,
+    GridFtpServer,
+    TransferError,
+)
 from repro.transport.tcp import IDEMPOTENT_OPS, PoolTimeout, RetryPolicy, RpcError
 from repro.transport.inmem import HostRegistry
 
@@ -616,6 +623,75 @@ class TestRemoteWriteWindowRetry:
         assert [action for *_, action in injector.fired] == ["close"]
         assert _counter("rpc_retries_total") > retries
         assert hosts.host("store").resolve("/out/result.dat").read_bytes() == payload
+
+
+# ---------------------------------------------------------------------------
+# Integration: a deep REMOTE read window through a reset connection
+# ---------------------------------------------------------------------------
+class TestRemoteReadWindowRetry:
+    @pytest.mark.timeout(120)
+    def test_a_get_reset_under_a_deep_window_is_retried_byte_identical(self, tmp_path):
+        """A 64 MiB REMOTE read through the FM from a 5 ms server: the
+        server resets the read-ahead connection on a ``get_block`` while
+        more than ``WINDOW_BLOCKS`` blocks are in flight on it.  Every
+        block in flight fails and is fetched again, the bytes read are
+        identical, and ``close()`` leaves no fetch pending."""
+        hosts = HostRegistry(tmp_path / "hosts")
+        for name in ("compute", "store"):
+            hosts.add_host(name)
+        source = hosts.host("store").resolve("/in/big.dat")
+        source.parent.mkdir(parents=True)
+        rng = random.Random(SEED + 7)
+        expected = hashlib.sha256()
+        with open(source, "wb") as out:
+            for _ in range(64):
+                chunk = rng.randbytes(1 << 20)
+                out.write(chunk)
+                expected.update(chunk)
+        ns = NameService()
+        ns.add(
+            GnsRecord(
+                machine="compute", path="/job/in.dat", mode=IOMode.REMOTE,
+                remote_host="store", remote_path="/in/big.dat",
+            )
+        )
+        server = GridFtpServer(hosts.host("store").root, simulated_latency=0.005).start()
+        fm = FileMultiplexer(
+            GridContext(
+                machine="compute", gns=LocalGnsClient(ns), hosts=hosts,
+                gridftp={"store": server.address}, scratch_dir=tmp_path / "scratch",
+            )
+        )
+        # Request 1 is the open's probe; the seed picks one well into the
+        # read, once the window has deepened past its floor.
+        nth = 96 + SEED % 64
+        at_fault = []
+        got = hashlib.sha256()
+        try:
+            rule = FaultRule(layer="rpc.server", op="get_block", action="close", nth=nth)
+            with faults.injected(rule, seed=SEED) as injector:
+                f = fm.open("/job/in.dat", "r")
+                proxy = f._inner
+                fire = injector.fire_async
+
+                async def watching(layer, op, peer):
+                    verdict = await fire(layer, op, peer)
+                    if verdict == "close":
+                        at_fault.append(len(proxy._prefetcher._inflight))
+                    return verdict
+
+                injector.fire_async = watching
+                while chunk := f.read(DEFAULT_BLOCK):
+                    got.update(chunk)
+                prefetcher = proxy._prefetcher
+                f.close()
+        finally:
+            fm.close()
+            server.stop()
+        assert [action for *_, action in injector.fired] == ["close"]
+        assert len(at_fault) == 1 and at_fault[0] > WINDOW_BLOCKS, at_fault
+        assert got.hexdigest() == expected.hexdigest()
+        assert prefetcher._inflight == {}
 
 
 # ---------------------------------------------------------------------------

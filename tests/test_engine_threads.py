@@ -38,8 +38,9 @@ N = 64
 
 
 def _warm_handler_pool() -> None:
-    """Grow the engine's handler pool to its fixed size first: GridFTP
-    handlers run on it, and its threads exist per process, not per file."""
+    """Grow the engine's handler pool to its fixed size first: GridFTP's
+    third-party copy runs on it, and its threads exist per process, not
+    per file."""
     engine = aio.get_engine()
     wait([engine.executor.submit(time.sleep, 0.05) for _ in range(aio._EXECUTOR_WORKERS)])
 
@@ -264,27 +265,34 @@ BLOCKS = 32
 
 
 def _watch_blocks(server, baseline):
-    """Track a server's concurrent block requests, from arrival through the
-    simulated link delay to the reply, with the server's connections and
-    the process's new threads at each arrival."""
+    """Track a server's concurrent block requests, with the server's
+    connections and the process's new threads at each one.
+
+    Wraps the ``get_block``/``put_block`` handlers, which run inline on
+    the loop once the simulated link delay (two one-way latencies) has
+    passed, so a request is in flight from that long before its handler
+    runs until the reply: handlers that ran within one such delay of
+    each other had their requests in flight together."""
     rpc = server._rpc
-    run_one = rpc._run_one
-    seen = {"now": 0, "peak": 0, "connections": 0, "threads": 0}
+    delay = 2 * rpc.simulated_latency
+    ran = []
+    seen = {"peak": 0, "connections": 0, "threads": 0}
 
-    async def counting(op, *args):
-        if op not in ("get_block", "put_block"):
-            return await run_one(op, *args)
-        seen["now"] += 1
-        seen["peak"] = max(seen["peak"], seen["now"])
-        with rpc._writers_lock:
-            seen["connections"] = max(seen["connections"], len(rpc._writers))
-        seen["threads"] = max(seen["threads"], threading.active_count() - baseline)
-        try:
-            return await run_one(op, *args)
-        finally:
-            seen["now"] -= 1
+    def watching(handler):
+        def counting(header, payload):
+            now = time.monotonic()
+            ran.append(now)
+            seen["peak"] = max(seen["peak"], sum(1 for t in ran if t > now - delay) or 1)
+            with rpc._writers_lock:
+                seen["connections"] = max(seen["connections"], len(rpc._writers))
+            seen["threads"] = max(seen["threads"], threading.active_count() - baseline)
+            return handler(header, payload)
 
-    rpc._run_one = counting
+        return counting
+
+    for op in ("get_block", "put_block"):
+        kind, handler = rpc._handlers[op]
+        rpc._handlers[op] = (kind, watching(handler))
     return seen
 
 
@@ -367,7 +375,8 @@ class TestBulkCopyWindow:
 class TestRemoteWriteWindow:
     """A REMOTE proxy's write-behind: the first block inline on the
     demand connection, every later one a ``put_block`` future on one
-    connection of the handle's own, ``WINDOW_BLOCKS`` at most in flight."""
+    connection of the handle's own, the client's window depth at most in
+    flight."""
 
     BLOCKS = 16
 

@@ -34,13 +34,14 @@ BUDGET = {
     ("/job/local.dat", "w"): {"gns.resolve": 1},
     ("/job/local.dat", "r"): {"gns.resolve": 1},
     ("/job/copy.dat", "w"): {"gns.resolve": 1, "put_block": 1},
-    ("/job/copy.dat", "r"): {"gns.resolve": 1, "size": 1, "get_block": 1},
+    # The copy's head block is the existence check and carries the extent.
+    ("/job/copy.dat", "r"): {"gns.resolve": 1, "get_block": 1},
     # The open's truncating put_block, then the data.
     ("/job/remote.dat", "w"): {"gns.resolve": 1, "put_block": 2},
     # The open's existence probe is block 0, which the read then finds.
     ("/job/remote.dat", "r"): {"gns.resolve": 1, "get_block": 1},
     ("/job/replica-remote.dat", "r"): {"gns.resolve": 1, "get_block": 1},
-    ("/job/replica-local.dat", "r"): {"gns.resolve": 1, "size": 1, "get_block": 1},
+    ("/job/replica-local.dat", "r"): {"gns.resolve": 1, "get_block": 1},
     ("/job/stream.dat", "w"): {
         "gns.resolve": 1, "gb.create": 1, "gb.write": 1, "gb.close_writer": 1,
     },

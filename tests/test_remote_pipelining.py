@@ -356,17 +356,17 @@ class TestBulkTransfers:
         server, root = export
         client = GridFtpClient(*server.address, block_size=BLOCK)
 
-        # Shrink the file right after size() measures it: the reported
-        # size is then past the end, and the copy must not silently
-        # return the full total.
-        real_size = client.size
+        # Shrink the file right after the head block's reply reports its
+        # size: that size is then past the end, and the copy must not
+        # silently return the full total.
+        real_head = client.read_block_ex
 
-        def size_then_shrink(path):
-            total = real_size(path)
+        def head_then_shrink(path, offset, length):
+            reply = real_head(path, offset, length)
             (root / "data.bin").write_bytes(PATTERN[: 8 * BLOCK + 5])
-            return total
+            return reply
 
-        client.size = size_then_shrink
+        client.read_block_ex = head_then_shrink
         with pytest.raises(IOError, match="short fetch") as excinfo:
             client.fetch_file("/data.bin", tmp_path / "short.bin")
         assert excinfo.value.copied == 8 * BLOCK + 5
